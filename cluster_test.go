@@ -22,6 +22,7 @@ import (
 
 	"aquoman"
 	"aquoman/internal/cluster"
+	"aquoman/internal/faults"
 	"aquoman/internal/plan"
 	"aquoman/internal/server"
 	"aquoman/internal/tpch"
@@ -161,7 +162,7 @@ func (rg *rig) calm() {
 		ch.truncate.Store(false)
 	}
 	for _, w := range rg.wdbs {
-		w.Flash.SetReadLatency(0)
+		w.Flash.SetFaults(nil)
 	}
 }
 
@@ -285,10 +286,13 @@ func TestClusterMirrorFailover(t *testing.T) {
 // scheduler in-flight gauges return to zero.
 func TestClusterCancellationPropagates(t *testing.T) {
 	rg := clusterRig(t)
-	// Slow the workers down so q1 is guaranteed to still be scanning when
-	// the cancel fires (q1's shard scans cover hundreds of pages).
-	for _, w := range rg.wdbs {
-		w.Flash.SetReadLatency(2 * time.Millisecond)
+	// Park every worker on its first device read, so q1 is still scanning
+	// on all of them when the cancel fires.
+	gates := make([]*faults.Gate, len(rg.wdbs))
+	for d, w := range rg.wdbs {
+		gates[d] = faults.NewGate()
+		gates[d].Install(w.Flash)
+		defer gates[d].Release()
 	}
 	defer rg.calm()
 
@@ -298,7 +302,13 @@ func TestClusterCancellationPropagates(t *testing.T) {
 		_, _, err := rg.coord.RunTPCH(ctx, 1)
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	for d, g := range gates {
+		select {
+		case <-g.Entered():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("worker %d never reached its device", d)
+		}
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -307,6 +317,10 @@ func TestClusterCancellationPropagates(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled cluster query did not return")
+	}
+	// The reads in flight complete; the workers must not scan on.
+	for _, g := range gates {
+		g.Release()
 	}
 
 	// The workers saw their scatter requests die: nothing stays in flight.

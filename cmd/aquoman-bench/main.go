@@ -63,7 +63,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "generator seed")
 		out     = flag.String("out", "", "obsbench/concbench/encbench/profbench: write the JSON report to this file instead of stdout")
 		cacheMB = flag.Int("cache", 64, "concbench/profbench: shared page cache size in MiB")
-		pageLat = flag.Duration("pagelat", 400*time.Microsecond, "concbench/profbench: simulated NAND read latency per 8 KB page")
+		pageLat = flag.Duration("pagelat", 400*time.Microsecond, "concbench/profbench/scalebench/tenantbench: simulated NAND read latency tR per device command")
 
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -202,12 +202,14 @@ func startProfiles(cpu, mem, mutex string) func() {
 }
 
 // runConcBench measures query throughput at 1/4/16 concurrent streams on
-// a q1/q6 mix, with the shared page cache and a simulated per-page NAND
-// read latency (tR) on the flash device. Each stream issues its queries
-// serially, like a client session; streams overlap their device time and
-// share hot pages through the cache (single-flight turns S concurrent
-// scans of one file into one device pass), which is where the throughput
-// scaling comes from on a CPU-bound simulator.
+// a q1/q6 mix, with the shared page cache and the wall-clock device model
+// (NAND read latency tR per command, one 128-deep queue, one bus) on the
+// flash device. Each stream issues its queries serially, like a client
+// session, and every rep starts from a cold cache. A fused scan overlaps
+// its own page reads — a window of pages per trip to the device — so one
+// stream is CPU-bound rather than latency-bound, and extra streams scale
+// with the cores while sharing hot pages through the cache (single-flight
+// turns S concurrent scans of one file into one device pass).
 func runConcBench(sf float64, seed int64, out string, cacheBytes int64, pageLat time.Duration) {
 	db := aquoman.Open()
 	db.HeapScale = 1000 / sf

@@ -134,7 +134,7 @@ func main() {
 		jobs    = flag.Int("jobs", 4, "max in-flight queries (scheduler slots)")
 		queue   = flag.Int("queue", 16, "pending-queue depth behind the in-flight slots")
 		cacheMB = flag.Int("cache", 0, "shared page cache size in MiB (0 = no cache)")
-		pagelat = flag.Duration("pagelat", 0, "simulated per-page NAND read latency (e.g. 50us)")
+		pagelat = flag.Duration("pagelat", 0, "simulated NAND read latency tR per device command (e.g. 100us); reads queue 128 deep on one 2.4 GB/s bus and a batch of pages overlaps its tR")
 
 		tenants = flag.String("tenants", "", "tenant quotas as name[:maxqueued][/maxinflight],... — enables weighted-fair scheduling")
 		tweight = flag.String("tenant-weights", "", "tenant grant-share weights as name=weight,...")

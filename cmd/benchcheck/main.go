@@ -39,9 +39,14 @@
 // Deterministic metrics get tight bands; wall-clock-derived ones are
 // warn-only (CI runners are noisy):
 //
-//   - speedup_4_vs_1: relative band (default 25% below baseline fails) —
-//     a ratio of two wall clocks on the same machine, so much more stable
-//     than either wall clock alone.
+//   - speedup_4_vs_1: relative band (default 50% below baseline fails) —
+//     a ratio of two wall clocks on the same machine, so more stable than
+//     either wall clock alone. The band was 25% while the device slept
+//     once per page and four streams shared one stream's sleeps (3.9x,
+//     whatever the cores); behind the queued device both runs are
+//     CPU-bound and tens of milliseconds long, the ratio is the cores'
+//     (2.3x recorded on 2 vCPUs, 1.35-2.6x over five recordings), and the
+//     gate only asks that four streams still clearly beat one.
 //   - cache_hit_rate per stream count: absolute band (default 0.05 below
 //     baseline fails) — deterministic given the access pattern.
 //   - device_pages_read per stream count: relative band (default 10%
@@ -581,13 +586,13 @@ func main() {
 		mode         = flag.String("mode", "conc", "report type: conc|enc|prof|scale|tenant|ingest")
 		baselinePath = flag.String("baseline", "", "committed baseline report (default BENCH_conc.json or BENCH_enc.json by mode)")
 		freshPath    = flag.String("fresh", "", "freshly measured report (required)")
-		speedupRel   = flag.Float64("speedup-rel", 0.25, "allowed relative drop in speedup_4_vs_1")
+		speedupRel   = flag.Float64("speedup-rel", 0.5, "allowed relative drop in speedup_4_vs_1")
 		hitAbs       = flag.Float64("hit-abs", 0.05, "allowed absolute drop in cache_hit_rate")
 		pagesRel     = flag.Float64("pages-rel", 0.10, "allowed relative growth in device_pages_read")
 		minSaving    = flag.Float64("min-saving", 40, "enc: hard floor on per-query saving_pct")
 		savingAbs    = flag.Float64("saving-abs", 10, "enc: allowed absolute drop in saving_pct vs baseline")
 		minCoverage  = flag.Float64("min-coverage", 0.90, "prof: hard floor on per-stream lifecycle attribution coverage")
-		maxOverhead  = flag.Float64("max-overhead", 2.0, "prof: ceiling on report-level telemetry overhead percent")
+		maxOverhead  = flag.Float64("max-overhead", 6.0, "prof: ceiling on report-level telemetry overhead percent (profbench walls are CPU-bound, so the per-vector clock reads show in full)")
 		minScale     = flag.Float64("min-scale", 1.4, "scale: 32-stream q/s must clear this multiple of the recorded pre-fusion plateau")
 		scaleRel     = flag.Float64("scale-rel", 0.25, "scale: allowed relative drop of 32-stream q/s below the same run's 16-stream q/s")
 		maxAllocs    = flag.Float64("max-allocs", 0, "scale: budget for steady-state heap allocations per fused scan")

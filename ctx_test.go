@@ -108,10 +108,12 @@ func TestDeadlineCancels(t *testing.T) {
 	if err := db.LoadTPCH(0.01, 42); err != nil {
 		t.Fatal(err)
 	}
-	// A per-page latency makes the query long enough that a short
-	// deadline reliably fires mid-flight; the interruptible throttle
-	// returns promptly once it does.
-	db.Flash.SetReadLatency(200 * time.Microsecond)
+	// The query parks on its first device read and is held there for ten
+	// deadlines, so the deadline fires mid-scan by construction.
+	gate := faults.NewGate()
+	gate.Install(db.Flash)
+	defer gate.Release()
+	gate.ReleaseAfter(20 * time.Millisecond)
 	p, err := TPCHQuery(6)
 	if err != nil {
 		t.Fatal(err)

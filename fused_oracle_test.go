@@ -189,3 +189,59 @@ func TestFusedPathComposesWithFaultsAndHostResume(t *testing.T) {
 		t.Fatal("resume schedule injected no faults")
 	}
 }
+
+// A fault on one page in the middle of a read window — its retry budget
+// exhausted, or bad for good — reaches the fused scan as an error naming
+// that page, the offload unit suspends, and the host resume still answers
+// cell-exact. The pages fetched beside it are not lost: behind the page
+// cache the host's pass finds them resident, so no page of the column is
+// read from the device twice.
+func TestFusedWindowFaultMidBatchHostResume(t *testing.T) {
+	const file, bad = "lineitem/l_extendedprice.dat", 5
+	for _, kind := range []faults.Kind{faults.Transient, faults.Permanent} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := Open()
+			if err := db.LoadTPCH(0.01, 42); err != nil {
+				t.Fatal(err)
+			}
+			want := concOracle(t, db)
+			db.EnableCache(64 << 20)
+			inj := faults.New(faults.Config{})
+			inj.Hook = func(f string, page int64, who flash.Requester, attempt int) (faults.Kind, bool) {
+				return kind, who == flash.Aquoman && f == file && page == bad
+			}
+			db.WithFaults(inj)
+			db.ResetFlashStats()
+			p, err := TPCHQuery(6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.Run(p)
+			if err != nil {
+				t.Fatalf("q6 with a bad page mid-window: %v", err)
+			}
+			diffResult(t, "q6 after host resume", res, want[6])
+			if !res.Report.Suspended {
+				t.Fatal("q6 did not suspend: the fault never reached the fused unit")
+			}
+			if !strings.Contains(res.Report.SuspendReason, fmt.Sprintf("%s page %d ", file, bad)) {
+				t.Fatalf("suspend reason does not name the bad page: %q", res.Report.SuspendReason)
+			}
+			f, err := db.Flash.Open(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := db.Flash.FileStats(file)
+			if fs.ReadsFailed[flash.Aquoman] != 1 {
+				t.Fatalf("%d failed reads on the column, want 1", fs.ReadsFailed[flash.Aquoman])
+			}
+			if fs.PagesRead[flash.Aquoman] == 0 {
+				t.Fatal("the failed window delivered no neighbour pages")
+			}
+			if total := fs.PagesRead[flash.Aquoman] + fs.PagesRead[flash.Host]; total > f.NumPages() {
+				t.Fatalf("%d device reads of a %d-page column: pages fetched beside the bad one were read again",
+					total, f.NumPages())
+			}
+		})
+	}
+}

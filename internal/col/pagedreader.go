@@ -15,6 +15,8 @@ import (
 var (
 	_ [pool.PageSize - flash.PageSize]struct{}
 	_ [flash.PageSize - pool.PageSize]struct{}
+	_ [pool.WindowPages - flash.QueueDepth]struct{}
+	_ [flash.QueueDepth - pool.WindowPages]struct{}
 )
 
 // ReaderStats counts one sequential pass's page traffic, including the
@@ -48,25 +50,43 @@ func (s *ReaderStats) Add(o ReaderStats) {
 	}
 }
 
-// PagedReader streams a column through a one-page buffer, the way
-// AQUOMAN's Column Reader and Table Reader consume flash (the prototype's
-// 1 MB Flash Page Buffer): each flash page is read at most once per
-// sequential pass, and pages whose Row Vectors are all masked out are
-// skipped entirely. On encoded columns the buffer holds one decoded page
-// and the reader exposes the encoded representation (dictionary codes,
-// frame-of-reference deltas) so callers can evaluate on it directly.
+// PagedReader streams a column through a page buffer, the way AQUOMAN's
+// Column Reader and Table Reader consume flash (the prototype's 1 MB Flash
+// Page Buffer): each flash page is read at most once per sequential pass,
+// and pages whose Row Vectors are all masked out are skipped entirely. On
+// encoded columns the reader holds one decoded page and exposes the
+// encoded representation (dictionary codes, frame-of-reference deltas) so
+// callers can evaluate on it directly.
 //
-// The page buffer is checked out of the process-wide pool on first use and
-// returned by Close; the decoded-page scratch is reused across pages. A
-// reader that has warmed up performs no heap allocation per page.
+// Left alone, the reader fetches one page at a time, when a vector first
+// needs it. A scan that knows its row mask ahead of the reads can instead
+// fetch a window of pages in one device batch (PlanWindow / TakeWindow):
+// the reader then serves its vectors from the window, and because the
+// window's page set is derived from the same mask the vector calls obey,
+// it holds exactly the pages those calls would have fetched one by one.
+// Page accounting is done when a vector first uses a page, so both ways
+// of reading count the same.
+//
+// The reader's own page buffer is checked out of the process-wide pool on
+// first use and returned by Close; the decoded-page scratch is reused
+// across pages. A reader that has warmed up performs no heap allocation
+// per page.
 type PagedReader struct {
 	ci  *ColumnInfo
 	who flash.Requester
 	ctx context.Context // nil = never cancelled
 
-	bytesPage int64  // flash page currently in buf; -1 = empty
-	bufN      int    // valid bytes of that page (the last page may be short)
+	bytesPage int64  // flash page under the cursor; -1 = none
+	cur       []byte // its bytes (the last page may be short): buf, the cache's copy, or a window page
 	buf       []byte // pooled page image, acquired lazily, released by Close
+	one       flash.Batch
+
+	// The current window: pages fetched ahead, ascending, and the position
+	// the cursor has reached in them.
+	winPages []int64
+	winData  [][]byte
+	winNext  int
+	winBase  int // where this reader's pages start in the batch being planned
 
 	decPage int64    // encoded page currently decoded into page; -1 = none
 	page    enc.Page // reusable decoded-page scratch
@@ -95,7 +115,8 @@ func (r *PagedReader) Close() {
 		r.buf = nil
 	}
 	r.bytesPage = -1
-	r.bufN = 0
+	r.cur = nil
+	r.winPages, r.winData = r.winPages[:0], r.winData[:0]
 	r.decPage = -1
 }
 
@@ -143,22 +164,95 @@ func (r *PagedReader) vecPage(vec int) int64 {
 	return int64(start) * int64(r.ci.Def.Typ.Width()) / flash.PageSize
 }
 
-// loadPageBytes brings flash page pi into the pooled buffer and accounts
-// the read (revoking a provisional skip or prune on the same page). The
-// returned slice is valid until the next load on this reader.
-func (r *PagedReader) loadPageBytes(pi int64) ([]byte, error) {
-	if pi == r.bytesPage {
-		return r.buf[:r.bufN], nil
+// pageVecs returns the Row Vectors [lo, hi) that flash page pi holds.
+func (r *PagedReader) pageVecs(pi int64) (lo, hi int) {
+	if r.ci.Enc != nil {
+		pm := r.ci.Enc.Pages[pi]
+		return pm.StartRow / bitvec.VecSize, (pm.StartRow + pm.Count + bitvec.VecSize - 1) / bitvec.VecSize
 	}
+	vpp := r.VecsPerPage()
+	return int(pi) * vpp, (int(pi) + 1) * vpp
+}
+
+// PageSpan returns how many flash pages of this column Row Vectors
+// [v0, v1) lie on — the most a window over them can hold.
+func (r *PagedReader) PageSpan(v0, v1 int) int {
+	return int(r.vecPage(v1-1)-r.vecPage(v0)) + 1
+}
+
+// PlanWindow starts a new window over Row Vectors [v0, v1): it adds to b
+// the pages of this column that hold at least one vector mask has not
+// zeroed, leaving out the page already under the cursor. Those are
+// exactly the pages a ReadVec for every live vector and a SkipVec for
+// every dead one would fetch. After b.Read succeeds, TakeWindow hands the
+// reader its pages; until then it keeps only the page under the cursor.
+func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) {
+	// The previous window's pages go away with its buffer. The page under
+	// the cursor can still have vectors to serve in this window (or, for a
+	// page of many rows, a later one): it moves into the reader's own page,
+	// which is checked out with the first window so that a warmed-up scan
+	// never goes to the pool.
 	if r.buf == nil {
 		r.buf = pool.Pages.Get()
 	}
-	// Invalidate first: a failed read leaves the buffer clobbered, so the
-	// cursor must not keep claiming the previous page's bytes.
+	if r.bytesPage >= 0 && r.bytesPage == r.vecPage(v0) {
+		if len(r.cur) > 0 && &r.cur[0] != &r.buf[0] {
+			r.cur = r.buf[:copy(r.buf, r.cur)]
+		}
+	} else {
+		r.bytesPage, r.cur = -1, nil
+	}
+	r.winPages, r.winData, r.winNext = r.winPages[:0], r.winData[:0], 0
+	r.winBase = b.Len()
+	for pi, last := r.vecPage(v0), r.vecPage(v1-1); pi <= last; pi++ {
+		if pi == r.bytesPage {
+			continue
+		}
+		lo, hi := r.pageVecs(pi)
+		for v := max(lo, v0); v < min(hi, v1); v++ {
+			if !mask.VecAllZero(v) {
+				b.Add(r.ci.File, pi)
+				r.winPages = append(r.winPages, pi)
+				break
+			}
+		}
+	}
+}
+
+// TakeWindow adopts the pages PlanWindow added to b, once b has been read.
+// The pages must stay valid (see flash.Batch.Reset) until the next
+// PlanWindow.
+func (r *PagedReader) TakeWindow(b *flash.Batch) {
+	for i := range r.winPages {
+		r.winData = append(r.winData, b.Page(r.winBase+i))
+	}
+}
+
+// loadPageBytes puts flash page pi under the cursor — from the current
+// window when it is there, else by a one-page device read — and accounts
+// the read (revoking a provisional skip or prune on the same page). The
+// returned slice is read-only and valid until the next load on this reader.
+func (r *PagedReader) loadPageBytes(pi int64) ([]byte, error) {
+	if pi == r.bytesPage {
+		return r.cur, nil
+	}
+	// Invalidate first: a failed read leaves no page under the cursor.
 	r.bytesPage = -1
-	n, err := r.ci.File.ReadAtCtx(r.ctx, r.buf, pi*flash.PageSize, r.who)
-	if err != nil {
-		return nil, err
+	for r.winNext < len(r.winData) && r.winPages[r.winNext] < pi {
+		r.winNext++
+	}
+	if r.winNext < len(r.winData) && r.winPages[r.winNext] == pi {
+		r.cur = r.winData[r.winNext]
+	} else {
+		if r.buf == nil {
+			r.buf = pool.Pages.Get()
+		}
+		r.one.Reset(r.buf)
+		r.one.Add(r.ci.File, pi)
+		if err := r.one.Read(r.ctx, r.who); err != nil {
+			return nil, err
+		}
+		r.cur = r.one.Page(0)
 	}
 	if pi == r.lastSkipped {
 		// An earlier vector of this page was masked; the page is being
@@ -171,9 +265,8 @@ func (r *PagedReader) loadPageBytes(pi int64) ([]byte, error) {
 		r.PagesPruned--
 	}
 	r.bytesPage = pi
-	r.bufN = n
 	r.PagesRead++
-	return r.buf[:n], nil
+	return r.cur, nil
 }
 
 // accountEnc charges one encoded page to the codec counters exactly once,

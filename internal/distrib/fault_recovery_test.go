@@ -52,14 +52,25 @@ func TestClusterFaultRecoveryByteIdentical(t *testing.T) {
 		clean[q] = b
 	}
 
-	// Device 1: fail the first 12 read attempts transiently. The first
-	// shard execution exhausts the page-read budget (5 attempts) and the
-	// host resume fails the same way (5 more); the shard-level re-run
-	// then sees the tail of the burst absorbed by flash-level retries.
+	// Device 1: the first page any reader asks for fails its first 12 read
+	// attempts transiently. The first shard execution exhausts the
+	// page-read budget on it (5 attempts) and the host resume fails the
+	// same way (5 more); the shard-level re-run then sees the tail of the
+	// burst absorbed by flash-level retries. The burst is pinned to one
+	// page because a batch read goes on to its other pages after one
+	// fails: a burst counted over all attempts would be spent inside the
+	// first batch.
 	inj1 := faults.New(faults.Config{})
-	var burst int
+	var (
+		burst     int
+		burstFile string
+		burstPage int64 = -1
+	)
 	inj1.Hook = func(file string, page int64, who flash.Requester, attempt int) (faults.Kind, bool) {
-		if burst < 12 {
+		if burstPage < 0 {
+			burstFile, burstPage = file, page
+		}
+		if file == burstFile && page == burstPage && burst < 12 {
 			burst++
 			return faults.Transient, true
 		}

@@ -2,54 +2,18 @@ package flash
 
 import (
 	"context"
-	"time"
 
 	"aquoman/internal/obs"
 )
 
-// ctxChunkPages bounds how many pages one cancellable bulk read issues
-// between context checks: a cancelled reader stops consuming flash
-// bandwidth within this many pages (512 KB) of the cancellation, and the
-// chunk boundaries are page-aligned so the sequential-stream accounting
-// is identical to an unchunked read.
-const ctxChunkPages = 64
-
-// cancellable reports whether ctx can ever be cancelled (a nil or
-// Background context never is, so those reads skip the chunking).
-func cancellable(ctx context.Context) bool {
-	return ctx != nil && ctx.Done() != nil
-}
-
-// throttleCtx sleeps the configured read latency for n device page reads,
-// returning early (with the context's error) when ctx is cancelled
-// mid-sleep — a cancelled query stops paying, and holding, simulated NAND
-// time.
-func (d *Device) throttleCtx(ctx context.Context, n int64) error {
-	lat := d.readLatencyNs.Load()
-	if lat <= 0 || n <= 0 {
-		return nil
-	}
-	dur := time.Duration(lat * n)
-	if !cancellable(ctx) {
-		time.Sleep(dur)
-		return nil
-	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // ReadAtCtx is ReadAt with cooperative cancellation: the read fails with
 // ctx's error before touching the device when ctx is already done, and a
-// bulk read spanning many pages checks ctx at page-aligned chunk
-// boundaries, so a cancelled requester stops issuing page reads within
-// ctxChunkPages pages. Accounting (page counts, sequential streams) is
-// identical to ReadAt for reads that complete.
+// bulk read spanning many pages goes to the device one command queue's
+// worth (QueueDepth pages, 1 MB) at a time, checking ctx in between, so a
+// cancelled requester stops consuming flash bandwidth within that many
+// pages of the cancellation. The chunks are page-aligned, so accounting
+// (page counts, sequential streams) is identical to ReadAt for reads that
+// complete.
 func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
 	if len(p) == 0 || off < 0 {
 		return 0, nil
@@ -63,8 +27,8 @@ func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64, who Requester
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if cache := f.dev.PageCache(); cache != nil {
-		return f.readCachedCtx(ctx, cache, p, off, who)
+	if f.dev.PageCache() != nil {
+		return f.readCached(ctx, p, off, who)
 	}
 	total := 0
 	for len(p) > 0 {
@@ -73,7 +37,7 @@ func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64, who Requester
 		}
 		// End the chunk on a page boundary so a page spanning two chunks is
 		// never accounted twice.
-		end := (off/PageSize + ctxChunkPages) * PageSize
+		end := (off/PageSize + QueueDepth) * PageSize
 		chunk := end - off
 		if chunk > int64(len(p)) {
 			chunk = int64(len(p))
@@ -100,46 +64,4 @@ func (f *File) ReadPageCtx(ctx context.Context, page int64, who Requester) ([]by
 		return nil, err
 	}
 	return buf[:n], nil
-}
-
-// readCachedCtx serves the byte range page-wise through the cache,
-// checking ctx before every page so cancellation lands on a page
-// boundary.
-func (f *File) readCachedCtx(ctx context.Context, cache PageCacher, p []byte, off int64, who Requester) (int, error) {
-	f.mu.Lock()
-	size := int64(len(f.data))
-	f.mu.Unlock()
-	if off >= size {
-		return 0, nil
-	}
-	n := int64(len(p))
-	if n > size-off {
-		n = size - off
-	}
-	total := 0
-	for page := off / PageSize; page <= (off+n-1)/PageSize; page++ {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		data, err := cache.GetPage(ctx, f.name, page, func() ([]byte, error) {
-			return f.devicePageReadCtx(ctx, page, who)
-		})
-		if err != nil {
-			return total, err
-		}
-		pageStart := page * PageSize
-		lo := off - pageStart
-		if lo < 0 {
-			lo = 0
-		}
-		hi := off + n - pageStart
-		if hi > int64(len(data)) {
-			hi = int64(len(data))
-		}
-		if hi <= lo {
-			continue
-		}
-		total += copy(p[pageStart+lo-off:], data[lo:hi])
-	}
-	return total, nil
 }

@@ -17,6 +17,14 @@
 // transient failures with a budgeted exponential-backoff retry loop before
 // surfacing an error to the read path. Backoff time is accounted (Stats
 // StallNanos), not slept, so fault schedules replay deterministically.
+//
+// Wall-clock time is modelled only on request (SetReadLatency): every read
+// path then submits its page reads to one shared command queue — QueueDepth
+// slots, tR per command, one bus at ReadBandwidth (queue.go) — and sleeps
+// once, until its last command completes. A reader that hands the device a
+// batch of pages (Batch, or any multi-page ReadAt) overlaps their tR;
+// concurrent readers contend for the one bus. Write bandwidth and erases
+// are accounted but never slept.
 package flash
 
 import (
@@ -86,10 +94,11 @@ type FaultInjector interface {
 // LRU PageCache) plugs in front of the device. When one is installed via
 // SetPageCache, every File read is served page-wise through it: a cached
 // page costs no device I/O — no traffic accounting, no fault-injector
-// consultation, no read latency — while a miss calls read, which performs
-// exactly one real device page read. Implementations must coalesce
-// concurrent misses on the same page into a single read call and must not
-// cache the result of a failed read.
+// consultation, no read latency — while the missing pages of a batch are
+// handed to one fill call, which performs exactly one real device read per
+// page and one command-queue submit for the set. Implementations must
+// coalesce concurrent misses on the same page into a single device read
+// and must not cache the result of a failed read.
 type PageCacher interface {
 	// GetPage returns the content of page `page` of the named file. On a
 	// miss it calls read (exactly once per coalesced group of concurrent
@@ -98,7 +107,16 @@ type PageCacher interface {
 	// may be nil) carries the requesting query's obs.Lifecycle so the cache
 	// can attribute hit / coalesce-wait / device-read time; it is not used
 	// for cancellation — fills complete so coalesced waiters are served.
+	// It is the one-page case of GetPages.
 	GetPage(ctx context.Context, file string, page int64, read func() ([]byte, error)) ([]byte, error)
+	// GetPages stores the content of page ids[i] in data[i] for every i,
+	// under GetPage's per-page contract: a resident page is a hit, a page
+	// another reader is already fetching is waited for, and the rest — the
+	// missing set — go to a single fill.FillPages call (never more than
+	// one per GetPages). A page whose read failed is not cached and fails
+	// the call with the error of the first such page in ids order; data
+	// for the other pages is still valid.
+	GetPages(ctx context.Context, ids []PageID, data [][]byte, fill PageFiller) error
 	// InvalidatePages drops the cached pages [first, last] of file after
 	// the underlying bytes changed.
 	InvalidatePages(file string, first, last int64)
@@ -250,11 +268,13 @@ type Device struct {
 	retry  RetryPolicy
 	cache  PageCacher
 
-	// readLatencyNs, when positive, is slept per device page read — an
-	// opt-in wall-clock pacing of NAND read latency (tR) that makes
-	// concurrency benchmarks overlap I/O the way a real device does.
-	// Off (0) by default so tests and simulations stay deterministic.
+	// readLatencyNs, when positive, is tR, the array-read latency of one
+	// page-read command, and switches on the wall-clock model: reads go
+	// through queue and sleep until their commands complete. Off (0) by
+	// default so tests and simulations stay deterministic.
 	readLatencyNs atomic.Int64
+	epoch         time.Time // origin of the device clock queue runs on
+	queue         cmdQueue
 
 	// metrics mirrors the traffic counters into an obs registry (nil
 	// counters no-op, so the account path is branch-free when
@@ -281,6 +301,7 @@ func NewDevice() *Device {
 		fileStats: make(map[string]*Stats),
 		gens:      make(map[string]uint64),
 		retry:     DefaultRetryPolicy(),
+		epoch:     time.Now(),
 	}
 }
 
@@ -317,21 +338,23 @@ func (d *Device) PageCache() PageCacher {
 	return d.cache
 }
 
-// SetReadLatency sets the wall-clock latency slept per device page read
-// (0, the default, sleeps never). Cached page hits skip it — they never
-// reach the device.
-func (d *Device) SetReadLatency(perPage time.Duration) {
-	d.readLatencyNs.Store(int64(perPage))
+// SetReadLatency switches the wall-clock device model on: tR is the
+// array-read latency of one page-read command (the paper's NAND: ~100 us).
+// Every device page read is then a command in the shared QueueDepth-deep
+// queue — it waits for a slot, takes tR, and crosses the one ReadBandwidth
+// bus (PageSize / ReadBandwidth = 3.41 us a page) — and a read call sleeps
+// once, until the last of its commands completes: 1 page costs tR + 3.41
+// us, a batch of 128 costs tR + 128 x 3.41 us, and concurrent readers
+// share the bus. 0, the default, switches the model off: no read ever
+// sleeps and the queue is not consulted. Cached page hits never reach the
+// device and cost nothing either way.
+func (d *Device) SetReadLatency(tR time.Duration) {
+	d.readLatencyNs.Store(int64(tR))
 }
 
-// ReadLatency returns the per-page read latency.
+// ReadLatency returns tR, the per-command read latency (0 = model off).
 func (d *Device) ReadLatency() time.Duration {
 	return time.Duration(d.readLatencyNs.Load())
-}
-
-// throttle sleeps the configured read latency for n device page reads.
-func (d *Device) throttle(n int64) {
-	_ = d.throttleCtx(nil, n)
 }
 
 // SetRetryPolicy replaces the page-read retry policy.
@@ -640,40 +663,6 @@ func (d *Device) accountFault(file string, who Requester, ev faultEvent, stall t
 	}
 }
 
-// checkRead passes every page of [first, last] through the fault injector,
-// absorbing transient failures with the retry policy. It returns nil when
-// all pages are readable; the returned error wraps the injector's typed
-// fault error.
-func (d *Device) checkRead(file string, first, last int64, who Requester) error {
-	d.mu.Lock()
-	inj := d.faults
-	pol := d.retry
-	d.mu.Unlock()
-	if inj == nil {
-		return nil
-	}
-	for page := first; page <= last; page++ {
-		attempt := 0
-		for {
-			stall, err := inj.ReadFault(file, page, who, attempt)
-			if stall > 0 {
-				d.accountFault(file, who, evSlow, stall)
-			}
-			if err == nil {
-				break
-			}
-			d.accountFault(file, who, evFault, 0)
-			if !isTransient(err) || attempt >= pol.Budget {
-				d.accountFault(file, who, evFailed, 0)
-				return fmt.Errorf("flash: read %s page %d (attempt %d): %w", file, page, attempt+1, err)
-			}
-			d.accountFault(file, who, evRetry, pol.backoff(attempt))
-			attempt++
-		}
-	}
-	return nil
-}
-
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
@@ -762,16 +751,17 @@ func (f *File) ReadAt(p []byte, off int64, who Requester) (int, error) {
 	if len(p) == 0 || off < 0 {
 		return 0, nil
 	}
-	if cache := f.dev.PageCache(); cache != nil {
-		return f.readCached(cache, p, off, who)
+	if f.dev.PageCache() != nil {
+		return f.readCached(nil, p, off, who)
 	}
 	return f.readDirect(nil, p, off, who)
 }
 
-// readDirect performs an uncached read. A non-nil cancellable ctx makes
-// the latency throttle interruptible; the read itself (and its
-// accounting) is already committed by then, so a cut-short throttle
-// returns the bytes read alongside the context error.
+// readDirect performs an uncached read of a byte range: all its pages are
+// one submit to the command queue. A non-nil cancellable ctx makes the
+// wait for the device interruptible; the read itself (and its accounting)
+// is already committed by then, so a cut-short wait returns the bytes read
+// alongside the context error.
 func (f *File) readDirect(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
 	// Uncached reads hit the device directly: fault check, copy, and
 	// simulated NAND latency are all device-read time. Attributed with an
@@ -791,7 +781,8 @@ func (f *File) readDirect(ctx context.Context, p []byte, off int64, who Requeste
 		if n > size-off {
 			n = size - off
 		}
-		if err := f.dev.checkRead(f.name, off/PageSize, (off+n-1)/PageSize, who); err != nil {
+		inj, pol := f.dev.readPolicy()
+		if err := f.dev.checkRead(inj, pol, f.name, off/PageSize, (off+n-1)/PageSize, who); err != nil {
 			return 0, err
 		}
 	}
@@ -816,85 +807,11 @@ func (f *File) readDirect(ctx context.Context, p []byte, off int64, who Requeste
 	f.mu.Unlock()
 	if n > 0 {
 		f.dev.account(f.name, who, pages, random, 0, 0)
-		if err := f.dev.throttleCtx(ctx, pages); err != nil {
+		if err := f.dev.readPages(ctx, int(pages)); err != nil {
 			return n, err
 		}
 	}
 	return n, nil
-}
-
-// readCached serves the byte range page-wise through the installed cache.
-// Hits cost no device I/O; each miss performs exactly one real device
-// page read (fault check, accounting, latency) via devicePageRead.
-func (f *File) readCached(cache PageCacher, p []byte, off int64, who Requester) (int, error) {
-	f.mu.Lock()
-	size := int64(len(f.data))
-	f.mu.Unlock()
-	if off >= size {
-		return 0, nil
-	}
-	n := int64(len(p))
-	if n > size-off {
-		n = size - off
-	}
-	total := 0
-	for page := off / PageSize; page <= (off+n-1)/PageSize; page++ {
-		data, err := cache.GetPage(nil, f.name, page, func() ([]byte, error) {
-			return f.devicePageRead(page, who)
-		})
-		if err != nil {
-			return 0, err
-		}
-		pageStart := page * PageSize
-		lo := off - pageStart
-		if lo < 0 {
-			lo = 0
-		}
-		hi := off + n - pageStart
-		if hi > int64(len(data)) {
-			hi = int64(len(data))
-		}
-		if hi <= lo {
-			continue
-		}
-		total += copy(p[pageStart+lo-off:], data[lo:hi])
-	}
-	return total, nil
-}
-
-// devicePageRead is the cache's miss path: one real page read with fault
-// check, traffic accounting, and read latency. The returned slice is a
-// private copy (the cache shares it with future hits).
-func (f *File) devicePageRead(page int64, who Requester) ([]byte, error) {
-	return f.devicePageReadCtx(nil, page, who)
-}
-
-// devicePageReadCtx is devicePageRead with an interruptible latency
-// throttle. The page content is still returned (and cached) when only
-// the throttle was cut short — a concurrent reader coalesced on the same
-// miss must not lose the page to another query's cancellation.
-func (f *File) devicePageReadCtx(ctx context.Context, page int64, who Requester) ([]byte, error) {
-	if err := f.dev.checkRead(f.name, page, page, who); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	var data []byte
-	if lo := page * PageSize; lo < int64(len(f.data)) {
-		hi := lo + PageSize
-		if hi > int64(len(f.data)) {
-			hi = int64(len(f.data))
-		}
-		data = append([]byte(nil), f.data[lo:hi]...)
-	}
-	var random int64
-	if f.lastRead[who] >= 0 && (page > f.lastRead[who] || page < f.lastRead[who]-1) {
-		random = 1
-	}
-	f.lastRead[who] = page + 1
-	f.mu.Unlock()
-	f.dev.account(f.name, who, 1, random, 0, 0)
-	_ = f.dev.throttleCtx(ctx, 1)
-	return data, nil
 }
 
 // ReadPage reads one whole page (the last page may be short). It is the

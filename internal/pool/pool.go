@@ -171,5 +171,14 @@ const PageSize = 8192
 // Pages is the process-wide pool of flash-page-sized byte buffers.
 var Pages = NewBytes(PageSize)
 
+// WindowPages is how many page slots one Windows buffer holds. It mirrors
+// flash.QueueDepth (asserted in internal/col): a scan never has more pages
+// in flight than the device's command queue takes.
+const WindowPages = 128
+
+// Windows is the process-wide pool of Flash Page Buffers: the 1 MB a scan
+// receives one read window into when no page cache holds the pages for it.
+var Windows = NewBytes(WindowPages * PageSize)
+
 // Vals is the process-wide pool of decoded-page int64 scratch.
 var Vals = NewInts()

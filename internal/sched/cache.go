@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"aquoman/internal/flash"
 	"aquoman/internal/obs"
 )
 
@@ -58,13 +59,21 @@ type entry struct {
 	elem *list.Element
 }
 
-// flight is an in-progress device read. Concurrent misses on the same page
-// find the flight and wait on done instead of issuing duplicate reads.
+// flight is an in-progress device read of one page. Concurrent misses on
+// the same page find the flight and wait on done instead of issuing
+// duplicate reads. The flights of one batch fill share a done channel: the
+// device delivers the batch as a whole.
 type flight struct {
+	key  pageKey
 	done chan struct{}
 	data []byte
 	err  error
 }
+
+// readFunc adapts GetPage's one-page read callback to a batch fill.
+type readFunc func() ([]byte, error)
+
+func (r readFunc) FillPages(_ []int, data [][]byte, errs []error) { data[0], errs[0] = r() }
 
 // PageCache is a shared, size-bounded, single-flight LRU cache of flash
 // pages. It is safe for concurrent use. It implements flash.PageCacher
@@ -152,6 +161,11 @@ func (c *PageCache) GetPage(ctx context.Context, file string, page int64, read f
 	return c.getPage(ctx, "", file, page, read)
 }
 
+// GetPages implements flash.PageCacher for the default partition.
+func (c *PageCache) GetPages(ctx context.Context, ids []flash.PageID, data [][]byte, fill flash.PageFiller) error {
+	return c.getPages(ctx, "", ids, data, fill)
+}
+
 // InvalidatePages implements flash.PageCacher for the default partition.
 func (c *PageCache) InvalidatePages(file string, first, last int64) {
 	c.invalidatePages("", file, first, last)
@@ -180,6 +194,11 @@ func (p *Partition) GetPage(ctx context.Context, file string, page int64, read f
 	return p.c.getPage(ctx, p.name, file, page, read)
 }
 
+// GetPages implements flash.PageCacher.
+func (p *Partition) GetPages(ctx context.Context, ids []flash.PageID, data [][]byte, fill flash.PageFiller) error {
+	return p.c.getPages(ctx, p.name, ids, data, fill)
+}
+
 // InvalidatePages implements flash.PageCacher.
 func (p *Partition) InvalidatePages(file string, first, last int64) {
 	p.c.invalidatePages(p.name, file, first, last)
@@ -190,72 +209,145 @@ func (p *Partition) InvalidateFile(file string) {
 	p.c.invalidateFile(p.name, file)
 }
 
-// getPage serves one page, coalescing concurrent misses into a single
-// device read. Callers must treat the returned slice as read-only.
-// When ctx carries a query lifecycle, the elapsed time is attributed to
-// cache_hit, coalesce_wait, or device_read depending on which path
-// served the page; the timing calls are skipped entirely otherwise.
+// getPage is the one-page case of getPages.
 func (c *PageCache) getPage(ctx context.Context, part, file string, page int64, read func() ([]byte, error)) ([]byte, error) {
+	ids := [1]flash.PageID{{File: file, Page: page}}
+	var data [1][]byte
+	err := c.getPages(ctx, part, ids[:], data[:], readFunc(read))
+	return data[0], err
+}
+
+// pending is what a batch lookup could not serve from memory.
+type pending struct {
+	miss   []int     // batch indices this call reads from the device
+	mine   []*flight // their flights, in the same order
+	joinAt []int     // batch indices another reader is already fetching
+	joined []*flight
+}
+
+// getPages serves a batch of pages: resident pages are hits, pages another
+// reader is already fetching are waited for, and the rest are registered
+// as this call's flights and handed to one fill — one device submit.
+// Callers must treat the returned slices as read-only. When ctx carries a
+// query lifecycle, the elapsed time is attributed to cache_hit (the
+// lookups), device_read (the fill) and coalesce_wait (other readers'
+// flights); the timing calls are skipped entirely otherwise.
+func (c *PageCache) getPages(ctx context.Context, part string, ids []flash.PageID, data [][]byte, fill flash.PageFiller) error {
 	lc := obs.LifecycleFrom(ctx)
 	var t0 time.Time
 	if lc != nil {
 		t0 = time.Now()
 	}
+	var p pending
 	c.mu.Lock()
-	gen := c.gens[fileKey{part, file}]
-	key := pageKey{part, file, page, gen}
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.hits++
-		c.mu.Unlock()
-		c.cHits.Inc()
-		if lc != nil {
-			lc.Add(obs.StateCacheHit, time.Since(t0))
-		}
-		return e.data, nil
+	c.lookupLocked(part, ids, data, &p)
+	c.mu.Unlock()
+	c.cHits.Add(int64(len(ids) - len(p.miss)))
+	if lc != nil {
+		lc.Add(obs.StateCacheHit, time.Since(t0))
 	}
-	if f, ok := c.flights[key]; ok {
-		// Another goroutine is already reading this page: wait for it.
-		// Followers count as hits — they cost no device I/O — but the
-		// wait is attributed separately so coalescing convoys show up.
-		c.hits++
+	if len(p.miss) == 0 && len(p.joined) == 0 {
+		return nil
+	}
+	return c.resolve(lc, part, &p, data, fill)
+}
+
+// lookupLocked fills data with the resident pages of the batch and sorts
+// the rest into p, registering a flight for every page nobody is fetching
+// yet. Followers of another reader's flight count as hits — they cost no
+// device I/O — but their wait is attributed separately so coalescing
+// convoys show up.
+func (c *PageCache) lookupLocked(part string, ids []flash.PageID, data [][]byte, p *pending) {
+	var (
+		gen  uint64
+		done chan struct{}
+	)
+	for i, id := range ids {
+		// The generation is read once per run of pages of one file: it is
+		// what a reader arriving after an invalidation is keyed apart by.
+		if i == 0 || id.File != ids[i-1].File {
+			gen = c.gens[fileKey{part, id.File}]
+		}
+		key := pageKey{part, id.File, id.Page, gen}
+		if e, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(e.elem)
+			data[i] = e.data
+			continue
+		}
+		if f, ok := c.flights[key]; ok {
+			p.joinAt, p.joined = append(p.joinAt, i), append(p.joined, f)
+			continue
+		}
+		if done == nil {
+			done = make(chan struct{})
+		}
+		f := &flight{key: key, done: done}
+		c.flights[key] = f
+		p.miss, p.mine = append(p.miss, i), append(p.mine, f)
+	}
+	c.hits += int64(len(ids) - len(p.miss))
+	c.misses += int64(len(p.miss))
+}
+
+// resolve reads the batch's missing pages with one fill, publishes them,
+// and only then waits for the pages other readers are fetching: every
+// reader resolves its own flights before it blocks on anyone else's, so
+// two readers whose batches overlap both ways cannot wait on each other.
+// It returns the error of the first failed page in batch order.
+func (c *PageCache) resolve(lc *obs.Lifecycle, part string, p *pending, data [][]byte, fill flash.PageFiller) error {
+	var firstErr error
+	errAt := len(data)
+	fail := func(i int, err error) {
+		if err != nil && i < errAt {
+			firstErr, errAt = err, i
+		}
+	}
+	if len(p.miss) > 0 {
+		c.cMisses.Add(int64(len(p.miss)))
+		got, errs := make([][]byte, len(p.miss)), make([]error, len(p.miss))
+		if lc != nil || c.hDeviceRead != nil {
+			r0 := time.Now()
+			fill.FillPages(p.miss, got, errs)
+			d := time.Since(r0)
+			lc.Add(obs.StateDeviceRead, d)
+			c.hDeviceRead.Observe(int64(d))
+		} else {
+			fill.FillPages(p.miss, got, errs)
+		}
+		c.mu.Lock()
+		for k, f := range p.mine {
+			f.data, f.err = got[k], errs[k]
+			delete(c.flights, f.key)
+			// Insert only if the read succeeded and no write/invalidation
+			// landed on the file while the read was in flight (the fill
+			// would be stale — and, keyed under the old generation,
+			// unreachable yet budget-consuming).
+			if f.err == nil && f.data != nil && f.key.gen == c.gens[fileKey{part, f.key.file}] {
+				c.insertLocked(f.key, f.data)
+			}
+			data[p.miss[k]] = f.data
+			fail(p.miss[k], f.err)
+		}
 		c.mu.Unlock()
-		c.cHits.Inc()
-		<-f.done
+		close(p.mine[0].done)
+	}
+	if len(p.joined) > 0 {
+		var w0 time.Time
 		if lc != nil {
-			d := time.Since(t0)
+			w0 = time.Now()
+		}
+		for k, f := range p.joined {
+			<-f.done
+			data[p.joinAt[k]] = f.data
+			fail(p.joinAt[k], f.err)
+		}
+		if lc != nil {
+			d := time.Since(w0)
 			lc.Add(obs.StateCoalesceWait, d)
 			c.hCoalesce.Observe(int64(d))
 		}
-		return f.data, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.misses++
-	c.mu.Unlock()
-	c.cMisses.Inc()
-
-	if lc != nil || c.hDeviceRead != nil {
-		r0 := time.Now()
-		f.data, f.err = read()
-		d := time.Since(r0)
-		lc.Add(obs.StateDeviceRead, d)
-		c.hDeviceRead.Observe(int64(d))
-	} else {
-		f.data, f.err = read()
-	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	// Insert only if the read succeeded and no write/invalidation landed on
-	// the file while the read was in flight (the fill would be stale — and,
-	// keyed under the old generation, unreachable yet budget-consuming).
-	if f.err == nil && f.data != nil && gen == c.gens[fileKey{part, file}] {
-		c.insertLocked(key, f.data)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.data, f.err
+	return firstErr
 }
 
 // insertLocked adds a page and evicts from the LRU tail until the budget
@@ -297,12 +389,17 @@ func (c *PageCache) removeLocked(e *entry, evicted bool) {
 	c.gEntries.Set(int64(len(c.entries)))
 }
 
+// invalidatePages drops [first, last] of a file by key — every write pays
+// this under the mutex all page lookups take, so it must not walk the map.
+// The generation bump strands whatever a racing fill inserts afterwards.
 func (c *PageCache) invalidatePages(part, file string, first, last int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gens[fileKey{part, file}]++
-	for key, e := range c.entries {
-		if key.part == part && key.file == file && key.page >= first && key.page <= last {
+	fk := fileKey{part, file}
+	gen := c.gens[fk]
+	c.gens[fk] = gen + 1
+	for page := first; page <= last; page++ {
+		if e, ok := c.entries[pageKey{part, file, page, gen}]; ok {
 			c.removeLocked(e, false)
 		}
 	}

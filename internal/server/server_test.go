@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"aquoman"
+	"aquoman/internal/faults"
 	"aquoman/internal/flash"
 )
 
@@ -47,6 +48,35 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// parkReads makes every device read of db block until the returned gate is
+// released (at the latest when the test ends): a query that reaches its
+// first page stays mid-scan, deterministically, for as long as the test
+// needs it to be slow.
+func parkReads(t *testing.T, db *aquoman.DB) *faults.Gate {
+	t.Helper()
+	gate := faults.NewGate()
+	gate.Install(db.Flash)
+	t.Cleanup(gate.Release)
+	return gate
+}
+
+// awaitParked waits until a query is parked at the gate.
+func awaitParked(t *testing.T, gate *faults.Gate) {
+	t.Helper()
+	select {
+	case <-gate.Entered():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no query reached the device")
+	}
+}
+
+// parkReadsFor holds the first query to reach the device mid-scan for d,
+// a multiple of the deadline under test (see faults.Gate.ReleaseAfter).
+func parkReadsFor(t *testing.T, db *aquoman.DB, d time.Duration) {
+	t.Helper()
+	parkReads(t, db).ReleaseAfter(d)
 }
 
 // ndjson splits a response body into decoded JSON lines.
@@ -254,7 +284,7 @@ func TestQueueFull503(t *testing.T) {
 	o := db.EnableObservability()
 	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
 	defer db.Close()
-	db.Flash.SetReadLatency(500 * time.Microsecond) // queries take ~100ms+
+	gate := parkReads(t, db) // queries stay mid-scan until the test is done with them
 	_, ts := newTestServer(t, Config{DB: db})
 
 	// Occupy the slot and the queue directly through the scheduler so the
@@ -274,13 +304,9 @@ func TestQueueFull503(t *testing.T) {
 		return tk
 	}
 	tickets := []*aquoman.Ticket{submit()}
-	inflight := o.Reg.Gauge("sched_inflight")
-	deadline := time.Now().Add(5 * time.Second)
-	for inflight.Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
+	awaitParked(t, gate)
+	if v := o.Reg.Gauge("sched_inflight").Value(); v != 1 {
+		t.Fatalf("sched_inflight = %d with one query mid-scan", v)
 	}
 	tickets = append(tickets, submit())
 
@@ -296,6 +322,7 @@ func TestQueueFull503(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 	cancel()
+	gate.Release()
 	for _, tk := range tickets {
 		_, _ = tk.Wait()
 	}
@@ -313,9 +340,9 @@ func TestCancelFreesSchedulerSlot(t *testing.T) {
 	o := db.EnableObservability()
 	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 4})
 	defer db.Close()
-	// Per-page latency stretches the query to seconds so the cancel lands
-	// mid-flight; the interruptible throttle makes the abort prompt.
-	db.Flash.SetReadLatency(2 * time.Millisecond)
+	// The query parks on its first device read, so the cancel lands
+	// mid-scan by construction.
+	gate := parkReads(t, db)
 	_, ts := newTestServer(t, Config{DB: db})
 
 	inflight := o.Reg.Gauge("sched_inflight")
@@ -335,21 +362,18 @@ func TestCancelFreesSchedulerSlot(t *testing.T) {
 		}
 	}()
 
-	// Wait for the query to occupy the slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for inflight.Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("query never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
+	awaitParked(t, gate)
+	if v := inflight.Value(); v != 1 {
+		t.Fatalf("sched_inflight = %d with the query mid-scan", v)
 	}
 
 	cancel() // client disconnects mid-query
 	<-done
+	gate.Release() // the read in flight completes; the scan must not go on
 
-	// The slot must free up promptly (not after the seconds the full
-	// query would have taken).
-	deadline = time.Now().Add(2 * time.Second)
+	// The slot must free up promptly (not after the time the full query
+	// would have taken).
+	deadline := time.Now().Add(2 * time.Second)
 	for inflight.Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("sched_inflight stuck at %d after client cancel", inflight.Value())
@@ -374,7 +398,7 @@ func TestDeadline504(t *testing.T) {
 	}
 	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
 	defer db.Close()
-	db.Flash.SetReadLatency(2 * time.Millisecond)
+	parkReadsFor(t, db, 50*time.Millisecond) // ten deadlines
 	_, ts := newTestServer(t, Config{DB: db})
 
 	resp, err := http.Get(ts.URL + "/tpch?q=6&timeout_ms=5")
@@ -397,7 +421,7 @@ func TestMaxTimeoutCaps(t *testing.T) {
 	}
 	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
 	defer db.Close()
-	db.Flash.SetReadLatency(2 * time.Millisecond)
+	parkReadsFor(t, db, 50*time.Millisecond) // ten caps
 	_, ts := newTestServer(t, Config{DB: db, MaxTimeout: 5 * time.Millisecond})
 
 	// The client asks for a minute; the cap must fire within the test.
@@ -657,7 +681,7 @@ func TestTenantQuota429(t *testing.T) {
 		},
 	})
 	defer db.Close()
-	db.Flash.SetReadLatency(500 * time.Microsecond)
+	gate := parkReads(t, db)
 	_, ts := newTestServer(t, Config{DB: db})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -672,14 +696,7 @@ func TestTenantQuota429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflight := o.Reg.Gauge("sched_inflight")
-	deadline := time.Now().Add(5 * time.Second)
-	for inflight.Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitParked(t, gate)
 	tk2, err := db.SubmitTenantCtx(ctx, "alpha", aquoman.LaneBatch, p)
 	if err != nil {
 		t.Fatal(err)
@@ -715,6 +732,7 @@ func TestTenantQuota429(t *testing.T) {
 		t.Fatalf("beta rejected alongside alpha's quota: %v", err)
 	}
 	cancel()
+	gate.Release()
 	for _, tk := range []*aquoman.Ticket{tk1, tk2, tk3} {
 		_, _ = tk.Wait()
 	}

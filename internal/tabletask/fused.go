@@ -2,12 +2,14 @@ package tabletask
 
 import (
 	"fmt"
+	"sort"
 
 	"aquoman/internal/bitvec"
 	"aquoman/internal/col"
 	"aquoman/internal/enc"
 	"aquoman/internal/flash"
 	"aquoman/internal/obs"
+	"aquoman/internal/pool"
 	"aquoman/internal/rowsel"
 	"aquoman/internal/swissknife"
 	"aquoman/internal/systolic"
@@ -15,19 +17,36 @@ import (
 
 // The fused scan path collapses the Row Selector, Table Reader, Row
 // Transformer and Swissknife passes of an aggregation task into a single
-// sweep: each 32-row vector is predicate-filtered, streamed, compacted,
-// transformed and consumed before the next vector is touched, so no
-// intermediate column is ever materialized. All scratch is checked out of
-// pools or pre-sized at setup; the steady-state per-morsel loop performs
-// zero heap allocations (enforced by fused_test.go and the scalebench CI
-// gate). Row order, page accounting and results are identical to the
-// staged path — the differential oracle in fused_oracle_test.go holds the
-// two paths cell-exact against each other.
+// sweep, so no intermediate column is ever materialized. The sweep is
+// window-major, the way the paper's Row-Mask Vector ring is sized to the
+// flash command queue: the table is cut into windows of Row Vectors that
+// lie on at most flash.QueueDepth pages across all the task's columns
+// (the 1 MB Flash Page Buffer). Within a window each predicate column in
+// turn has the pages its live vectors sit on fetched as one device batch
+// and is evaluated over the window — column k's page set comes from the
+// mask columns < k left — then the streamed columns' pages are fetched in
+// one batch, and each 32-row vector is streamed, compacted, transformed
+// and consumed. A scan therefore waits for the device a handful of times
+// per window instead of once per page, and because every page set comes
+// from the very mask the vector calls obey, it never reads a page the
+// vector-at-a-time order would not have read.
+//
+// All scratch is checked out of pools or pre-sized at setup; the
+// steady-state loop performs zero heap allocations, however many pages it
+// touches (enforced by fused_test.go and the scalebench CI gate). Row
+// order, page accounting and results are identical to the staged path —
+// the differential oracle in fused_oracle_test.go holds the two paths
+// cell-exact against each other.
 //
 // On encoded columns with no predicates and no transform, whole pages
 // short-circuit further still: enc.AggregatePage folds COUNT/SUM/MIN/MAX
 // straight off the RLE runs or FOR deltas and the page is never expanded
 // (swissknife.ConsumeSummary).
+
+// windowPages is the read window's page budget: the flash command queue's
+// depth. A variable only so that tests can shrink the window to one vector
+// and hold the windowed scan to the page-at-a-time read order.
+var windowPages = flash.QueueDepth
 
 // fusedEligible reports whether the task can take the fused path. The
 // fused loop handles full-table aggregation scans — the shape every
@@ -79,6 +98,15 @@ type fusedScan struct {
 	streamVals [][]int64
 	compacted  [][]int64
 	row        []int64
+
+	// The read window: every column reader, the batch their page fetches
+	// go out in, and — only when no page cache serves the device — the
+	// Flash Page Buffer the pages land in, with how many of its page slots
+	// the current window has used.
+	readers  []*col.PagedReader
+	batch    flash.Batch
+	pageBuf  []byte
+	bufPages int
 }
 
 // runFused executes the whole task on the fused path. The caller has
@@ -177,6 +205,16 @@ func (fs *fusedScan) setup() error {
 		fs.streamRd[i].SetContext(fs.e.Ctx)
 	}
 
+	fs.readers = append(fs.readers[:0], fs.predRd...)
+	for _, r := range fs.streamRd {
+		if r != nil {
+			fs.readers = append(fs.readers, r)
+		}
+	}
+	if fs.e.Store.Dev.PageCache() == nil {
+		fs.pageBuf = pool.Windows.Get()
+	}
+
 	nOut := len(t.Stream)
 	if t.Transform != nil {
 		mapped, err := systolic.Compile(t.Transform, len(t.Stream), systolic.DefaultConfig())
@@ -228,77 +266,135 @@ func (fs *fusedScan) pageKernelOK() bool {
 }
 
 // scanPages is the whole-page fast path: SUM/COUNT/MIN/MAX fold directly
-// over RLE runs and FOR deltas without expanding the page. A page the
-// kernel refuses falls back to the per-vector step.
+// over RLE runs and FOR deltas without expanding the page, one window of
+// pages per device batch. A page the kernel refuses falls back to the
+// per-vector body.
 func (fs *fusedScan) scanPages(cu *obs.Cursor) error {
 	rd := fs.streamRd[0]
-	meta := rd.Meta()
-	for pi, pm := range meta.Pages {
-		agg, ok, err := rd.PageAggregate(pi)
-		if err != nil {
+	pages := rd.Meta().Pages
+	for p0 := 0; p0 < len(pages); p0 += windowPages {
+		p1 := min(p0+windowPages, len(pages))
+		lastRow := pages[p1-1].StartRow + pages[p1-1].Count
+		fs.bufPages = 0
+		if err := fs.fetch(fs.streamRd, pages[p0].StartRow/bitvec.VecSize, (lastRow+bitvec.VecSize-1)/bitvec.VecSize); err != nil {
 			return err
 		}
-		if !ok {
-			end := pm.StartRow + pm.Count
-			for vec := pm.StartRow / bitvec.VecSize; vec*bitvec.VecSize < end; vec++ {
-				if err := fs.step(vec, cu); err != nil {
-					return err
-				}
+		for pi := p0; pi < p1; pi++ {
+			agg, ok, err := rd.PageAggregate(pi)
+			if err != nil {
+				return err
 			}
-			continue
+			if !ok {
+				end := pages[pi].StartRow + pages[pi].Count
+				for vec := pages[pi].StartRow / bitvec.VecSize; vec*bitvec.VecSize < end; vec++ {
+					if err := fs.consumeVec(vec, cu); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			cu.Mark(obs.StateRead)
+			fs.agg.ConsumeSummary(agg.Count, agg.Sum, agg.Min, agg.Max)
+			fs.tt.RowsTransformed += int64(agg.Count)
+			fs.tt.RowsToSwissknife += int64(agg.Count)
+			cu.Mark(obs.StateSwissknife)
 		}
-		cu.Mark(obs.StateRead)
-		fs.agg.ConsumeSummary(agg.Count, agg.Sum, agg.Min, agg.Max)
-		fs.tt.RowsTransformed += int64(agg.Count)
-		fs.tt.RowsToSwissknife += int64(agg.Count)
-		cu.Mark(obs.StateSwissknife)
 	}
 	return nil
 }
 
-// scan runs the per-vector fused loop over the whole table.
+// scan runs the window-major fused loop over the whole table.
 func (fs *fusedScan) scan(cu *obs.Cursor) error {
 	nVecs := fs.mask.NumVecs()
-	for vec := 0; vec < nVecs; vec++ {
-		if err := fs.step(vec, cu); err != nil {
+	for v0 := 0; v0 < nVecs; {
+		v1 := fs.windowEnd(v0, nVecs)
+		if err := fs.window(v0, v1, cu); err != nil {
 			return err
+		}
+		v0 = v1
+	}
+	return nil
+}
+
+// windowEnd returns the end of the window that starts at Row Vector v0:
+// the most vectors whose pages, summed over every column reader, fit the
+// device's command queue (and so the page buffer). A window is never
+// empty, whatever the column count.
+func (fs *fusedScan) windowEnd(v0, nVecs int) int {
+	return v0 + 1 + sort.Search(nVecs-v0-1, func(i int) bool {
+		pages := 0
+		for _, r := range fs.readers {
+			pages += r.PageSpan(v0, v0+2+i)
+		}
+		return pages > windowPages
+	})
+}
+
+// fetch reads, as one device batch, the pages of vectors [v0, v1) that the
+// given readers will touch under the current mask.
+func (fs *fusedScan) fetch(readers []*col.PagedReader, v0, v1 int) error {
+	var scratch []byte
+	if off := fs.bufPages * flash.PageSize; off < len(fs.pageBuf) {
+		scratch = fs.pageBuf[off:]
+	}
+	fs.batch.Reset(scratch)
+	for _, r := range readers {
+		if r != nil {
+			r.PlanWindow(&fs.batch, v0, v1, fs.mask)
+		}
+	}
+	fs.bufPages += fs.batch.Len()
+	if err := fs.batch.Read(fs.e.Ctx, flash.Aquoman); err != nil {
+		return fmt.Errorf("tabletask %q: %w", fs.t.Name, err)
+	}
+	for _, r := range readers {
+		if r != nil {
+			r.TakeWindow(&fs.batch)
 		}
 	}
 	return nil
 }
 
-// step processes one 32-row vector end to end: refine the mask through
-// the predicate evaluators, stream and compact the surviving lanes, run
-// them through the PE chain, apply the transformer sub-predicate, and
-// feed the Swissknife. Steady state allocates nothing.
-func (fs *fusedScan) step(vec int, cu *obs.Cursor) error {
+// window processes Row Vectors [v0, v1) end to end: refine the mask
+// through each predicate column in turn, then stream and compact the
+// surviving lanes, run them through the PE chain, apply the transformer
+// sub-predicate, and feed the Swissknife. Steady state allocates nothing.
+func (fs *fusedScan) window(v0, v1 int, cu *obs.Cursor) error {
 	mask := fs.mask
-	if mask.VecAllZero(vec) {
-		for _, r := range fs.predRd {
-			r.SkipVec(vec)
-		}
-		fs.skipStreams(vec)
-		cu.Mark(obs.StateRowSel)
-		return nil
-	}
+	fs.bufPages = 0
 	for pi := range fs.evals {
-		if err := fs.evals[pi].EvalVec(fs.predRd[pi], vec, mask); err != nil {
+		rd := fs.predRd[pi]
+		if err := fs.fetch(fs.predRd[pi:pi+1], v0, v1); err != nil {
 			return err
 		}
-		if mask.VecAllZero(vec) {
-			for _, r := range fs.predRd[pi+1:] {
-				r.SkipVec(vec)
+		for vec := v0; vec < v1; vec++ {
+			if mask.VecAllZero(vec) {
+				rd.SkipVec(vec)
+			} else if err := fs.evals[pi].EvalVec(rd, vec, mask); err != nil {
+				return err
 			}
-			break
 		}
 	}
 	cu.Mark(obs.StateRowSel)
-	if mask.VecAllZero(vec) {
-		fs.skipStreams(vec)
-		return nil
+	if err := fs.fetch(fs.streamRd, v0, v1); err != nil {
+		return err
 	}
+	for vec := v0; vec < v1; vec++ {
+		if mask.VecAllZero(vec) {
+			fs.skipStreams(vec)
+			continue
+		}
+		if err := fs.consumeVec(vec, cu); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	// Stream the surviving lanes and compact them.
+// consumeVec streams one live 32-row vector and carries its surviving
+// lanes through compaction, the PE chain and the Swissknife.
+func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
+	mask := fs.mask
 	base := vec * bitvec.VecSize
 	n := bitvec.VecSize
 	if base+n > fs.tab.NumRows {
@@ -435,6 +531,10 @@ func (fs *fusedScan) finish() (*Result, error) {
 
 // close releases every pooled reader buffer. Idempotent.
 func (fs *fusedScan) close() {
+	if fs.pageBuf != nil {
+		pool.Windows.Put(fs.pageBuf)
+		fs.pageBuf = nil
+	}
 	for _, r := range fs.predRd {
 		if r != nil {
 			r.Close()

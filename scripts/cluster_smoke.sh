@@ -30,12 +30,17 @@ CLOG="$(mktemp)"; W0LOG="$(mktemp)"; W1LOG="$(mktemp)"
 echo "== building aquoman-serve"
 go build -o "$BIN" ./cmd/aquoman-serve
 
-# Workers get a simulated NAND latency so cluster queries run long enough
-# to cancel mid-flight; the coordinator's replica stays fast.
+# Workers get a simulated NAND read latency so cluster queries run long
+# enough to cancel mid-flight; the coordinator's replica stays fast. The
+# device overlaps the page reads of a batch, so a query's time is tR times
+# its trips to the device, not times its pages: a worker's q1 shard fits
+# one read window and makes two trips (the l_shipdate predicate's pages,
+# then the streamed columns'), 3 s at tR = 1.5 s. That leaves the first
+# trip still in flight at the 0.5 s cancel and the 0.3 s SIGKILL below.
 echo "== starting 2 workers + 1 coordinator (SF $SF seed $SEED)"
-"$BIN" -listen "$W0" -sf "$SF" -seed "$SEED" -partition 0/2 -pagelat 20ms >"$W0LOG" 2>&1 &
+"$BIN" -listen "$W0" -sf "$SF" -seed "$SEED" -partition 0/2 -pagelat 1500ms >"$W0LOG" 2>&1 &
 W0_PID=$!
-"$BIN" -listen "$W1" -sf "$SF" -seed "$SEED" -partition 1/2 -pagelat 20ms >"$W1LOG" 2>&1 &
+"$BIN" -listen "$W1" -sf "$SF" -seed "$SEED" -partition 1/2 -pagelat 1500ms >"$W1LOG" 2>&1 &
 W1_PID=$!
 "$BIN" -listen "$COORD" -sf "$SF" -seed "$SEED" \
     -coordinator -workers "http://$W0,http://$W1" >"$CLOG" 2>&1 &
@@ -69,11 +74,13 @@ echo "$HEALTHY" | grep -q '"strategy":"merge-aggregate"' \
     || { echo "q1 did not scatter (no merge-aggregate strategy)"; exit 1; }
 echo "$HEALTHY" | grep -q '"degraded_nodes"' \
     && { echo "healthy run reported degraded nodes"; exit 1; }
-curl -fsS "http://$COORD/metrics" | grep -q '^cluster_scatter_total' \
+# (Not `curl | grep -q`: grep leaving at the first match fails curl's
+# next write, and with it the pipeline.)
+grep -q '^cluster_scatter_total' <<<"$(curl -fsS "http://$COORD/metrics")" \
     || { echo "coordinator /metrics missing cluster_scatter_total"; exit 1; }
 
 echo "== client cancel propagates to the workers"
-# q1 at 20ms/page runs for seconds on the workers; curl gives up after
+# q1 runs for 3 s on the workers (see -pagelat above); curl gives up after
 # 0.5s, which must kill the scatter RPCs and free the workers' slots.
 curl -s --max-time 0.5 "http://$COORD/tpch?q=1" >/dev/null || true
 for ADDR in "$W0" "$W1"; do

@@ -5,7 +5,7 @@
 #   ./scripts/serve_smoke.sh
 #
 # It builds the server, starts it on a scratch TPC-H store with a
-# simulated per-page NAND latency (so queries take long enough to cancel
+# simulated NAND read latency (so queries take long enough to cancel
 # mid-flight), then asserts:
 #   1. /healthz goes ready,
 #   2. a SQL query over HTTP returns a complete NDJSON stream,
@@ -31,11 +31,18 @@ LOG="$(mktemp)"
 echo "== building aquoman-serve"
 go build -o "$BIN" ./cmd/aquoman-serve
 
-echo "== starting on $ADDR (SF 0.01, 2ms/page simulated NAND latency, tenants + result cache)"
+echo "== starting on $ADDR (SF 0.01, 500ms simulated NAND read latency, tenants + result cache)"
+# The device overlaps the page reads of a batch, so a query's time is tR
+# times its trips to the device, not times its pages. At SF 0.01 a fused
+# scan is two or three read windows: q1 makes 4 trips (one predicate
+# column, then the streamed columns, per window) and q6 makes 12, so at
+# tR = 500ms q1 holds the slot for 2 s and q6 for 6 s, while a one-page
+# lookup costs one trip. Queries with joins read page at a time and would
+# run for minutes here; the script only ever queues or sheds those.
 # alpha may queue at most 1 query; beta is unlimited with 4x the grant
 # share. Untenanted requests run as the "default" tenant, so the generic
 # assertions below are unaffected by the tenant flags.
-"$BIN" -listen "$ADDR" -sf 0.01 -jobs 1 -queue 4 -pagelat 2ms \
+"$BIN" -listen "$ADDR" -sf 0.01 -jobs 1 -queue 4 -pagelat 500ms \
     -tenants alpha:1,beta -tenant-weights beta=4 -result-cache 16 >"$LOG" 2>&1 &
 SERVER_PID=$!
 cleanup() {
@@ -66,7 +73,7 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' "$URL/query?q=selectt+junk")
 [ "$CODE" = 400 ] || { echo "bad SQL returned $CODE, want 400"; exit 1; }
 
 echo "== mid-flight cancellation frees the scheduler slot"
-# q6 at 2ms/page runs for seconds; curl gives up after 0.5s, which
+# q6 runs for 6 s (see -pagelat above); curl gives up after 0.5s, which
 # cancels the request context server-side.
 curl -s --max-time 0.5 "$URL/tpch?q=6" >/dev/null || true
 FREED=""
@@ -100,9 +107,11 @@ echo "== tenant quota: alpha over its queue quota is shed with 429"
 # One alpha scan occupies the single slot, a second fills alpha's
 # MaxQueued=1 quota; the third must be rejected per-tenant with 429 +
 # Retry-After while the server as a whole is still accepting work.
-# The three requests use distinct TPC-H queries that have not run yet:
-# identical (or already-cached) requests are served from the result
-# cache / coalesced onto one flight and never reach admission control.
+# The three requests use distinct TPC-H queries that have not completed
+# yet (q6 above was cancelled): identical (or already-cached) requests are
+# served from the result cache / coalesced onto one flight and never reach
+# admission control. The two that run are the fused scans, q1 for 2 s and
+# then q6 for 6 s; q5 is shed and never runs.
 curl -s --max-time 15 -H 'X-Tenant: alpha' "$URL/tpch?q=1" >/dev/null &
 ALPHA1=$!
 for i in $(seq 1 100); do
@@ -111,7 +120,7 @@ for i in $(seq 1 100); do
     sleep 0.1
     if [ "$i" = 100 ]; then echo "alpha scan never became in-flight"; cat "$LOG"; exit 1; fi
 done
-curl -s --max-time 15 -H 'X-Tenant: alpha' "$URL/tpch?q=3" >/dev/null &
+curl -s --max-time 15 -H 'X-Tenant: alpha' "$URL/tpch?q=6" >/dev/null &
 ALPHA2=$!
 for i in $(seq 1 100); do
     QUEUED=$(curl -fsS "$URL/metrics" | grep '^sched_tenant_queued{tenant="alpha"}' | awk '{print $2}')
