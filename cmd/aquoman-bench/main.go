@@ -567,7 +567,11 @@ func runProfBench(sf float64, seed int64, out string, cacheBytes int64, pageLat 
 	defer db.Close()
 
 	mix := []int{1, 6}
-	const reps = 5
+	// A rep is tens of milliseconds behind the queued device, so one
+	// scheduler hiccup moves a base/profiled ratio by several percent: nine
+	// reps a stream count (36 ratios) hold the median overhead to about
+	// ±1 point on two cores, where five left it ±2.
+	const reps = 9
 	type entry struct {
 		Streams      int              `json:"streams"`
 		Queries      int              `json:"queries"`

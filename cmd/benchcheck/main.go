@@ -592,7 +592,7 @@ func main() {
 		minSaving    = flag.Float64("min-saving", 40, "enc: hard floor on per-query saving_pct")
 		savingAbs    = flag.Float64("saving-abs", 10, "enc: allowed absolute drop in saving_pct vs baseline")
 		minCoverage  = flag.Float64("min-coverage", 0.90, "prof: hard floor on per-stream lifecycle attribution coverage")
-		maxOverhead  = flag.Float64("max-overhead", 6.0, "prof: ceiling on report-level telemetry overhead percent (profbench walls are CPU-bound, so the per-vector clock reads show in full)")
+		maxOverhead  = flag.Float64("max-overhead", 2.0, "prof: ceiling on report-level telemetry overhead percent")
 		minScale     = flag.Float64("min-scale", 1.4, "scale: 32-stream q/s must clear this multiple of the recorded pre-fusion plateau")
 		scaleRel     = flag.Float64("scale-rel", 0.25, "scale: allowed relative drop of 32-stream q/s below the same run's 16-stream q/s")
 		maxAllocs    = flag.Float64("max-allocs", 0, "scale: budget for steady-state heap allocations per fused scan")

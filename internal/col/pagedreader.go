@@ -64,8 +64,10 @@ func (s *ReaderStats) Add(o ReaderStats) {
 // the reader then serves its vectors from the window, and because the
 // window's page set is derived from the same mask the vector calls obey,
 // it holds exactly the pages those calls would have fetched one by one.
-// Page accounting is done when a vector first uses a page, so both ways
-// of reading count the same.
+// EndWindow closes the window: the reader keeps a copy of its own of the
+// page under the cursor if later vectors still sit on it, and no view into
+// the window's pages outlives the call. Page accounting is done when a
+// vector first uses a page, so both ways of reading count the same.
 //
 // The reader's own page buffer is checked out of the process-wide pool on
 // first use and returned by Close; the decoded-page scratch is reused
@@ -78,6 +80,7 @@ type PagedReader struct {
 
 	bytesPage int64  // flash page under the cursor; -1 = none
 	cur       []byte // its bytes (the last page may be short): buf, the cache's copy, or a window page
+	curInWin  bool   // cur is a view into the current window, which EndWindow must detach
 	buf       []byte // pooled page image, acquired lazily, released by Close
 	one       flash.Batch
 
@@ -115,7 +118,7 @@ func (r *PagedReader) Close() {
 		r.buf = nil
 	}
 	r.bytesPage = -1
-	r.cur = nil
+	r.cur, r.curInWin = nil, false
 	r.winPages, r.winData = r.winPages[:0], r.winData[:0]
 	r.decPage = -1
 }
@@ -180,29 +183,39 @@ func (r *PagedReader) PageSpan(v0, v1 int) int {
 	return int(r.vecPage(v1-1)-r.vecPage(v0)) + 1
 }
 
-// PlanWindow starts a new window over Row Vectors [v0, v1): it adds to b
-// the pages of this column that hold at least one vector mask has not
-// zeroed, leaving out the page already under the cursor. Those are
-// exactly the pages a ReadVec for every live vector and a SkipVec for
-// every dead one would fetch. After b.Read succeeds, TakeWindow hands the
-// reader its pages; until then it keeps only the page under the cursor.
-func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) {
-	// The previous window's pages go away with its buffer. The page under
-	// the cursor can still have vectors to serve in this window (or, for a
-	// page of many rows, a later one): it moves into the reader's own page,
-	// which is checked out with the first window so that a warmed-up scan
-	// never goes to the pool.
-	if r.buf == nil {
-		r.buf = pool.Pages.Get()
+// EndWindow closes the current window ahead of Row Vector next, the first
+// one the pass has not consumed. The window's pages are dropped, and with
+// them the page under the cursor, unless next still sits on that page: then
+// the reader copies it into its own page buffer. Either way the reader
+// holds no view into the window afterwards, so the caller may reuse the
+// memory behind the batch. Idempotent; a reader with no window is left
+// alone.
+func (r *PagedReader) EndWindow(next int) {
+	r.winPages, r.winData, r.winNext = r.winPages[:0], r.winData[:0], 0
+	if !r.curInWin {
+		return
 	}
-	if r.bytesPage >= 0 && r.bytesPage == r.vecPage(v0) {
-		if len(r.cur) > 0 && &r.cur[0] != &r.buf[0] {
-			r.cur = r.buf[:copy(r.buf, r.cur)]
-		}
+	r.curInWin = false
+	if r.bytesPage == r.vecPage(next) {
+		r.cur = r.buf[:copy(r.buf, r.cur)]
 	} else {
 		r.bytesPage, r.cur = -1, nil
 	}
-	r.winPages, r.winData, r.winNext = r.winPages[:0], r.winData[:0], 0
+}
+
+// PlanWindow starts a new window over Row Vectors [v0, v1), ending the one
+// before: it adds to b the pages of this column that hold at least one
+// vector mask has not zeroed, leaving out the page already under the
+// cursor. Those are exactly the pages a ReadVec for every live vector and a
+// SkipVec for every dead one would fetch. After b.Read succeeds,
+// TakeWindow hands the reader its pages.
+func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) {
+	// The reader's own page is checked out with the first window, so that a
+	// warmed-up scan never goes to the pool.
+	if r.buf == nil {
+		r.buf = pool.Pages.Get()
+	}
+	r.EndWindow(v0)
 	r.winBase = b.Len()
 	for pi, last := r.vecPage(v0), r.vecPage(v1-1); pi <= last; pi++ {
 		if pi == r.bytesPage {
@@ -220,8 +233,9 @@ func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) 
 }
 
 // TakeWindow adopts the pages PlanWindow added to b, once b has been read.
-// The pages must stay valid (see flash.Batch.Reset) until the next
-// PlanWindow.
+// The pages must stay valid (see flash.Batch.Reset) until EndWindow; a
+// caller that shares the memory behind b among several readers ends every
+// reader's window before it reuses any of it.
 func (r *PagedReader) TakeWindow(b *flash.Batch) {
 	for i := range r.winPages {
 		r.winData = append(r.winData, b.Page(r.winBase+i))
@@ -241,7 +255,8 @@ func (r *PagedReader) loadPageBytes(pi int64) ([]byte, error) {
 	for r.winNext < len(r.winData) && r.winPages[r.winNext] < pi {
 		r.winNext++
 	}
-	if r.winNext < len(r.winData) && r.winPages[r.winNext] == pi {
+	r.curInWin = r.winNext < len(r.winData) && r.winPages[r.winNext] == pi
+	if r.curInWin {
 		r.cur = r.winData[r.winNext]
 	} else {
 		if r.buf == nil {

@@ -99,6 +99,67 @@ func TestPagedReaderPastEnd(t *testing.T) {
 	}
 }
 
+// A window that ends in the middle of a page: EndWindow gives the reader its
+// own copy of the page under the cursor, so the memory behind the batch can
+// be reused at once, and the page is neither read from the device nor
+// counted a second time.
+func TestPagedReaderEndWindowDetachesCursorPage(t *testing.T) {
+	s, ci := buildWide(t, 1<<13) // 4 pages of int32, 64 vectors a page
+	s.Dev.ResetStats()
+	r := NewPagedReader(ci, flash.Aquoman)
+	defer r.Close()
+	vpp := r.VecsPerPage()
+	mask := bitvec.NewFull(1 << 13)
+	scratch := make([]byte, 4*flash.PageSize)
+	var b flash.Batch
+	var out [bitvec.VecSize]Value
+	read := func(v0, v1 int) {
+		t.Helper()
+		for vec := v0; vec < v1; vec++ {
+			if _, err := r.ReadVec(vec, out[:]); err != nil {
+				t.Fatal(err)
+			}
+			if out[0] != Value(vec*bitvec.VecSize) {
+				t.Fatalf("vec %d starts with %d", vec, out[0])
+			}
+		}
+	}
+
+	mid := vpp + vpp/2 // halfway through page 1
+	b.Reset(scratch)
+	r.PlanWindow(&b, 0, mid, mask)
+	if b.Len() != 2 {
+		t.Fatalf("first window plans %d pages, want 2", b.Len())
+	}
+	if err := b.Read(nil, flash.Aquoman); err != nil {
+		t.Fatal(err)
+	}
+	r.TakeWindow(&b)
+	read(0, mid)
+
+	r.EndWindow(mid)
+	for i := range scratch {
+		scratch[i] = 0xAA
+	}
+	b.Reset(scratch)
+	r.PlanWindow(&b, mid, 4*vpp, mask)
+	if b.Len() != 2 {
+		t.Fatalf("second window plans %d pages, want 2 (page 1 is under the cursor)", b.Len())
+	}
+	if err := b.Read(nil, flash.Aquoman); err != nil {
+		t.Fatal(err)
+	}
+	r.TakeWindow(&b)
+	read(mid, 4*vpp)
+
+	if r.PagesRead != 4 {
+		t.Fatalf("PagesRead = %d, want 4", r.PagesRead)
+	}
+	if got := s.Dev.Stats().PagesRead[flash.Aquoman]; got != 4 {
+		t.Fatalf("device pages = %d, want 4", got)
+	}
+}
+
 func TestGatherPageBuffered(t *testing.T) {
 	s, ci := buildWide(t, 1<<13)
 	s.Dev.ResetStats()

@@ -163,6 +163,36 @@ func (cu *Cursor) Mark(s State) {
 	cu.nested = cu.lc.nested.Load()
 }
 
+// Split attributes the time since the previous Mark among states in
+// proportion to weights — all of it to states[0] when no weight is
+// positive — excluding nested attribution, and advances the cursor. A hot
+// loop uses it to time the stages of a sample of its iterations and charge
+// the whole region by the sample's proportions, instead of reading the
+// clock at every stage of every iteration: the region's length is still
+// measured, only its division is estimated.
+func (cu *Cursor) Split(states []State, weights []time.Duration) {
+	if cu == nil {
+		return
+	}
+	now := time.Now()
+	r := now.Sub(cu.last) - time.Duration(cu.lc.nested.Load()-cu.nested)
+	var sum time.Duration
+	for _, w := range weights {
+		sum += max(w, 0)
+	}
+	rest := r
+	if r > 0 && sum > 0 {
+		for i := 1; i < len(states); i++ {
+			d := time.Duration(float64(r) * float64(max(weights[i], 0)) / float64(sum))
+			cu.lc.Add(states[i], d)
+			rest -= d
+		}
+	}
+	cu.lc.addExclusive(states[0], rest)
+	cu.last = now
+	cu.nested = cu.lc.nested.Load()
+}
+
 // Skip advances the cursor without attributing the elapsed region.
 func (cu *Cursor) Skip() {
 	if cu == nil {

@@ -101,6 +101,36 @@ func TestCursorMarkExcludesNestedAndSkips(t *testing.T) {
 	}
 }
 
+// Split charges one measured region to several states by sampled weights:
+// the shares add up to the region exactly, follow the weights, and fall to
+// the first state when nothing was sampled.
+func TestCursorSplitDividesRegionByWeights(t *testing.T) {
+	lc := NewLifecycle("q")
+	cu := lc.Cursor()
+	states := []State{StateRead, StateSystolic, StateSwissknife}
+	time.Sleep(4 * time.Millisecond)
+	cu.Split(states, []time.Duration{1, 2, 1})
+	rd, sy, sk := lc.State(StateRead), lc.State(StateSystolic), lc.State(StateSwissknife)
+	if total := rd + sy + sk; total < 4*time.Millisecond || total != lc.Attributed() {
+		t.Fatalf("split %v+%v+%v, attributed %v, want the whole >= 4ms region", rd, sy, sk, lc.Attributed())
+	}
+	if sy < rd+sk-time.Microsecond || sy > rd+sk+time.Microsecond {
+		t.Fatalf("systolic = %v, want half of the region (read %v, swissknife %v)", sy, rd, sk)
+	}
+
+	time.Sleep(2 * time.Millisecond)
+	cu.Split(states, []time.Duration{0, 0, 0})
+	if got := lc.State(StateRead) - rd; got < 2*time.Millisecond {
+		t.Fatalf("unsampled region gave read %v, want >= 2ms", got)
+	}
+	if lc.State(StateSystolic) != sy || lc.State(StateSwissknife) != sk {
+		t.Fatal("unsampled region leaked into the other states")
+	}
+
+	var none *Cursor
+	none.Split(states, []time.Duration{1, 1, 1}) // a nil cursor no-ops
+}
+
 // A concurrent Add landing inside an exclusive window (a coalesced cache
 // fill completing between Mark regions, a cluster worker attributing
 // flash time while the coordinator holds a scatter-wait window) claims

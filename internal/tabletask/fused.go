@@ -3,6 +3,7 @@ package tabletask
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"aquoman/internal/bitvec"
 	"aquoman/internal/col"
@@ -107,7 +108,23 @@ type fusedScan struct {
 	batch    flash.Batch
 	pageBuf  []byte
 	bufPages int
+
+	// Lifecycle attribution of the per-vector body: the clock is read at
+	// the stage boundaries of one live vector in stageSampleEvery, and the
+	// body's measured time is split by what those samples saw.
+	liveVecs int
+	stageNs  [len(bodyStates)]time.Duration
 }
+
+// bodyStates are the lifecycle states one live vector passes through, in
+// order: stream and compact, the PE chain, the Swissknife.
+var bodyStates = [...]obs.State{obs.StateRead, obs.StateSystolic, obs.StateSwissknife}
+
+// stageSampleEvery is how many live vectors share one timed one. Timing
+// every stage of every 32-row vector costs three clock reads for a
+// microsecond of work, which a CPU-bound scan shows as several percent of
+// wall time; one vector in eight keeps thousands of samples per scan.
+const stageSampleEvery = 8
 
 // runFused executes the whole task on the fused path. The caller has
 // already validated the task and resolved the table.
@@ -275,8 +292,9 @@ func (fs *fusedScan) scanPages(cu *obs.Cursor) error {
 	for p0 := 0; p0 < len(pages); p0 += windowPages {
 		p1 := min(p0+windowPages, len(pages))
 		lastRow := pages[p1-1].StartRow + pages[p1-1].Count
-		fs.bufPages = 0
-		if err := fs.fetch(fs.streamRd, pages[p0].StartRow/bitvec.VecSize, (lastRow+bitvec.VecSize-1)/bitvec.VecSize); err != nil {
+		v0 := pages[p0].StartRow / bitvec.VecSize
+		fs.recycleBuffer(v0)
+		if err := fs.fetch(fs.streamRd, v0, (lastRow+bitvec.VecSize-1)/bitvec.VecSize); err != nil {
 			return err
 		}
 		for pi := p0; pi < p1; pi++ {
@@ -291,6 +309,7 @@ func (fs *fusedScan) scanPages(cu *obs.Cursor) error {
 						return err
 					}
 				}
+				fs.splitBody(cu)
 				continue
 			}
 			cu.Mark(obs.StateRead)
@@ -330,8 +349,20 @@ func (fs *fusedScan) windowEnd(v0, nVecs int) int {
 	})
 }
 
+// recycleBuffer hands the whole Flash Page Buffer to the window that starts
+// at Row Vector v0. Every reader's previous window ends here, before the
+// first fetch: a reader still on a page of it takes its own copy, so that
+// no other column's fetch can land on bytes a cursor still points at.
+func (fs *fusedScan) recycleBuffer(v0 int) {
+	for _, r := range fs.readers {
+		r.EndWindow(v0)
+	}
+	fs.bufPages = 0
+}
+
 // fetch reads, as one device batch, the pages of vectors [v0, v1) that the
-// given readers will touch under the current mask.
+// given readers will touch under the current mask, into the part of the
+// page buffer this window has not used yet.
 func (fs *fusedScan) fetch(readers []*col.PagedReader, v0, v1 int) error {
 	var scratch []byte
 	if off := fs.bufPages * flash.PageSize; off < len(fs.pageBuf) {
@@ -361,7 +392,7 @@ func (fs *fusedScan) fetch(readers []*col.PagedReader, v0, v1 int) error {
 // sub-predicate, and feed the Swissknife. Steady state allocates nothing.
 func (fs *fusedScan) window(v0, v1 int, cu *obs.Cursor) error {
 	mask := fs.mask
-	fs.bufPages = 0
+	fs.recycleBuffer(v0)
 	for pi := range fs.evals {
 		rd := fs.predRd[pi]
 		if err := fs.fetch(fs.predRd[pi:pi+1], v0, v1); err != nil {
@@ -388,13 +419,36 @@ func (fs *fusedScan) window(v0, v1 int, cu *obs.Cursor) error {
 			return err
 		}
 	}
+	fs.splitBody(cu)
 	return nil
 }
 
+// splitBody charges the time since the cursor's last mark — a run of
+// consumeVec calls — to the body's states by the sampled stage times.
+func (fs *fusedScan) splitBody(cu *obs.Cursor) {
+	cu.Split(bodyStates[:], fs.stageNs[:])
+	fs.stageNs = [len(bodyStates)]time.Duration{}
+}
+
+// lap adds the time since t to the sampled time of body stage i and
+// returns the new stage's start.
+func (fs *fusedScan) lap(i int, t time.Time) time.Time {
+	now := time.Now()
+	fs.stageNs[i] += now.Sub(t)
+	return now
+}
+
 // consumeVec streams one live 32-row vector and carries its surviving
-// lanes through compaction, the PE chain and the Swissknife.
+// lanes through compaction, the PE chain and the Swissknife. The caller
+// follows a run of calls with splitBody.
 func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
 	mask := fs.mask
+	sampled := cu != nil && fs.liveVecs%stageSampleEvery == 0
+	fs.liveVecs++
+	var t time.Time
+	if sampled {
+		t = time.Now()
+	}
 	base := vec * bitvec.VecSize
 	n := bitvec.VecSize
 	if base+n > fs.tab.NumRows {
@@ -432,7 +486,9 @@ func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
 	for c := range fs.compacted {
 		fs.compacted[c] = fs.compacted[c][:k]
 	}
-	cu.Mark(obs.StateRead)
+	if sampled {
+		t = fs.lap(0, t)
+	}
 	if k == 0 {
 		return nil
 	}
@@ -445,7 +501,9 @@ func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
 			return fmt.Errorf("tabletask %q: transform run: %w", fs.t.Name, err)
 		}
 	}
-	cu.Mark(obs.StateSystolic)
+	if sampled {
+		t = fs.lap(1, t)
+	}
 	fs.tt.RowsTransformed += int64(k)
 
 	filter := fs.t.FilterOut
@@ -477,7 +535,9 @@ func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
 			}
 		}
 	}
-	cu.Mark(obs.StateSwissknife)
+	if sampled {
+		fs.lap(2, t)
+	}
 	return nil
 }
 

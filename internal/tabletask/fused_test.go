@@ -255,3 +255,47 @@ func FuzzFusedScan(f *testing.F) {
 		diffTaskRuns(t, s, task)
 	})
 }
+
+// Columns of different widths put window boundaries in the middle of pages:
+// a reader carries the page under its cursor from one window into the next
+// while the other columns' fetches reuse the Flash Page Buffer it came from.
+// Straight off the device (no page cache, so windows land in the shared
+// buffer), with a clustered key whose range predicate leaves later columns
+// skipping most pages, the fused scan must still agree with the staged one
+// cell for cell and page for page, whatever the window size.
+func TestFusedMixedWidthsCarryCursorAcrossWindows(t *testing.T) {
+	const n = 150000
+	s := col.NewStore(flash.NewDevice())
+	b := s.NewTable(col.Schema{Name: "lineitem", Cols: []col.ColDef{
+		{Name: "k", Typ: col.Int64},
+		{Name: "d", Typ: col.Int64},
+		{Name: "p", Typ: col.Int32},
+		{Name: "f", Typ: col.Bool},
+	}})
+	for i := 0; i < n; i++ {
+		b.Append(int64(i), int64((i*7)%11), 100+(i*13)%900, i%3 == 0)
+	}
+	if _, err := b.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, win := range []int{flash.QueueDepth, 7, 3} {
+		for _, lo := range []int64{-1, 18504, 74999, n - 40} {
+			t.Run(fmt.Sprintf("window=%d/k>%d", win, lo), func(t *testing.T) {
+				defer SetWindowPages(win)()
+				diffTaskRuns(t, s, &Task{
+					Name:  "mixed-widths",
+					Table: "lineitem",
+					RowSel: &Program{Preds: []rowsel.ColPred{
+						predGT("k", lo),
+						predGT("d", 2),
+					}},
+					Stream:    []string{"p", "f", "d"},
+					Transform: []systolic.Expr{systolic.Mul(systolic.In(0), systolic.In(1)), systolic.In(2)},
+					FilterOut: NoFilter,
+					Op:        OpSpec{Kind: OpAggregate, Aggs: []swissknife.AggKind{swissknife.AggSum, swissknife.AggSum}},
+					Out:       Output{Kind: ToHost},
+				})
+			})
+		}
+	}
+}
