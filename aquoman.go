@@ -92,9 +92,9 @@ type (
 	// RetryPolicy bounds the flash page-read retry loop.
 	RetryPolicy = flash.RetryPolicy
 	// SchedulerConfig sizes the concurrent query scheduler (max in-flight
-	// queries and pending-queue depth; see internal/sched). Setting its
-	// Tenants map enables per-tenant weighted-fair scheduling with
-	// admission quotas and two priority lanes.
+	// queries and pending-queue depth; see internal/sched). Its Tenants
+	// map gives named tenants their weights and admission quotas; every
+	// other tenant gets DefaultTenant's.
 	SchedulerConfig = sched.Config
 	// TenantConfig sizes one tenant's scheduler share (weight, queue
 	// quota, in-flight cap).
@@ -232,6 +232,9 @@ type DB struct {
 	cache  *sched.PageCache
 	rcache *sched.ResultCache
 	cat    *catalog.Catalog
+	// clusterRole is "coordinator" or "partition" once this DB is one
+	// part of a cluster; Exec then refuses writes (see ReadOnlyError).
+	clusterRole string
 }
 
 // Open creates an empty in-memory AQUOMAN-augmented SSD.
@@ -331,6 +334,14 @@ func (db *DB) SetRetryPolicy(p RetryPolicy) { db.Flash.SetRetryPolicy(p) }
 func (db *DB) ConfigureScheduler(cfg SchedulerConfig) {
 	db.mu.Lock()
 	old := db.sched
+	db.newSchedulerLocked(cfg)
+	db.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+}
+
+func (db *DB) newSchedulerLocked(cfg SchedulerConfig) {
 	if cfg.AdmitHook == nil {
 		// Stamp every admitted query with the catalog epoch so its
 		// whole execution reads one MVCC snapshot (see DB.Exec).
@@ -340,10 +351,6 @@ func (db *DB) ConfigureScheduler(cfg SchedulerConfig) {
 	if db.Obs != nil {
 		db.sched.Observe(db.Obs.Reg)
 	}
-	db.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
 }
 
 // scheduler returns the DB's scheduler, creating a default one on first use.
@@ -351,10 +358,7 @@ func (db *DB) scheduler() *sched.Scheduler {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.sched == nil {
-		db.sched = sched.NewScheduler(SchedulerConfig{AdmitHook: db.admitHook})
-		if db.Obs != nil {
-			db.sched.Observe(db.Obs.Reg)
-		}
+		db.newSchedulerLocked(SchedulerConfig{})
 	}
 	return db.sched
 }
@@ -488,43 +492,69 @@ func resultSize(r *Result) int64 {
 	return n
 }
 
-// RunCachedCtx executes p through the result cache (falling back to a
-// plain scheduled execution when none is installed): key should be the
-// canonicalized query text (or any stable identifier for the logical
-// query), tenant/lane attribute the execution to the fair scheduler. The
-// bool reports whether the result came from the cache. The fingerprint
-// is captured *before* the lookup, so two calls bracketing a store
-// mutation can never share an entry or an in-flight execution, and a
-// result that raced a mutation is returned but not cached.
-func (db *DB) RunCachedCtx(ctx context.Context, tenant string, lane Lane, key string, p Plan) (*Result, bool, error) {
-	rc := db.ResultCacheHandle()
-	if rc == nil {
-		t, err := db.SubmitTenantCtx(ctx, tenant, lane, p)
-		if err != nil {
-			return nil, false, err
-		}
-		res, err := t.Wait()
-		return res, false, err
-	}
-	fp := db.resultFingerprint(p)
-	v, hit, err := rc.Do(ctx, tenant, key, fp,
-		func() (interface{}, int64, error) {
-			t, err := db.SubmitTenantCtx(ctx, tenant, lane, p)
-			if err != nil {
-				return nil, 0, err
-			}
-			res, err := t.Wait()
-			if err != nil {
-				return nil, 0, err
-			}
-			return res, resultSize(res), nil
-		},
-		func() bool { return db.resultFingerprint(p) == fp })
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*Result), hit, nil
+// Request is one query for DB.Do or DB.Submit: what to run, where, and —
+// optionally — how to admit it through the scheduler.
+type Request struct {
+	// Exactly one of Plan, SQL and TPCH names the query: a logical plan, a
+	// SQL statement (see internal/sql for the dialect; a statement that
+	// fails to compile is reported as *CompileError), or a TPC-H query
+	// number 1..22 with the specification's validation parameters.
+	Plan Plan
+	SQL  string
+	TPCH int
+
+	// HostOnly executes the query entirely on the host engine (the
+	// baseline systems of the evaluation) instead of offloading Table
+	// Tasks to the in-storage pipeline.
+	HostOnly bool
+	// Trace records the query with a one-shot tracer (independent of any
+	// observer installed by EnableObservability), returned in
+	// Result.Trace ready for ChromeTrace() or Tree() export.
+	Trace bool
+
+	// Admit, when set, sends the query through the scheduler: it waits
+	// for an in-flight slot beside the DB's other concurrent queries and
+	// runs on a worker goroutine against the catalog snapshot taken at
+	// admission. Its result carries no per-query flash traffic or metrics
+	// delta: the device is shared, so attribution would be wrong — use
+	// FlashStats and CacheStats for whole-device accounting. When nil the
+	// query runs at once on the caller's goroutine and Report.Flash,
+	// OffloadFraction and Metrics describe this query alone.
+	Admit *Admission
 }
+
+// Admission attributes a scheduled Request.
+type Admission struct {
+	// Tenant is the submitting tenant ("" = the default tenant) and Lane
+	// its priority lane (zero value: LaneInteractive).
+	Tenant string
+	Lane   Lane
+	// Wait stalls the caller while the queue is full or the tenant is over
+	// its quota (until ctx dies) instead of rejecting with ErrQueueFull or
+	// *QuotaError.
+	Wait bool
+	// CacheKey, when non-empty and a result cache is installed (see
+	// EnableResultCache), makes Do answer through that cache. It should be
+	// the canonicalized query text (see CanonicalSQL) or any other stable
+	// identifier of the logical query. Submit ignores it.
+	CacheKey string
+}
+
+// Result is a finished query: its rows plus the execution report.
+type Result struct {
+	Batch  *engine.Batch
+	Report *core.Report
+	// CacheHit reports that Do served the result from the result cache.
+	CacheHit bool
+	// Trace is the query's one-shot tracer (nil unless Request.Trace).
+	Trace *Tracer
+}
+
+// Render formats up to maxRows of the result for display.
+func (r *Result) Render(maxRows int) string { return r.Batch.Render(maxRows) }
+
+// NumRows returns the result cardinality.
+func (r *Result) NumRows() int { return r.Batch.NumRows() }
 
 // Ticket tracks one query submitted to the scheduler.
 type Ticket struct {
@@ -547,106 +577,189 @@ func (t *Ticket) Done() <-chan struct{} { return t.t.Done() }
 // Round reports the scheduling round at which the query began executing.
 func (t *Ticket) Round() int64 { return t.t.Round() }
 
-// Submit enqueues a plan for concurrent execution and returns immediately
-// with a Ticket. It fails fast with ErrQueueFull when the scheduler's
-// pending queue is at capacity (backpressure) and ErrSchedulerClosed
-// after Close. Results carry no per-query flash traffic or metrics delta:
-// the device is shared, so attribution would be wrong — use FlashStats
-// and CacheStats for whole-device accounting.
-func (db *DB) Submit(p Plan) (*Ticket, error) {
-	t, err := db.scheduler().Submit(db.job(p))
+// Do executes one query and returns its result. On the AQUOMAN-augmented
+// system the offload compiler extracts Table-Task units, the in-storage
+// pipeline streams them, and the host engine finishes the residual plan.
+// The query stops — and stops consuming simulated flash bandwidth —
+// shortly after ctx dies, returning ctx's error; a nil ctx never cancels.
+// With req.Admit set, Do is Submit followed by Wait, through the result
+// cache when the admission names a cache key.
+func (db *DB) Do(ctx context.Context, req Request) (*Result, error) {
+	p, err := db.plan(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	req.Plan = p
+	if req.Admit == nil {
+		return db.run(ctx, &req, false)
+	}
+	scheduled := func() (*Result, error) {
+		t, err := db.Submit(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return t.Wait()
+	}
+	rc := db.ResultCacheHandle()
+	if rc == nil || req.Admit.CacheKey == "" {
+		return scheduled()
+	}
+	// The fingerprint is captured *before* the lookup, so two calls
+	// bracketing a store mutation can never share an entry or an in-flight
+	// execution, and a result that raced a mutation is returned but not
+	// cached.
+	fp := db.resultFingerprint(p)
+	v, hit, err := rc.Do(ctx, req.Admit.Tenant, req.Admit.CacheKey, fp,
+		func() (interface{}, int64, error) {
+			res, err := scheduled()
+			if err != nil {
+				return nil, 0, err
+			}
+			return res, resultSize(res), nil
+		},
+		func() bool { return db.resultFingerprint(p) == fp })
+	if err != nil {
+		return nil, err
+	}
+	res := *v.(*Result) // the cached value is shared: mark a copy
+	res.CacheHit = hit
+	return &res, nil
+}
+
+// Submit enqueues one query for concurrent execution and returns
+// immediately with a Ticket (a nil req.Admit means the default tenant's
+// interactive lane, without waiting). It fails fast with ErrQueueFull
+// when the scheduler's pending queue is at capacity, with *QuotaError
+// when the tenant is over its own admission quota, and with
+// ErrSchedulerClosed after Close. ctx is threaded into the query's
+// execution, and a query cancelled while still queued is skipped without
+// occupying an in-flight slot. A nil ctx never cancels.
+func (db *DB) Submit(ctx context.Context, req Request) (*Ticket, error) {
+	p, err := db.plan(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	req.Plan = p
+	var adm Admission
+	if req.Admit != nil {
+		adm = *req.Admit
+	}
+	t, err := db.scheduler().SubmitTenant(ctx,
+		sched.SubmitOpts{Tenant: adm.Tenant, Lane: adm.Lane, Wait: adm.Wait},
+		func(ctx context.Context) (interface{}, error) { return db.run(ctx, &req, true) })
 	if err != nil {
 		return nil, err
 	}
 	return &Ticket{t: t}, nil
 }
 
-// SubmitWait is Submit with blocking admission: when the queue is full it
-// stalls the caller instead of returning ErrQueueFull.
-func (db *DB) SubmitWait(p Plan) (*Ticket, error) {
-	t, err := db.scheduler().SubmitWait(db.job(p))
+// plan resolves the request's query to a logical plan.
+func (db *DB) plan(ctx context.Context, req Request) (Plan, error) {
+	switch {
+	case req.Plan != nil:
+		return req.Plan, nil
+	case req.SQL != "":
+		defer obs.LifecycleFrom(ctx).Timer(obs.StateCompile)()
+		return sql.Plan(req.SQL, db.Store)
+	}
+	return TPCHQuery(req.TPCH)
+}
+
+// run executes a resolved request. shared marks a scheduler-run query:
+// the device is shared with concurrent queries, so per-query flash and
+// metrics attribution is disabled.
+func (db *DB) run(ctx context.Context, req *Request, shared bool) (*Result, error) {
+	o := db.Obs
+	if req.Trace {
+		o = &obs.Observer{Tracer: obs.NewTracer()}
+		if db.Obs != nil {
+			o.Reg = db.Obs.Reg
+		}
+	}
+	cfg := core.Config{
+		DRAMBytes:      db.DRAMBytes,
+		Compiler:       compiler.Config{HeapScale: db.HeapScale},
+		DisableOffload: req.HostOnly,
+		DisableFusion:  db.DisableFusion,
+		SharedDevice:   shared,
+		Ctx:            ctx,
+		Obs:            o,
+	}
+	if err := plan.Bind(req.Plan, db.Store); err != nil {
+		return nil, err
+	}
+	if err := db.attachOverlays(req.Plan, &cfg); err != nil {
+		return nil, err
+	}
+	b, rep, err := core.New(db.Store, cfg).RunQuery(req.Plan)
 	if err != nil {
 		return nil, err
 	}
-	return &Ticket{t: t}, nil
-}
-
-// SubmitCtx is Submit with end-to-end cancellation: ctx is threaded into
-// the query's execution (page-read and morsel checkpoints stop its
-// simulated flash traffic shortly after ctx dies), and a query cancelled
-// while still queued is skipped without occupying an in-flight slot. A
-// nil ctx never cancels.
-func (db *DB) SubmitCtx(ctx context.Context, p Plan) (*Ticket, error) {
-	t, err := db.scheduler().SubmitCtx(ctx, db.jobCtx(p))
-	if err != nil {
-		return nil, err
+	res := &Result{Batch: b, Report: rep}
+	if req.Trace {
+		res.Trace = o.Tracer
 	}
-	return &Ticket{t: t}, nil
+	return res, nil
 }
 
-// SubmitWaitCtx is SubmitCtx with blocking admission: a caller stalled on
-// a full queue unblocks with ctx's error when ctx dies.
+// The entry points below predate Request and are kept, as aliases of Do
+// and Submit, for their callers in cmd/, examples/ and benchmark/.
+
+// Run is Do for a plan, on the caller's goroutine, never cancelled.
+func (db *DB) Run(p Plan) (*Result, error) { return db.Do(nil, Request{Plan: p}) }
+
+// Query is Do for a SQL statement, on the caller's goroutine.
+func (db *DB) Query(src string) (*Result, error) { return db.Do(nil, Request{SQL: src}) }
+
+// QueryCtx is Query with cooperative cancellation. Compile failures are
+// reported as *CompileError; context errors propagate as-is.
+func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
+	return db.Do(ctx, Request{SQL: src})
+}
+
+// QueryHostOnly is Query on the host baseline.
+func (db *DB) QueryHostOnly(src string) (*Result, error) {
+	return db.Do(nil, Request{SQL: src, HostOnly: true})
+}
+
+// RunTPCH runs TPC-H query q on the AQUOMAN system.
+func (db *DB) RunTPCH(q int) (*Result, error) { return db.Do(nil, Request{TPCH: q}) }
+
+// RunTPCHHostOnly runs TPC-H query q on the host baseline.
+func (db *DB) RunTPCHHostOnly(q int) (*Result, error) {
+	return db.Do(nil, Request{TPCH: q, HostOnly: true})
+}
+
+// SubmitWait is Submit for a plan with blocking admission: when the queue
+// is full it stalls the caller instead of returning ErrQueueFull.
+func (db *DB) SubmitWait(p Plan) (*Ticket, error) { return db.SubmitWaitCtx(nil, p) }
+
+// SubmitWaitCtx is SubmitWait with end-to-end cancellation: a caller
+// stalled on a full queue unblocks with ctx's error when ctx dies.
 func (db *DB) SubmitWaitCtx(ctx context.Context, p Plan) (*Ticket, error) {
-	t, err := db.scheduler().SubmitWaitCtx(ctx, db.jobCtx(p))
-	if err != nil {
-		return nil, err
-	}
-	return &Ticket{t: t}, nil
+	return db.SubmitTenantWaitCtx(ctx, "", LaneInteractive, p)
 }
 
-// SubmitTenantCtx is SubmitCtx attributed to a tenant and priority lane
-// for the fair scheduler (both ignored on a scheduler without tenants
-// configured). Rejections are *QuotaError (this tenant over its own
-// admission quota) or ErrQueueFull (global capacity).
-func (db *DB) SubmitTenantCtx(ctx context.Context, tenant string, lane Lane, p Plan) (*Ticket, error) {
-	t, err := db.scheduler().SubmitTenant(ctx, sched.SubmitOpts{Tenant: tenant, Lane: lane}, db.jobCtx(p))
-	if err != nil {
-		return nil, err
-	}
-	return &Ticket{t: t}, nil
-}
-
-// SubmitTenantWaitCtx is SubmitTenantCtx with blocking admission.
+// SubmitTenantWaitCtx is SubmitWaitCtx attributed to a tenant and lane.
 func (db *DB) SubmitTenantWaitCtx(ctx context.Context, tenant string, lane Lane, p Plan) (*Ticket, error) {
-	t, err := db.scheduler().SubmitTenant(ctx, sched.SubmitOpts{Tenant: tenant, Lane: lane, Wait: true}, db.jobCtx(p))
-	if err != nil {
-		return nil, err
-	}
-	return &Ticket{t: t}, nil
+	return db.Submit(ctx, Request{Plan: p, Admit: &Admission{Tenant: tenant, Lane: lane, Wait: true}})
 }
 
-// TenantGrants returns the scheduler's cumulative grant count per tenant
-// (nil when multi-tenant scheduling is off).
+// RunCachedCtx is Do for a plan scheduled under tenant/lane and answered
+// through the result cache under key (a plain scheduled execution when
+// none is installed). The bool reports whether the result came from the
+// cache.
+func (db *DB) RunCachedCtx(ctx context.Context, tenant string, lane Lane, key string, p Plan) (*Result, bool, error) {
+	res, err := db.Do(ctx, Request{Plan: p, Admit: &Admission{Tenant: tenant, Lane: lane, CacheKey: key}})
+	if err != nil {
+		return nil, false, err
+	}
+	return res, res.CacheHit, nil
+}
+
+// TenantGrants returns the scheduler's cumulative grant count per tenant.
 func (db *DB) TenantGrants() map[string]int64 {
 	return db.scheduler().TenantGrants()
-}
-
-// job wraps one plan execution for the scheduler.
-func (db *DB) job(p Plan) sched.Job {
-	return func() (interface{}, error) {
-		return db.run(p, db.sharedConfig(nil))
-	}
-}
-
-// jobCtx wraps one cancellable plan execution for the scheduler.
-func (db *DB) jobCtx(p Plan) sched.JobCtx {
-	return func(ctx context.Context) (interface{}, error) {
-		return db.run(p, db.sharedConfig(ctx))
-	}
-}
-
-// sharedConfig is the core configuration for scheduler-run queries: the
-// device is shared with concurrent queries, so per-query flash/metrics
-// attribution is disabled.
-func (db *DB) sharedConfig(ctx context.Context) core.Config {
-	return core.Config{
-		DRAMBytes:     db.DRAMBytes,
-		Compiler:      compiler.Config{HeapScale: db.HeapScale},
-		Obs:           db.Obs,
-		SharedDevice:  true,
-		DisableFusion: db.DisableFusion,
-		Ctx:           ctx,
-	}
 }
 
 // RunConcurrent submits all plans through the scheduler (blocking
@@ -679,131 +792,6 @@ func (db *DB) RunConcurrent(plans []Plan) ([]*Result, error) {
 	return results, firstErr
 }
 
-// Result is a finished query: its rows plus the execution report.
-type Result struct {
-	Batch  *engine.Batch
-	Report *core.Report
-}
-
-// Render formats up to maxRows of the result for display.
-func (r *Result) Render(maxRows int) string { return r.Batch.Render(maxRows) }
-
-// NumRows returns the result cardinality.
-func (r *Result) NumRows() int { return r.Batch.NumRows() }
-
-// Run executes a plan on the AQUOMAN-augmented system: the offload
-// compiler extracts Table-Task units, the in-storage pipeline streams
-// them, and the host engine finishes the residual plan.
-func (db *DB) Run(p Plan) (*Result, error) {
-	return db.run(p, core.Config{
-		DRAMBytes:     db.DRAMBytes,
-		Compiler:      compiler.Config{HeapScale: db.HeapScale},
-		Obs:           db.Obs,
-		DisableFusion: db.DisableFusion,
-	})
-}
-
-// RunCtx is Run with cooperative cancellation: the query stops — and
-// stops consuming simulated flash bandwidth — shortly after ctx dies,
-// returning ctx's error. A nil ctx never cancels.
-func (db *DB) RunCtx(ctx context.Context, p Plan) (*Result, error) {
-	return db.run(p, core.Config{
-		DRAMBytes:     db.DRAMBytes,
-		Compiler:      compiler.Config{HeapScale: db.HeapScale},
-		Obs:           db.Obs,
-		DisableFusion: db.DisableFusion,
-		Ctx:           ctx,
-	})
-}
-
-// RunHostOnly executes a plan entirely on the host engine (the baseline
-// systems of the evaluation).
-func (db *DB) RunHostOnly(p Plan) (*Result, error) {
-	return db.run(p, core.Config{DisableOffload: true, Obs: db.Obs})
-}
-
-// RunHostOnlyCtx is RunHostOnly with cooperative cancellation.
-func (db *DB) RunHostOnlyCtx(ctx context.Context, p Plan) (*Result, error) {
-	return db.run(p, core.Config{DisableOffload: true, Obs: db.Obs, Ctx: ctx})
-}
-
-// Trace runs a plan with a one-shot tracer (independent of any observer
-// installed by EnableObservability) and returns the result plus the
-// tracer, ready for ChromeTrace() or Tree() export.
-func (db *DB) Trace(p Plan) (*Result, *obs.Tracer, error) {
-	o := &obs.Observer{Tracer: obs.NewTracer()}
-	if db.Obs != nil {
-		o.Reg = db.Obs.Reg
-	}
-	res, err := db.run(p, core.Config{
-		DRAMBytes:     db.DRAMBytes,
-		Compiler:      compiler.Config{HeapScale: db.HeapScale},
-		Obs:           o,
-		DisableFusion: db.DisableFusion,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, o.Tracer, nil
-}
-
-func (db *DB) run(p Plan, cfg core.Config) (*Result, error) {
-	if err := plan.Bind(p, db.Store); err != nil {
-		return nil, err
-	}
-	if err := db.attachOverlays(p, &cfg); err != nil {
-		return nil, err
-	}
-	dev := core.New(db.Store, cfg)
-	b, rep, err := dev.RunQuery(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Batch: b, Report: rep}, nil
-}
-
-// Query compiles a SQL statement (see internal/sql for the dialect) and
-// executes it on the AQUOMAN system.
-func (db *DB) Query(src string) (*Result, error) {
-	p, err := sql.Plan(src, db.Store)
-	if err != nil {
-		return nil, err
-	}
-	return db.Run(p)
-}
-
-// QueryCtx is Query with cooperative cancellation (see RunCtx). Compile
-// failures are reported as *CompileError; context errors propagate as-is.
-func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	p, err := sql.Plan(src, db.Store)
-	if err != nil {
-		return nil, err
-	}
-	return db.RunCtx(ctx, p)
-}
-
-// QueryCached compiles a SQL statement and runs it through the result
-// cache (see RunCachedCtx) keyed on its canonical rendering, so
-// whitespace/case/conjunct-order variants of the same statement share
-// one entry. The bool reports whether the result came from the cache.
-func (db *DB) QueryCached(ctx context.Context, tenant string, lane Lane, src string) (*Result, bool, error) {
-	p, err := sql.Plan(src, db.Store)
-	if err != nil {
-		return nil, false, err
-	}
-	return db.RunCachedCtx(ctx, tenant, lane, sql.Canonicalize(src), p)
-}
-
-// QueryHostOnly compiles a SQL statement and executes it on the host
-// baseline.
-func (db *DB) QueryHostOnly(src string) (*Result, error) {
-	p, err := sql.Plan(src, db.Store)
-	if err != nil {
-		return nil, err
-	}
-	return db.RunHostOnly(p)
-}
-
 // Explain compiles a plan without executing it and renders the Table-Task
 // program AQUOMAN would run (the Fig. 5 listing), plus suspension notes.
 func (db *DB) Explain(p Plan) (string, error) {
@@ -827,39 +815,32 @@ func TPCHQuery(q int) (Plan, error) {
 	return def.Build(), nil
 }
 
-// RunTPCH runs TPC-H query q on the AQUOMAN system.
-func (db *DB) RunTPCH(q int) (*Result, error) {
-	p, err := TPCHQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return db.Run(p)
-}
-
-// RunTPCHHostOnly runs TPC-H query q on the host baseline.
-func (db *DB) RunTPCHHostOnly(q int) (*Result, error) {
-	p, err := TPCHQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return db.RunHostOnly(p)
-}
-
 // NewCoordinator turns this DB into a cluster coordinator over nodes:
 // queries scatter per-shard partial plans to the workers (node d must
 // serve shard d of a len(nodes)-way partitioning — see ExtractPartition
 // and aquoman-serve's -partition flag), and the partials merge on this
 // DB's full replica store. Failed nodes retry, fail over to their mirror
 // URL, and finally degrade to a coordinator-local shard copy. Cluster
-// counters land in this DB's observer when one is enabled.
+// counters land in this DB's observer when one is enabled. The cluster is
+// read-only: from here on Exec on this DB fails with *ReadOnlyError.
 func (db *DB) NewCoordinator(nodes []ClusterNode) (*Coordinator, error) {
-	return cluster.New(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		Nodes:     nodes,
 		Store:     db.Store,
 		DRAMBytes: db.DRAMBytes,
 		HeapScale: db.HeapScale,
 		Obs:       db.Obs,
 	})
+	if err == nil {
+		db.setClusterRole("coordinator")
+	}
+	return c, err
+}
+
+func (db *DB) setClusterRole(role string) {
+	db.mu.Lock()
+	db.clusterRole = role
+	db.mu.Unlock()
 }
 
 // ExtractPartition replaces this DB's (empty) store contents with shard d
@@ -867,9 +848,13 @@ func (db *DB) NewCoordinator(nodes []ClusterNode) (*Coordinator, error) {
 // order key, dimensions replicated, dictionaries seeded with src's full
 // domains so codes stay globally consistent. This is how an
 // aquoman-serve worker derives its partition from the common generator
-// output.
+// output. A partition is read-only: Exec on it fails with *ReadOnlyError.
 func (db *DB) ExtractPartition(src *DB, d, n int) error {
-	return distrib.ExtractShard(db.Store, src.Store, d, n)
+	if err := distrib.ExtractShard(db.Store, src.Store, d, n); err != nil {
+		return err
+	}
+	db.setClusterRole("partition")
+	return nil
 }
 
 // Evaluator builds the Fig. 16 experiment driver over this store,

@@ -31,7 +31,8 @@
 // raw partials at /tpch?q=N&partial=1. The coordinator keeps the full
 // replica, scatters per-shard partial plans, merges, and falls back —
 // retry, then -worker-mirrors URL, then a local shard copy — when a
-// worker dies mid-query.
+// worker dies mid-query. The cluster is read-only: it does not distribute
+// writes, so POST /dml on the coordinator or on a worker answers 403.
 package main
 
 import (
@@ -55,12 +56,11 @@ import (
 // parseTenants builds the scheduler's tenant table from the -tenants
 // and -tenant-weights flags. -tenants is a comma-separated list of
 // name[:maxqueued][/maxinflight] entries (0 = unlimited); -tenant-weights
-// is name=weight pairs. Either flag alone enables weighted-fair
-// scheduling; a weight for an unlisted tenant declares it implicitly.
+// is name=weight pairs; a weight for an unlisted tenant declares it
+// implicitly. The flags only set weights and quotas: every server grants
+// per tenant and lane, and a tenant named by neither flag (the table may
+// be empty) runs at weight 1 with no quota.
 func parseTenants(tenants, weights string) (map[string]aquoman.TenantConfig, error) {
-	if strings.TrimSpace(tenants) == "" && strings.TrimSpace(weights) == "" {
-		return nil, nil
-	}
 	out := map[string]aquoman.TenantConfig{}
 	for _, ent := range splitList(tenants) {
 		if ent == "" {
@@ -136,7 +136,7 @@ func main() {
 		cacheMB = flag.Int("cache", 0, "shared page cache size in MiB (0 = no cache)")
 		pagelat = flag.Duration("pagelat", 0, "simulated NAND read latency tR per device command (e.g. 100us); reads queue 128 deep on one 2.4 GB/s bus and a batch of pages overlaps its tR")
 
-		tenants = flag.String("tenants", "", "tenant quotas as name[:maxqueued][/maxinflight],... — enables weighted-fair scheduling")
+		tenants = flag.String("tenants", "", "tenant quotas as name[:maxqueued][/maxinflight],... (tenants not listed get weight 1 and no quota)")
 		tweight = flag.String("tenant-weights", "", "tenant grant-share weights as name=weight,...")
 		rcMB    = flag.Int("result-cache", 0, "query result cache size in MiB (0 = off; per-tenant quota is a quarter of the total)")
 
@@ -204,8 +204,8 @@ func main() {
 		QueueDepth:  *queue,
 		Tenants:     tenantCfg,
 	})
-	if tenantCfg != nil {
-		log.Printf("weighted-fair scheduling across %d configured tenants", len(tenantCfg))
+	if len(tenantCfg) > 0 {
+		log.Printf("weights and quotas set for %d tenants", len(tenantCfg))
 	}
 	if *cacheMB > 0 {
 		db.EnableCache(int64(*cacheMB) << 20)

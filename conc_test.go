@@ -183,7 +183,7 @@ func TestSchedulerFairnessLongSort(t *testing.T) {
 	release := gateDevice(db, func(file string) bool {
 		return len(file) >= 7 && file[:7] == "orders/"
 	})
-	long, err := db.Submit(mustPlanSQL(t, db, "SELECT o_totalprice FROM orders ORDER BY o_totalprice DESC"))
+	long, err := db.Submit(nil, Request{SQL: "SELECT o_totalprice FROM orders ORDER BY o_totalprice DESC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSchedulerFairnessLongSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ticket, err := db.Submit(p)
+		ticket, err := db.Submit(nil, Request{Plan: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestSubmitBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return db.Submit(p)
+		return db.Submit(nil, Request{Plan: p})
 	}
 	first, err := submit()
 	if err != nil {
@@ -308,7 +308,7 @@ func TestStuckDeviceDoesNotWedgeQueue(t *testing.T) {
 	// Interleave victims (orders scans) and bystanders (q6) in one queue.
 	var victims, bystanders []*Ticket
 	for i := 0; i < 3; i++ {
-		vt, err := db.Submit(mustPlanSQL(t, db, "SELECT o_orderkey FROM orders WHERE o_totalprice > 0"))
+		vt, err := db.Submit(nil, Request{SQL: "SELECT o_orderkey FROM orders WHERE o_totalprice > 0"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestStuckDeviceDoesNotWedgeQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bt, err := db.Submit(p)
+		bt, err := db.Submit(nil, Request{Plan: p})
 		if err != nil {
 			t.Fatal(err)
 		}

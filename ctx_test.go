@@ -61,7 +61,7 @@ func TestCancelStopsFlashTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.RunCtx(ctx, p2)
+	_, err = db.Do(ctx, Request{Plan: p2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -93,7 +93,7 @@ func TestPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db.ResetFlashStats()
-	if _, err := db.RunCtx(ctx, p); !errors.Is(err, context.Canceled) {
+	if _, err := db.Do(ctx, Request{Plan: p}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if n := db.FlashStats().PagesRead[flash.Aquoman] + db.FlashStats().PagesRead[flash.Host]; n != 0 {
@@ -101,7 +101,7 @@ func TestPreCancelledRunsNothing(t *testing.T) {
 	}
 }
 
-// TestDeadlineCancels verifies context.WithTimeout flows through RunCtx
+// TestDeadlineCancels verifies context.WithTimeout flows through Do
 // and surfaces as DeadlineExceeded.
 func TestDeadlineCancels(t *testing.T) {
 	db := Open()
@@ -121,7 +121,7 @@ func TestDeadlineCancels(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = db.RunCtx(ctx, p)
+	_, err = db.Do(ctx, Request{Plan: p})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -142,7 +142,7 @@ func TestHostOnlyCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.RunHostOnlyCtx(ctx, p); !errors.Is(err, context.Canceled) {
+	if _, err := db.Do(ctx, Request{Plan: p, HostOnly: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -150,7 +150,7 @@ func checkAtSnapshot(t *testing.T, db *DB, base *tpch.Oracle, qn int) {
 		return
 	}
 	snap := db.Catalog().Snapshot()
-	res, err := db.RunCtx(catalog.WithSnapshot(context.Background(), snap), p)
+	res, err := db.Do(catalog.WithSnapshot(context.Background(), snap), Request{Plan: p})
 	if err != nil {
 		t.Errorf("q%d at epoch %d: %v", qn, snap.Epoch, err)
 		return
@@ -397,7 +397,8 @@ func TestCacheCoherenceUnderWrites(t *testing.T) {
 
 	count := func(label string) int64 {
 		t.Helper()
-		res, _, err := db.QueryCached(ctx, "t", LaneInteractive, "select count(*) as n from lineitem")
+		const q = "select count(*) as n from lineitem"
+		res, err := db.Do(ctx, Request{SQL: q, Admit: &Admission{Tenant: "t", CacheKey: CanonicalSQL(q)}})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

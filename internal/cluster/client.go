@@ -18,7 +18,7 @@ import (
 //	{"schema":[{"name":"sum_qty","type":"decimal"}, ...],
 //	 "strategy":"merge-aggregate","partial":true}   <- header
 //	[123,456, ...]                                  <- one array per row
-//	{"done":true,"rows":N}                          <- trailer
+//	{"done":true,"rows":N,"id":"q7"}                <- trailer
 //
 // Rows carry raw stored int64s (dictionary codes, scaled decimals, day
 // numbers) rather than rendered strings: partial aggregates must merge
@@ -40,10 +40,13 @@ type WireHeader struct {
 	Partial  bool        `json:"partial"`
 }
 
-// WireTrailer is the last NDJSON line of a partial response.
+// WireTrailer is the last NDJSON line of a partial response. ID is the
+// worker's query ID (its X-Query-ID header and slow-query log id); the
+// coordinator does not interpret it.
 type WireTrailer struct {
-	Done bool `json:"done"`
-	Rows int  `json:"rows"`
+	Done bool   `json:"done"`
+	Rows int    `json:"rows"`
+	ID   string `json:"id,omitempty"`
 }
 
 // HeaderFor builds the wire header for a bound partial schema.

@@ -10,10 +10,10 @@ import (
 
 // block returns a job that parks until release is closed, plus the
 // release function.
-func block() (Job, func()) {
+func block() (JobCtx, func()) {
 	ch := make(chan struct{})
 	var once atomic.Bool
-	return func() (interface{}, error) {
+	return func(context.Context) (interface{}, error) {
 			<-ch
 			return nil, nil
 		}, func() {
@@ -25,42 +25,46 @@ func block() (Job, func()) {
 
 // TestQueueWaitCancelSkipsJob cancels a job while it waits in the queue
 // and asserts the worker never runs it: the ticket fails with the context
-// error and no in-flight slot is spent on it.
+// error, no in-flight slot (and no grant round) is spent on it, and the
+// job ahead of it is unaffected.
 func TestQueueWaitCancelSkipsJob(t *testing.T) {
-	s := NewScheduler(Config{MaxInFlight: 1, QueueDepth: 4})
-	defer s.Close()
+	eachShape(t, func(t *testing.T, sh tenantShape) {
+		s := NewScheduler(Config{MaxInFlight: 1, QueueDepth: 4, Tenants: sh.tenants})
+		defer s.Close()
 
-	blocker, release := block()
-	bt, err := s.Submit(blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
+		blocker, release := block()
+		bt, err := s.SubmitTenant(nil, sh.opts(0), blocker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitGranted(t, bt)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Bool
-	qt, err := s.SubmitCtx(ctx, func(context.Context) (interface{}, error) {
-		ran.Store(true)
-		return nil, nil
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Bool
+		qt, err := s.SubmitTenant(ctx, sh.opts(1), func(context.Context) (interface{}, error) {
+			ran.Store(true)
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		cancel() // while queued behind the blocker
+		release()
+
+		if _, err := qt.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if ran.Load() {
+			t.Fatal("cancelled queued job still ran")
+		}
+		if qt.Round() != 0 {
+			t.Fatalf("skipped job got a scheduling round: %d", qt.Round())
+		}
+		if _, err := bt.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cancel() // while queued behind the blocker
-	release()
-
-	if _, err := qt.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if ran.Load() {
-		t.Fatal("cancelled queued job still ran")
-	}
-	if qt.Round() != 0 {
-		t.Fatalf("skipped job got a scheduling round: %d", qt.Round())
-	}
-	if _, err := bt.Wait(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSubmitCtxRunsWithContext verifies the job receives the submission's
@@ -71,7 +75,7 @@ func TestSubmitCtxRunsWithContext(t *testing.T) {
 
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
-	tk, err := s.SubmitCtx(ctx, func(got context.Context) (interface{}, error) {
+	tk, err := s.SubmitTenant(ctx, SubmitOpts{}, func(got context.Context) (interface{}, error) {
 		return got.Value(key{}), nil
 	})
 	if err != nil {
@@ -92,7 +96,7 @@ func TestSubmitCtxPreCancelled(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SubmitCtx(ctx, func(context.Context) (interface{}, error) { return nil, nil }); !errors.Is(err, context.Canceled) {
+	if _, err := s.SubmitTenant(ctx, SubmitOpts{}, func(context.Context) (interface{}, error) { return nil, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -106,7 +110,7 @@ func TestSubmitWaitCtxUnblocksOnCancel(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := s.Submit(func() (interface{}, error) {
+	if _, err := submitNow(s, func(context.Context) (interface{}, error) {
 		close(started)
 		<-release
 		return nil, nil
@@ -115,7 +119,7 @@ func TestSubmitWaitCtxUnblocksOnCancel(t *testing.T) {
 	}
 	<-started // the worker holds the in-flight slot; the queue is empty
 	b2, r2 := block()
-	if _, err := s.Submit(b2); err != nil { // fills the queue
+	if _, err := submitNow(s, b2); err != nil { // fills the queue
 		t.Fatal(err)
 	}
 	defer r2()
@@ -143,12 +147,12 @@ func TestSubmitWaitCtxUnblocksOnCancel(t *testing.T) {
 	}
 }
 
-// TestNilCtxNeverCancels keeps the legacy semantics: a nil context runs
-// the job normally.
+// TestNilCtxNeverCancels: a nil context runs the job normally and reaches
+// it unreplaced.
 func TestNilCtxNeverCancels(t *testing.T) {
 	s := NewScheduler(Config{})
 	defer s.Close()
-	tk, err := s.SubmitCtx(nil, func(ctx context.Context) (interface{}, error) {
+	tk, err := s.SubmitTenant(nil, SubmitOpts{}, func(ctx context.Context) (interface{}, error) {
 		if ctx != nil {
 			t.Error("nil submission context was replaced")
 		}

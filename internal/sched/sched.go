@@ -11,11 +11,11 @@ import (
 	"aquoman/internal/obs"
 )
 
-// ErrQueueFull is returned by Submit when the pending queue is at its
-// configured depth; the caller should back off or shed load.
+// ErrQueueFull is returned by a non-waiting submission when the pending
+// queue is at its configured depth; the caller should back off or shed load.
 var ErrQueueFull = errors.New("sched: queue full")
 
-// ErrClosed is returned by Submit after Close has been called.
+// ErrClosed is returned by submissions after Close has been called.
 var ErrClosed = errors.New("sched: scheduler closed")
 
 // Config sizes the scheduler's admission control.
@@ -26,12 +26,13 @@ type Config struct {
 	// QueueDepth is the capacity of the pending queue behind the
 	// in-flight slots. Values < 1 default to 64.
 	QueueDepth int
-	// Tenants, when non-nil, switches the scheduler from the single
-	// FIFO queue to per-tenant weighted-fair scheduling with two
-	// priority lanes and per-tenant admission quotas (see TenantConfig,
-	// SubmitOpts). Tenants not listed here are created on first
-	// submission with the DefaultTenant configuration. An empty non-nil
-	// map enables fair scheduling with every tenant on DefaultTenant.
+	// Tenants sets per-tenant weights and admission quotas (see
+	// TenantConfig, SubmitOpts). Tenants not listed here are created on
+	// first submission with the DefaultTenant configuration, so a nil map
+	// and an empty one mean the same thing: every tenant on DefaultTenant.
+	// With a single tenant on a single lane — what un-attributed
+	// submissions are — stride scheduling grants in submission order, so
+	// plain FIFO is this queue's one-tenant case, not a separate mode.
 	Tenants map[string]TenantConfig
 	// DefaultTenant configures tenants absent from Tenants. The zero
 	// value means weight 1 with no quotas.
@@ -54,15 +55,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one unit of admitted work: typically a full query, executed on a
-// worker goroutine. The returned value is handed to Ticket.Wait verbatim.
-type Job func() (interface{}, error)
-
-// JobCtx is a Job that receives the submission's context so the work can
-// honour cancellation cooperatively. The scheduler itself also uses the
-// context: a job whose context dies while still queued is skipped (its
-// ticket fails with the context error) without ever occupying an
-// in-flight slot.
+// JobCtx is one unit of admitted work: typically a full query, executed
+// on a worker goroutine; the returned value is handed to Ticket.Wait
+// verbatim. It receives the submission's context so the work can honour
+// cancellation cooperatively. The scheduler itself also uses the context:
+// a job whose context dies while still queued is skipped (its ticket
+// fails with the context error) without ever occupying an in-flight slot.
 type JobCtx func(ctx context.Context) (interface{}, error)
 
 // Ticket tracks one submitted job through the scheduler.
@@ -93,15 +91,33 @@ func (t *Ticket) Round() int64 { return t.round.Load() }
 // MaxInFlight jobs run at once, at most QueueDepth wait behind them, and
 // anything beyond that is rejected with ErrQueueFull.
 type Scheduler struct {
-	cfg   Config
-	queue chan *submission
-	fq    *fairQueue // non-nil when Config.Tenants enables fair scheduling
-	wg    sync.WaitGroup
-
-	mu     sync.RWMutex
-	closed bool
-
+	cfg    Config
+	wg     sync.WaitGroup
 	rounds atomic.Int64
+
+	// The pending queue: a per-tenant, per-lane multi-queue with
+	// weighted-fair grants, admission quotas, and interactive-over-batch
+	// lane preemption. mu guards everything down to vtime, with two
+	// conditions: idle workers wait on work and are signalled one per
+	// grantable submission (a broadcast there would wake every idle worker
+	// for each enqueue, only for all but one to go back to sleep), blocked
+	// submitters wait on space and are all woken when a queue slot frees,
+	// since each re-checks its own tenant's quota.
+	mu      sync.Mutex
+	work    *sync.Cond
+	space   *sync.Cond
+	closed  bool
+	reg     *obs.Registry
+	tenants map[string]*tenantState
+	// order fixes the tie-break iteration order over tenants (map
+	// iteration is randomized; grant decisions should not be).
+	order []*tenantState
+	// dynamic counts the states created for unconfigured names.
+	dynamic int
+	pending int
+	// vtime tracks the pass of the most recent grant, used to forward
+	// idle tenants when they rejoin.
+	vtime float64
 
 	inflight   *obs.Gauge
 	queued     *obs.Gauge
@@ -116,8 +132,7 @@ type Scheduler struct {
 }
 
 type submission struct {
-	job      Job
-	jobCtx   JobCtx
+	job      JobCtx
 	ctx      context.Context // nil = never cancels
 	ticket   *Ticket
 	enqueued time.Time
@@ -127,31 +142,28 @@ type submission struct {
 // scheduler. Call Close to drain and stop them.
 func NewScheduler(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg}
-	worker := s.worker
-	if cfg.Tenants != nil {
-		s.fq = newFairQueue(cfg)
-		worker = s.fairWorker
-	} else {
-		s.queue = make(chan *submission, cfg.QueueDepth)
+	s := &Scheduler{cfg: cfg, tenants: make(map[string]*tenantState)}
+	s.work = sync.NewCond(&s.mu)
+	s.space = sync.NewCond(&s.mu)
+	// Materialize the default and the configured tenants eagerly so their
+	// metric series exist (at zero) before the first submission arrives,
+	// and so the overflow target of maxDynamicTenants always exists.
+	s.tenantLocked(DefaultTenantName)
+	for name := range cfg.Tenants {
+		s.tenantLocked(name)
 	}
 	s.wg.Add(cfg.MaxInFlight)
 	for i := 0; i < cfg.MaxInFlight; i++ {
-		go worker()
+		go s.worker()
 	}
 	return s
 }
-
-// Config reports the effective (defaulted) configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // Observe binds queue/in-flight gauges and admission counters into reg.
 func (s *Scheduler) Observe(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.inflight = reg.Gauge("sched_inflight")
 	s.queued = reg.Gauge("sched_queued")
 	s.queueDepth = reg.Gauge("sched_queue_depth")
@@ -163,111 +175,31 @@ func (s *Scheduler) Observe(reg *obs.Registry) {
 	s.completed = reg.Counter("sched_completed_total")
 	s.panicked = reg.Counter("sched_panics_total")
 	s.canceled = reg.Counter("sched_canceled_total")
-	if s.fq != nil {
-		s.fq.observe(reg)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reg = reg
+	for _, ts := range s.order {
+		ts.bind(reg)
 	}
 }
 
-// Submit enqueues job without blocking. It returns ErrQueueFull when the
-// pending queue is at capacity and ErrClosed after Close.
-func (s *Scheduler) Submit(job Job) (*Ticket, error) {
-	sub := &submission{job: job, ticket: &Ticket{done: make(chan struct{})}}
-	if s.fq != nil {
-		return s.fairEnqueue(sub, SubmitOpts{})
-	}
-	return s.enqueue(sub)
-}
-
-// SubmitCtx is Submit with a context: the job receives ctx when it runs,
-// and if ctx dies while the job is still queued the worker skips it (the
-// ticket fails with the context error, and no in-flight slot is spent).
-// A nil ctx never cancels. Admission itself does not block, so ctx only
-// gates queue-wait and execution, not the Submit call.
-func (s *Scheduler) SubmitCtx(ctx context.Context, job JobCtx) (*Ticket, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	sub := &submission{jobCtx: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}}
-	if s.fq != nil {
-		return s.fairEnqueue(sub, SubmitOpts{})
-	}
-	return s.enqueue(sub)
-}
-
-func (s *Scheduler) enqueue(sub *submission) (*Ticket, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	sub.enqueued = time.Now()
-	select {
-	case s.queue <- sub:
-		s.submitted.Inc()
-		s.queued.Add(1)
-		s.queueDepth.Add(1)
-		return sub.ticket, nil
-	default:
-		s.rejected.Inc()
-		return nil, ErrQueueFull
-	}
-}
-
-// SubmitWait enqueues job, blocking while the queue is full. It only
-// fails with ErrClosed. Used by convenience paths (DB.RunConcurrent)
-// where backpressure should stall the producer rather than shed load.
-func (s *Scheduler) SubmitWait(job Job) (*Ticket, error) {
-	sub := &submission{job: job, ticket: &Ticket{done: make(chan struct{})}}
-	if s.fq != nil {
-		return s.fairEnqueue(sub, SubmitOpts{Wait: true})
-	}
-	return s.enqueueWait(sub)
-}
-
-// SubmitWaitCtx is SubmitWait with a context: a caller stalled on a full
-// queue unblocks with ctx's error when ctx dies, and a job still queued
-// when ctx dies is skipped by the workers. A nil ctx never cancels.
+// SubmitWaitCtx enqueues job for the default tenant, blocking while the
+// queue is full: backpressure stalls the producer rather than shedding
+// load. A stalled caller unblocks with ctx's error when ctx dies, and a
+// job still queued when ctx dies is skipped by the workers. A nil ctx
+// never cancels. It otherwise only fails with ErrClosed.
 func (s *Scheduler) SubmitWaitCtx(ctx context.Context, job JobCtx) (*Ticket, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	sub := &submission{jobCtx: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}}
-	if s.fq != nil {
-		return s.fairEnqueue(sub, SubmitOpts{Wait: true})
-	}
-	return s.enqueueWait(sub)
+	return s.submit(ctx, SubmitOpts{Wait: true}, job)
 }
 
-func (s *Scheduler) enqueueWait(sub *submission) (*Ticket, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	// A blocking send is safe here: Close needs the write lock to close the
-	// channel, so the channel cannot close under us, and workers keep
-	// draining (they take no locks), so the send eventually completes.
-	// A nil submission context leaves done nil, and a receive from a nil
-	// channel blocks forever — exactly the "never cancels" semantics.
-	var done <-chan struct{}
-	if sub.ctx != nil {
-		done = sub.ctx.Done()
-	}
-	sub.enqueued = time.Now()
-	select {
-	case s.queue <- sub:
-		s.submitted.Inc()
-		s.queued.Add(1)
-		s.queueDepth.Add(1)
-		return sub.ticket, nil
-	case <-done:
-		s.rejected.Inc()
-		return nil, sub.ctx.Err()
-	}
+// SubmitTenant enqueues a job attributed to a tenant and lane. With
+// opts.Wait it blocks on backpressure like SubmitWaitCtx; otherwise it
+// rejects with *QuotaError (tenant quota) or ErrQueueFull (global
+// capacity) without blocking, and with ErrClosed after Close. The job
+// receives ctx when it runs; admission itself only consults ctx while
+// opts.Wait blocks.
+func (s *Scheduler) SubmitTenant(ctx context.Context, opts SubmitOpts, job JobCtx) (*Ticket, error) {
+	return s.submit(ctx, opts, job)
 }
 
 // Rounds reports the global grant sequence: the number of jobs that have
@@ -275,55 +207,54 @@ func (s *Scheduler) enqueueWait(sub *submission) (*Ticket, error) {
 func (s *Scheduler) Rounds() int64 { return s.rounds.Load() }
 
 // Close stops admission, drains already-queued jobs, and waits for all
-// workers to exit. Safe to call once.
+// workers to exit. Safe to call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
-	if s.fq == nil {
-		close(s.queue)
-	}
 	s.mu.Unlock()
-	if s.fq != nil {
-		s.fq.close()
-	}
+	s.work.Broadcast()
+	s.space.Broadcast()
 	s.wg.Wait()
 }
 
+// worker is the scheduler's one grant loop: take the next submission the
+// queue's policy picks, account its queue wait, skip it if its context
+// died while queued, else run it in this goroutine's in-flight slot.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for sub := range s.queue {
+	for {
+		sub, ts := s.dequeue()
+		if sub == nil {
+			return
+		}
 		s.queued.Add(-1)
 		s.queueDepth.Add(-1)
+		ts.gQueued.Add(-1)
 		wait := time.Since(sub.enqueued)
 		s.queueWait.Observe(int64(wait))
 		obs.LifecycleFrom(sub.ctx).Add(obs.StateQueueWait, wait)
 		// A job whose context died while queued never runs: it would only
 		// burn an in-flight slot (and simulated flash bandwidth) producing
 		// a result nobody is waiting on.
-		if sub.ctx != nil {
-			if err := sub.ctx.Err(); err != nil {
-				sub.ticket.err = err
-				s.canceled.Inc()
-				close(sub.ticket.done)
-				continue
-			}
+		if sub.ctx != nil && sub.ctx.Err() != nil {
+			sub.ticket.err = sub.ctx.Err()
+			s.canceled.Inc()
+		} else {
+			s.inflight.Add(1)
+			ts.gInflight.Add(1)
+			sub.ticket.round.Store(s.rounds.Add(1))
+			// Dispatch glue around the job (facade config setup, panic
+			// guard) is host-side work no inner timer claims; the exclusive
+			// window attributes only that remainder.
+			endHost := obs.LifecycleFrom(sub.ctx).ExclusiveTimer(obs.StateHost)
+			s.run(sub)
+			endHost()
+			s.inflight.Add(-1)
+			ts.gInflight.Add(-1)
+			s.completed.Inc()
 		}
-		s.inflight.Add(1)
-		sub.ticket.round.Store(s.rounds.Add(1))
-		// Dispatch glue around the job (facade config setup, panic guard)
-		// is host-side work no inner timer claims; the exclusive window
-		// attributes only that remainder.
-		endHost := obs.LifecycleFrom(sub.ctx).ExclusiveTimer(obs.StateHost)
-		s.run(sub)
-		endHost()
-		s.inflight.Add(-1)
-		s.completed.Inc()
 		close(sub.ticket.done)
+		s.release(ts)
 	}
 }
 
@@ -337,7 +268,7 @@ func (s *Scheduler) run(sub *submission) {
 		}
 	}()
 	// Admission stamp: the hook sees the context exactly once, as the
-	// job takes its in-flight slot (both worker loops land here).
+	// job takes its in-flight slot.
 	if s.cfg.AdmitHook != nil {
 		ctx := sub.ctx
 		if ctx == nil {
@@ -345,9 +276,5 @@ func (s *Scheduler) run(sub *submission) {
 		}
 		sub.ctx = s.cfg.AdmitHook(ctx)
 	}
-	if sub.jobCtx != nil {
-		sub.ticket.result, sub.ticket.err = sub.jobCtx(sub.ctx)
-		return
-	}
-	sub.ticket.result, sub.ticket.err = sub.job()
+	sub.ticket.result, sub.ticket.err = sub.job(sub.ctx)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"aquoman/internal/obs"
@@ -61,8 +60,16 @@ type TenantConfig struct {
 }
 
 // DefaultTenantName is the tenant that un-attributed submissions (no
-// tenant header, legacy Submit entry points) are accounted under.
+// tenant header, SubmitWaitCtx) are accounted under.
 const DefaultTenantName = "default"
+
+// maxDynamicTenants bounds the tenant states created for names absent
+// from Config.Tenants (the default tenant counts as one). Tenant names
+// arrive in a client header; without a bound a client cycling names would
+// grow every grant's tenant walk and the /metrics series set without
+// limit. Past the bound an unlisted name is accounted under the default
+// tenant. Configured tenants are exempt.
+const maxDynamicTenants = 1024
 
 // QuotaError reports a submission rejected because its tenant's own
 // admission quota (TenantConfig.MaxQueued) was exhausted, as opposed to
@@ -94,8 +101,9 @@ type SubmitOpts struct {
 	Wait bool
 }
 
-// tenantState is one tenant's queues and accounting inside fairQueue.
-// All fields except the obs handles are guarded by fairQueue.mu.
+// tenantState is one tenant's queues and accounting inside the
+// Scheduler's pending queue. All fields except the obs handles are
+// guarded by Scheduler.mu.
 type tenantState struct {
 	name        string
 	weight      int
@@ -130,50 +138,22 @@ func (ts *tenantState) bind(reg *obs.Registry) {
 	ts.cRejected = reg.Counter("sched_tenant_rejected_total", "tenant", ts.name)
 }
 
-// fairQueue replaces the scheduler's FIFO channel when Config.Tenants is
-// set: a per-tenant, per-lane multi-queue with weighted-fair grants,
-// admission quotas, and interactive-over-batch lane preemption. One
-// mutex+cond guards it all — enqueueing producers, granting workers, and
-// quota-waiters share the condition and re-check their predicates.
-type fairQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	cfg    Config
-	reg    *obs.Registry
-	closed bool
-
-	tenants map[string]*tenantState
-	// order fixes the tie-break iteration order over tenants (map
-	// iteration is randomized; grant decisions should not be).
-	order  []*tenantState
-	queued int
-	// vtime tracks the pass of the most recent grant, used to forward
-	// idle tenants when they rejoin.
-	vtime float64
-}
-
-func newFairQueue(cfg Config) *fairQueue {
-	fq := &fairQueue{cfg: cfg, tenants: make(map[string]*tenantState)}
-	fq.cond = sync.NewCond(&fq.mu)
-	// Materialize configured tenants eagerly so their metric series exist
-	// (at zero) before the first submission arrives.
-	for name := range cfg.Tenants {
-		fq.tenantLocked(name)
-	}
-	return fq
-}
-
-// tenantLocked returns (creating if needed) the tenant's state.
-func (fq *fairQueue) tenantLocked(name string) *tenantState {
+// tenantLocked returns (creating if needed) the tenant's state; an
+// unlisted name beyond maxDynamicTenants gets the default tenant's.
+func (s *Scheduler) tenantLocked(name string) *tenantState {
 	if name == "" {
 		name = DefaultTenantName
 	}
-	if ts, ok := fq.tenants[name]; ok {
+	if ts, ok := s.tenants[name]; ok {
 		return ts
 	}
-	tc, ok := fq.cfg.Tenants[name]
+	tc, ok := s.cfg.Tenants[name]
 	if !ok {
-		tc = fq.cfg.DefaultTenant
+		if s.dynamic >= maxDynamicTenants {
+			return s.tenants[DefaultTenantName]
+		}
+		s.dynamic++
+		tc = s.cfg.DefaultTenant
 	}
 	if tc.Weight < 1 {
 		tc.Weight = 1
@@ -183,122 +163,114 @@ func (fq *fairQueue) tenantLocked(name string) *tenantState {
 		weight:      tc.Weight,
 		maxQueued:   tc.MaxQueued,
 		maxInFlight: tc.MaxInFlight,
-		pass:        fq.vtime,
+		pass:        s.vtime,
 	}
-	ts.bind(fq.reg)
-	fq.tenants[name] = ts
-	fq.order = append(fq.order, ts)
+	ts.bind(s.reg)
+	s.tenants[name] = ts
+	s.order = append(s.order, ts)
 	return ts
 }
 
-// observe binds (or rebinds) every tenant's metric handles.
-func (fq *fairQueue) observe(reg *obs.Registry) {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	fq.reg = reg
-	for _, ts := range fq.order {
-		ts.bind(reg)
+// submit admits one job under quota+capacity control: the single way
+// onto a lane. A nil ctx never cancels; a ctx already dead is turned away
+// before it costs a tenant state or a rejection count.
+func (s *Scheduler) submit(ctx context.Context, opts SubmitOpts, job JobCtx) (*Ticket, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-}
-
-// enqueue admits one submission under quota+capacity control. Called by
-// the Scheduler submit paths when the fair queue is active.
-func (s *Scheduler) fairEnqueue(sub *submission, opts SubmitOpts) (*Ticket, error) {
 	if opts.Lane < 0 || opts.Lane >= numLanes {
 		opts.Lane = LaneInteractive
 	}
-	fq := s.fq
-	fq.mu.Lock()
-	ts := fq.tenantLocked(opts.Tenant)
+	// Queue wait runs from here, so time spent blocked on a full queue or
+	// an exhausted quota is accounted as waiting, not lost.
+	sub := &submission{job: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}, enqueued: time.Now()}
+	s.mu.Lock()
+	ts := s.tenantLocked(opts.Tenant)
+	reject := func(err error) (*Ticket, error) {
+		s.mu.Unlock()
+		s.rejected.Inc()
+		ts.cRejected.Inc()
+		return nil, err
+	}
 	for {
-		if fq.closed {
-			fq.mu.Unlock()
+		if s.closed {
+			s.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if sub.ctx != nil {
-			if err := sub.ctx.Err(); err != nil {
-				fq.mu.Unlock()
-				s.rejected.Inc()
-				ts.cRejected.Inc()
-				return nil, err
-			}
+		if ctx != nil && ctx.Err() != nil {
+			return reject(ctx.Err())
 		}
 		overQuota := ts.maxQueued > 0 && ts.queued >= ts.maxQueued
-		overGlobal := fq.queued >= fq.cfg.QueueDepth
-		if !overQuota && !overGlobal {
+		if !overQuota && s.pending < s.cfg.QueueDepth {
 			break
 		}
 		if !opts.Wait {
-			fq.mu.Unlock()
-			s.rejected.Inc()
-			ts.cRejected.Inc()
 			if overQuota {
-				return nil, &QuotaError{Tenant: ts.name}
+				return reject(&QuotaError{Tenant: ts.name})
 			}
-			return nil, ErrQueueFull
+			return reject(ErrQueueFull)
 		}
-		fq.waitLocked(sub.ctx)
+		s.waitLocked(ctx)
 	}
-	sub.enqueued = time.Now()
 	// A tenant rejoining after an idle spell starts at the current
 	// virtual time: idle periods earn no credit, or a returning tenant
 	// would monopolize grants until its stale pass caught up.
-	if ts.queued == 0 && ts.inflight == 0 && ts.pass < fq.vtime {
-		ts.pass = fq.vtime
+	if ts.queued == 0 && ts.inflight == 0 && ts.pass < s.vtime {
+		ts.pass = s.vtime
 	}
 	ts.lanes[opts.Lane] = append(ts.lanes[opts.Lane], sub)
 	ts.queued++
-	fq.queued++
-	fq.mu.Unlock()
+	s.pending++
+	s.mu.Unlock()
 	s.submitted.Inc()
 	ts.cSubmitted.Inc()
 	s.queued.Add(1)
 	s.queueDepth.Add(1)
 	ts.gQueued.Add(1)
-	fq.cond.Broadcast()
+	s.work.Signal()
 	return sub.ticket, nil
 }
 
-// waitLocked blocks on the queue condition until woken. A non-nil ctx
-// installs a watcher that broadcasts when the context dies, so the
+// waitLocked blocks on the space condition until woken. A non-nil ctx
+// registers a callback that broadcasts when the context dies, so the
 // caller's re-check loop observes the error. Called (and returns) with
-// fq.mu held.
-func (fq *fairQueue) waitLocked(ctx context.Context) {
-	if ctx == nil {
-		fq.cond.Wait()
-		return
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Lock before broadcasting: the caller holds fq.mu from its
+// s.mu held.
+func (s *Scheduler) waitLocked(ctx context.Context) {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, func() {
+			// Lock before broadcasting: the caller holds s.mu from its
 			// predicate check until it is inside Wait, so a locked
 			// broadcast cannot land in that gap and be missed.
-			fq.mu.Lock()
-			fq.cond.Broadcast()
-			fq.mu.Unlock()
-		case <-stop:
-		}
-	}()
-	fq.cond.Wait()
-	close(stop)
+			s.mu.Lock()
+			s.space.Broadcast()
+			s.mu.Unlock()
+		})
+		defer stop()
+	}
+	s.space.Wait()
 }
 
 // dequeue blocks for the next grant, returning the chosen submission and
 // its tenant (inflight already incremented), or (nil, nil) when the
 // queue is closed and fully drained.
-func (fq *fairQueue) dequeue() (*submission, *tenantState) {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
+func (s *Scheduler) dequeue() (*submission, *tenantState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		if sub, ts := fq.pickLocked(); sub != nil {
+		if sub, ts := s.pickLocked(); sub != nil {
+			if s.closed && s.pending == 0 {
+				// The drain's last grant: release the workers that slept
+				// past Close behind a capped tenant's backlog.
+				s.work.Broadcast()
+			}
 			return sub, ts
 		}
-		if fq.closed && fq.queued == 0 {
+		if s.closed && s.pending == 0 {
 			return nil, nil
 		}
-		fq.cond.Wait()
+		s.work.Wait()
 	}
 }
 
@@ -307,10 +279,10 @@ func (fq *fairQueue) dequeue() (*submission, *tenantState) {
 // the minimum stride pass wins (ties broken by tenant creation order).
 // Tenants at their per-tenant in-flight cap are skipped — their queued
 // work waits while others are granted past it.
-func (fq *fairQueue) pickLocked() (*submission, *tenantState) {
+func (s *Scheduler) pickLocked() (*submission, *tenantState) {
 	for lane := LaneInteractive; lane < numLanes; lane++ {
 		var best *tenantState
-		for _, ts := range fq.order {
+		for _, ts := range s.order {
 			if len(ts.lanes[lane]) == 0 {
 				continue
 			}
@@ -329,112 +301,42 @@ func (fq *fairQueue) pickLocked() (*submission, *tenantState) {
 		q[0] = nil // drop the backing-array reference for GC
 		best.lanes[lane] = q[1:]
 		best.queued--
-		fq.queued--
+		s.pending--
 		best.inflight++
 		best.grants++
 		best.cGrants.Inc()
-		if best.pass > fq.vtime {
-			fq.vtime = best.pass
+		if best.pass > s.vtime {
+			s.vtime = best.pass
 		}
 		best.pass += 1 / float64(best.weight)
 		// A queue slot freed: quota- and capacity-waiters may now admit.
-		fq.cond.Broadcast()
+		s.space.Broadcast()
 		return sub, best
 	}
 	return nil, nil
 }
 
-// release returns a tenant's in-flight slot, waking workers whose grants
-// were blocked on the tenant's MaxInFlight cap.
-func (fq *fairQueue) release(ts *tenantState) {
-	fq.mu.Lock()
+// release returns a tenant's in-flight slot. If the tenant has work
+// queued that its MaxInFlight cap was holding back, one idle worker is
+// woken for it: the releasing worker's own next grant may go elsewhere.
+func (s *Scheduler) release(ts *tenantState) {
+	s.mu.Lock()
 	ts.inflight--
-	fq.mu.Unlock()
-	fq.cond.Broadcast()
+	capped := ts.maxInFlight > 0 && ts.queued > 0
+	s.mu.Unlock()
+	if capped {
+		s.work.Signal()
+	}
 }
 
-func (fq *fairQueue) close() {
-	fq.mu.Lock()
-	fq.closed = true
-	fq.mu.Unlock()
-	fq.cond.Broadcast()
-}
-
-// SubmitTenant enqueues a job attributed to a tenant and lane. With
-// opts.Wait it blocks on backpressure like SubmitWaitCtx; otherwise it
-// rejects with *QuotaError (tenant quota) or ErrQueueFull (global
-// capacity). On a scheduler without tenants configured the tenant and
-// lane are ignored and the legacy FIFO path runs.
-func (s *Scheduler) SubmitTenant(ctx context.Context, opts SubmitOpts, job JobCtx) (*Ticket, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	sub := &submission{jobCtx: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}}
-	if s.fq != nil {
-		return s.fairEnqueue(sub, opts)
-	}
-	if opts.Wait {
-		return s.enqueueWait(sub)
-	}
-	return s.enqueue(sub)
-}
-
-// Tenants reports whether multi-tenant fair scheduling is active.
-func (s *Scheduler) Tenants() bool { return s.fq != nil }
-
-// TenantGrants returns the cumulative grant count per tenant (nil when
-// multi-tenant scheduling is off). Fairness harnesses compare these
-// against the configured weights.
+// TenantGrants returns the cumulative grant count per tenant. Fairness
+// harnesses compare these against the configured weights.
 func (s *Scheduler) TenantGrants() map[string]int64 {
-	if s.fq == nil {
-		return nil
-	}
-	s.fq.mu.Lock()
-	defer s.fq.mu.Unlock()
-	m := make(map[string]int64, len(s.fq.tenants))
-	for name, ts := range s.fq.tenants {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := make(map[string]int64, len(s.tenants))
+	for name, ts := range s.tenants {
 		m[name] = ts.grants
 	}
 	return m
-}
-
-// fairWorker is the worker loop when the fair queue is active: identical
-// accounting to the legacy loop, plus per-tenant gauges and in-flight
-// slot release.
-func (s *Scheduler) fairWorker() {
-	defer s.wg.Done()
-	for {
-		sub, ts := s.fq.dequeue()
-		if sub == nil {
-			return
-		}
-		s.queued.Add(-1)
-		s.queueDepth.Add(-1)
-		ts.gQueued.Add(-1)
-		wait := time.Since(sub.enqueued)
-		s.queueWait.Observe(int64(wait))
-		obs.LifecycleFrom(sub.ctx).Add(obs.StateQueueWait, wait)
-		if sub.ctx != nil {
-			if err := sub.ctx.Err(); err != nil {
-				sub.ticket.err = err
-				s.canceled.Inc()
-				close(sub.ticket.done)
-				s.fq.release(ts)
-				continue
-			}
-		}
-		s.inflight.Add(1)
-		ts.gInflight.Add(1)
-		sub.ticket.round.Store(s.rounds.Add(1))
-		endHost := obs.LifecycleFrom(sub.ctx).ExclusiveTimer(obs.StateHost)
-		s.run(sub)
-		endHost()
-		s.inflight.Add(-1)
-		ts.gInflight.Add(-1)
-		s.completed.Inc()
-		close(sub.ticket.done)
-		s.fq.release(ts)
-	}
 }

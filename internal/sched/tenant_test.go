@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,7 +189,6 @@ func TestInteractiveLanePreemptsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGranted(t, first)
-	noop := func(context.Context) (interface{}, error) { return nil, nil }
 	var batch []*Ticket
 	for i := 0; i < 5; i++ {
 		tk, err := s.SubmitTenant(nil, SubmitOpts{Lane: LaneBatch}, noop)
@@ -255,67 +255,34 @@ func TestTenantMaxInFlightCap(t *testing.T) {
 	}
 }
 
-// TestFairCloseDrains mirrors TestCloseDrains on the fair path.
-func TestFairCloseDrains(t *testing.T) {
-	s := NewScheduler(Config{MaxInFlight: 2, QueueDepth: 64, Tenants: map[string]TenantConfig{}})
+// TestCloseDrainsCappedTenant closes a scheduler whose idle workers are
+// asleep behind a MaxInFlight-capped tenant's backlog: the backlog drains
+// one job at a time and every worker still exits, so Close returns.
+func TestCloseDrainsCappedTenant(t *testing.T) {
+	s := NewScheduler(Config{
+		MaxInFlight: 4,
+		QueueDepth:  16,
+		Tenants:     map[string]TenantConfig{"capped": {MaxInFlight: 1}},
+	})
 	var ran atomic.Int64
-	var tickets []*Ticket
-	for i := 0; i < 16; i++ {
-		tk, err := s.SubmitTenant(nil, SubmitOpts{Tenant: "t"}, func(context.Context) (interface{}, error) {
-			time.Sleep(200 * time.Microsecond)
+	for i := 0; i < 8; i++ {
+		if _, err := s.SubmitTenant(nil, SubmitOpts{Tenant: "capped"}, func(context.Context) (interface{}, error) {
+			time.Sleep(time.Millisecond)
 			ran.Add(1)
 			return nil, nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		tickets = append(tickets, tk)
 	}
-	s.Close()
-	if ran.Load() != 16 {
-		t.Fatalf("Close drained %d of 16 queued jobs", ran.Load())
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung with a capped tenant's backlog queued")
 	}
-	for _, tk := range tickets {
-		select {
-		case <-tk.Done():
-		default:
-			t.Fatal("ticket not completed after Close")
-		}
-	}
-	if _, err := s.SubmitTenant(nil, SubmitOpts{}, func(context.Context) (interface{}, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after Close: got %v, want ErrClosed", err)
-	}
-}
-
-// TestFairCanceledQueuedSkipped asserts a queued job whose context dies
-// is skipped without occupying a slot, like the legacy path.
-func TestFairCanceledQueuedSkipped(t *testing.T) {
-	s := NewScheduler(Config{MaxInFlight: 1, QueueDepth: 8, Tenants: map[string]TenantConfig{}})
-	defer s.Close()
-	gate := make(chan struct{})
-	first, err := s.SubmitTenant(nil, SubmitOpts{}, func(context.Context) (interface{}, error) {
-		<-gate
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitGranted(t, first)
-	ctx, cancel := context.WithCancel(context.Background())
-	victim, err := s.SubmitTenant(ctx, SubmitOpts{}, func(context.Context) (interface{}, error) {
-		t.Error("canceled job must not run")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	close(gate)
-	if _, err := victim.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("victim: got %v, want context.Canceled", err)
-	}
-	if victim.Round() != 0 {
-		t.Error("canceled queued job consumed a grant round")
+	if ran.Load() != 8 {
+		t.Fatalf("Close drained %d of 8 queued jobs", ran.Load())
 	}
 }
 
@@ -337,7 +304,6 @@ func TestSubmitTenantWaitBlocksOnQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGranted(t, first)
-	noop := func(context.Context) (interface{}, error) { return nil, nil }
 	if _, err := s.SubmitTenant(nil, SubmitOpts{Tenant: "a"}, noop); err != nil {
 		t.Fatal(err)
 	}
@@ -360,5 +326,60 @@ func TestSubmitTenantWaitBlocksOnQuota(t *testing.T) {
 	}
 	if _, err := waited.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTenantNamesBounded cycles 10 000 distinct client-chosen tenant
+// names through a scheduler with two configured tenants: at most
+// maxDynamicTenants states (the default tenant among them) may exist
+// beside the configured ones, the overflow is accounted under the default
+// tenant, and every submission is still served.
+func TestTenantNamesBounded(t *testing.T) {
+	const names = 10000
+	s := NewScheduler(Config{
+		MaxInFlight: 4,
+		QueueDepth:  64,
+		Tenants:     map[string]TenantConfig{"a": {Weight: 1}, "b": {Weight: 3}},
+	})
+	defer s.Close()
+	tickets := make([]*Ticket, names)
+	for i := range tickets {
+		tk, err := s.SubmitTenant(nil, SubmitOpts{Tenant: fmt.Sprintf("client-%d", i), Wait: true}, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	for i, tk := range tickets {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	// The configured tenants keep their own state past the bound.
+	for _, name := range []string{"a", "b"} {
+		tk, err := s.SubmitTenant(nil, SubmitOpts{Tenant: name, Wait: true}, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grants := s.TenantGrants()
+	if len(grants) > maxDynamicTenants+2 {
+		t.Fatalf("%d tenant states after %d names, want <= %d + 2 configured", len(grants), names, maxDynamicTenants)
+	}
+	var total int64
+	for _, n := range grants {
+		total += n
+	}
+	if total != names+2 {
+		t.Fatalf("grants sum to %d, want %d", total, names+2)
+	}
+	if got, want := grants[DefaultTenantName], int64(names-(maxDynamicTenants-1)); got != want {
+		t.Fatalf("default tenant absorbed %d submissions, want %d", got, want)
+	}
+	if grants["a"] != 1 || grants["b"] != 1 {
+		t.Fatalf("configured tenants' grants = %d, %d, want 1 each", grants["a"], grants["b"])
 	}
 }

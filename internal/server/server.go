@@ -18,9 +18,11 @@
 // Backpressure is explicit: a full scheduler queue returns 503 with a
 // Retry-After header instead of queueing unboundedly, and a tenant over
 // its own admission quota gets 429 (the X-Tenant header or ?tenant=
-// parameter names the tenant; ?lane= picks the priority lane). Drain
-// puts the server into a mode where new queries are rejected but
-// in-flight ones finish, for graceful shutdown.
+// parameter names the tenant; ?lane= picks the priority lane). Every
+// query response names its query in an X-Query-ID header and as "id" in
+// the NDJSON trailer — the ID its slow-query log line carries. Drain puts
+// the server into a mode where new queries are rejected but in-flight
+// ones finish, for graceful shutdown.
 package server
 
 import (
@@ -201,22 +203,29 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// queryMeta carries a request's tenant identity, priority lane, and
-// result-cache key through the run path. A zero cacheKey means the
-// query bypasses the result cache (partial/cluster modes, or no cache
-// configured).
-type queryMeta struct {
-	tenant   string
-	lane     aquoman.Lane
-	cacheKey string
+// queryRun is the part of a query request that depends on how the server
+// answers it — on its own DB, as a cluster worker's raw partial, or as a
+// coordinator's scatter/gather. Everything else about the request is
+// runAndStream.
+type queryRun struct {
+	label  string // names the query in the slow-query log
+	tenant string // "" = the default tenant
+	exec   execFunc
+	// rawStrategy, when non-empty, streams the batch as unrendered int64s
+	// in the cluster wire format (streamRaw) instead of display values.
+	rawStrategy string
 }
 
-// tenantLabel is the metrics label for this request's tenant.
-func (m queryMeta) tenantLabel() string {
-	if m.tenant == "" {
-		return "default"
+// execFunc runs a query under its request's deadline and lifecycle; only a
+// coordinator returns a (degradation) report.
+type execFunc func(ctx context.Context) (*aquoman.Result, *cluster.Report, error)
+
+// local is the exec of a query admitted through this server's own DB.
+func (s *Server) local(req aquoman.Request) execFunc {
+	return func(ctx context.Context) (*aquoman.Result, *cluster.Report, error) {
+		res, err := s.cfg.DB.Do(ctx, req)
+		return res, nil, err
 	}
-	return m.tenant
 }
 
 // tenantOf extracts the requesting tenant: the X-Tenant header wins,
@@ -278,19 +287,30 @@ type queryRequest struct {
 	TimeoutMS int64  `json:"timeout_ms"`
 }
 
+// timeoutMS parses the timeout_ms query parameter (absent = 0).
+func timeoutMS(r *http.Request) (int64, error) {
+	v := r.URL.Query().Get("timeout_ms")
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, errors.New("invalid timeout_ms")
+	}
+	return ms, nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	switch r.Method {
 	case http.MethodGet:
 		req.SQL = r.URL.Query().Get("q")
-		if v := r.URL.Query().Get("timeout_ms"); v != "" {
-			ms, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || ms < 0 {
-				writeError(w, http.StatusBadRequest, "invalid timeout_ms")
-				return
-			}
-			req.TimeoutMS = ms
+		ms, err := timeoutMS(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
 		}
+		req.TimeoutMS = ms
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
@@ -305,26 +325,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing SQL statement (q parameter or \"sql\" field)")
 		return
 	}
-
-	p, err := sql.Plan(req.SQL, s.cfg.DB.Store)
-	if err != nil {
-		// A statement that fails to compile is the client's fault; an
-		// execution failure below is the server's.
-		var ce *sql.CompileError
-		if errors.As(err, &ce) {
-			writeError(w, http.StatusBadRequest, "compile: "+ce.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	lane, err := laneOf(r, aquoman.LaneInteractive)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	meta := queryMeta{tenant: tenantOf(r), lane: lane, cacheKey: aquoman.CanonicalSQL(req.SQL)}
-	s.runAndStream(w, r, p, req.SQL, time.Duration(req.TimeoutMS)*time.Millisecond, meta)
+	adm := &aquoman.Admission{Tenant: tenantOf(r), Lane: lane, CacheKey: aquoman.CanonicalSQL(req.SQL)}
+	s.runAndStream(w, r, time.Duration(req.TimeoutMS)*time.Millisecond, queryRun{
+		label:  req.SQL,
+		tenant: adm.Tenant,
+		exec:   s.local(aquoman.Request{SQL: req.SQL, Admit: adm}),
+	})
 }
 
 // dmlRequest is the POST /dml body.
@@ -347,7 +358,9 @@ type dmlResponse struct {
 // CREATE TABLE) against the DB's write path. Compile failures are the
 // client's fault (400); an optimistic conflict that survives the DB's
 // internal retries — or a failed ?ifepoch= precondition — is 409 with
-// the current epoch, so the client can re-read and retry.
+// the current epoch, so the client can re-read and retry. A cluster
+// coordinator or partition worker refuses every write with 403: the
+// cluster does not distribute writes (*aquoman.ReadOnlyError).
 func (s *Server) handleDML(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -384,9 +397,12 @@ func (s *Server) handleDML(w http.ResponseWriter, r *http.Request) {
 	res, err := s.cfg.DB.Exec(r.Context(), req.SQL)
 	if err != nil {
 		var ce *sql.CompileError
+		var ro *aquoman.ReadOnlyError
 		switch {
 		case errors.As(err, &ce):
 			writeError(w, http.StatusBadRequest, "compile: "+ce.Error())
+		case errors.As(err, &ro):
+			writeError(w, http.StatusForbidden, err.Error())
 		case errors.Is(err, aquoman.ErrConflict):
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			w.WriteHeader(http.StatusConflict)
@@ -409,21 +425,9 @@ func (s *Server) handleTPCH(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid q parameter (want 1..22)")
 		return
 	}
-	var timeout time.Duration
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		ms, perr := strconv.ParseInt(v, 10, 64)
-		if perr != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, "invalid timeout_ms")
-			return
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if r.URL.Query().Get("partial") == "1" {
-		s.runPartialAndStream(w, r, q, timeout)
-		return
-	}
-	if s.cfg.Coordinator != nil {
-		s.runClusterAndStream(w, r, q, timeout)
+	ms, err := timeoutMS(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	p, err := aquoman.TPCHQuery(q)
@@ -431,93 +435,63 @@ func (s *Server) handleTPCH(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	lane, err := laneOf(r, aquoman.LaneBatch)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	run := queryRun{label: fmt.Sprintf("tpch q%d", q), tenant: tenantOf(r)}
+	switch {
+	case r.URL.Query().Get("partial") == "1":
+		// Worker mode: this shard's partial plan runs through the scheduler
+		// and streams back as raw stored int64s in the cluster wire format;
+		// the coordinator merges the partials, nothing is rendered here.
+		// Partials run on the batch lane and never touch the result cache:
+		// serving a whole cached result here would corrupt the merge.
+		part, strat, err := s.partialPlan(q, p)
+		if err != nil {
+			// A 4xx tells the coordinator retrying elsewhere is pointless:
+			// the query shape itself cannot distribute.
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		run.label += " partial"
+		run.exec = s.local(aquoman.Request{Plan: part, Admit: &aquoman.Admission{Tenant: run.tenant, Lane: aquoman.LaneBatch}})
+		run.rawStrategy = strat
+	case s.cfg.Coordinator != nil:
+		// Coordinator mode: the whole query scatters over the cluster and
+		// the merged result streams back rendered, with the degradation
+		// report riding on the trailer.
+		run.label += " cluster"
+		run.exec = func(ctx context.Context) (*aquoman.Result, *cluster.Report, error) {
+			b, rep, err := s.cfg.Coordinator.RunTPCH(ctx, q)
+			return &aquoman.Result{Batch: b}, rep, err
+		}
+	default:
+		lane, err := laneOf(r, aquoman.LaneBatch)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		run.exec = s.local(aquoman.Request{Plan: p, Admit: &aquoman.Admission{
+			Tenant: run.tenant, Lane: lane, CacheKey: fmt.Sprintf("tpch:q%d", q)}})
 	}
-	meta := queryMeta{tenant: tenantOf(r), lane: lane, cacheKey: fmt.Sprintf("tpch:q%d", q)}
-	s.runAndStream(w, r, p, fmt.Sprintf("tpch q%d", q), timeout, meta)
+	s.runAndStream(w, r, time.Duration(ms)*time.Millisecond, run)
 }
 
-// runPartialAndStream is worker mode: derive this shard's partial plan
-// for TPC-H query q (the same distrib.PartialPlan every cluster tier
-// uses, so the coordinator can trust the partial's shape), run it through
-// the scheduler under the request context, and stream the raw stored
-// int64s back in the cluster wire format. The coordinator merges the
-// partials; nothing is rendered here.
-func (s *Server) runPartialAndStream(w http.ResponseWriter, r *http.Request, q int, asked time.Duration) {
-	probe, err := aquoman.TPCHQuery(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+// partialPlan derives this shard's partial plan for TPC-H query q (probe
+// is a fresh plan of it) — the same distrib.PartialPlan every cluster
+// tier uses, so the coordinator can trust the partial's shape — and names
+// the distribution strategy for the wire header.
+func (s *Server) partialPlan(q int, probe aquoman.Plan) (aquoman.Plan, string, error) {
 	if err := plan.Bind(probe, s.cfg.DB.Store); err != nil {
-		writeError(w, http.StatusBadRequest, "bind: "+err.Error())
-		return
+		return nil, "", fmt.Errorf("bind: %w", err)
 	}
-	strat, cerr := distrib.Classify(probe)
-	if cerr != nil {
-		// A 4xx tells the coordinator retrying elsewhere is pointless: the
-		// query shape itself cannot distribute.
-		writeError(w, http.StatusBadRequest, "not distributable: "+cerr.Error())
-		return
+	strat, err := distrib.Classify(probe)
+	if err != nil {
+		return nil, "", fmt.Errorf("not distributable: %w", err)
 	}
 	fresh, _ := aquoman.TPCHQuery(q)
 	part, err := distrib.PartialPlan(fresh, strat)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "partial plan: "+err.Error())
-		return
+		return nil, "", fmt.Errorf("partial plan: %w", err)
 	}
-	// Worker-mode partials run on the batch lane and never touch the
-	// result cache: the coordinator merges raw shards, so serving a
-	// whole cached result here would corrupt the merge.
-	meta := queryMeta{tenant: tenantOf(r), lane: aquoman.LaneBatch}
-	s.runAndStreamMode(w, r, part, fmt.Sprintf("tpch q%d partial", q), asked, strat.String(), meta)
-}
-
-// runClusterAndStream is coordinator mode: the whole query scatters over
-// the cluster and the merged result streams back rendered, with the
-// degradation report riding on the trailer.
-func (s *Server) runClusterAndStream(w http.ResponseWriter, r *http.Request, q int, asked time.Duration) {
-	ctx := r.Context()
-	if d := s.deadline(asked); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	lc := obs.NewLifecycle(fmt.Sprintf("q%d", s.qseq.Add(1)))
-	ctx = obs.WithLifecycle(ctx, lc)
-	label := fmt.Sprintf("tpch q%d cluster", q)
-
-	meta := queryMeta{tenant: tenantOf(r)}
-	start := time.Now()
-	b, rep, err := s.cfg.Coordinator.RunTPCH(ctx, q)
-	defer func() {
-		lc.Finish()
-		if o := s.cfg.DB.Obs; o != nil {
-			lc.ObserveInto(o.Reg)
-			o.Reg.Histogram("query_latency_ns", "tenant", meta.tenantLabel()).Observe(int64(lc.Wall()))
-		}
-		s.logSlow(lc, label, err)
-	}()
-	if err != nil {
-		var ne *cluster.NodeError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			// The client is gone; there is nobody to write an error to.
-		case errors.As(err, &ne):
-			writeError(w, http.StatusBadGateway, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	endEmit := lc.Timer(obs.StateEmit)
-	s.stream(ctx, w, b, time.Since(start), rep)
-	endEmit()
+	return part, strat.String(), nil
 }
 
 // deadline resolves a request's effective timeout from the client's ask
@@ -533,24 +507,56 @@ func (s *Server) deadline(asked time.Duration) time.Duration {
 	return d
 }
 
-// runAndStream admits the plan through the scheduler under the request's
-// context and streams the result as NDJSON. The context is cancelled when
-// the client disconnects, so an abandoned query stops consuming flash
-// bandwidth at its next checkpoint and its scheduler slot frees up.
-//
-// A per-query obs.Lifecycle rides in the context: the scheduler, flash
-// layer, and executor attribute queue-wait / device / CPU states into
-// it, emit time is attributed here, and the finished breakdown feeds
-// the query_latency_ns / query_state_ns histograms and the slow-query
-// log.
-func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, p aquoman.Plan, label string, asked time.Duration, meta queryMeta) {
-	s.runAndStreamMode(w, r, p, label, asked, "", meta)
+// failure is how one failed query is answered.
+type failure struct {
+	code       int    // 0: the client is gone, there is nobody to answer
+	msg        string // the JSON error body
+	retryAfter bool   // backpressure: tell the client when to come back
+	// neverRan marks a request turned away before it executed (bad
+	// statement, admission reject): it stays out of the latency histograms
+	// and the slow-query log (server_requests_total already counts it).
+	neverRan bool
 }
 
-// runAndStreamMode is runAndStream with an optional raw worker mode: a
-// non-empty rawStrategy streams the batch as unrendered int64s in the
-// cluster wire format instead of display values.
-func (s *Server) runAndStreamMode(w http.ResponseWriter, r *http.Request, p aquoman.Plan, label string, asked time.Duration, rawStrategy string, meta queryMeta) {
+// classify is the server's one error→status table. A statement that fails
+// to compile is the client's fault (400); a tenant over its own quota
+// gets 429 so clients can tell "slow down" from "server overloaded"
+// (503); a dead deadline is 504; a cluster node lost past every failover
+// tier is 502; any other execution failure is the server's (500).
+func classify(err error) failure {
+	var ce *aquoman.CompileError
+	var ne *cluster.NodeError
+	switch {
+	case errors.As(err, &ce):
+		return failure{code: http.StatusBadRequest, msg: "compile: " + ce.Error(), neverRan: true}
+	case errors.Is(err, aquoman.ErrTenantQuota):
+		return failure{code: http.StatusTooManyRequests, msg: err.Error(), retryAfter: true, neverRan: true}
+	case errors.Is(err, aquoman.ErrQueueFull):
+		return failure{code: http.StatusServiceUnavailable, msg: "scheduler queue full, retry later", retryAfter: true, neverRan: true}
+	case errors.Is(err, aquoman.ErrSchedulerClosed):
+		return failure{code: http.StatusServiceUnavailable, msg: "scheduler closed", neverRan: true}
+	case errors.Is(err, context.DeadlineExceeded):
+		return failure{code: http.StatusGatewayTimeout, msg: "query deadline exceeded"}
+	case errors.Is(err, context.Canceled):
+		return failure{}
+	case errors.As(err, &ne):
+		return failure{code: http.StatusBadGateway, msg: err.Error()}
+	}
+	return failure{code: http.StatusInternalServerError, msg: err.Error()}
+}
+
+// runAndStream answers one query request: it runs q.exec under the
+// request's context and streams the result as NDJSON. The context is
+// cancelled when the client disconnects or the deadline fires, so an
+// abandoned query stops consuming flash bandwidth at its next checkpoint
+// and its scheduler slot frees up.
+//
+// A per-query obs.Lifecycle rides in the context: the scheduler, flash
+// layer, executor and cluster attribute queue-wait / device / CPU /
+// scatter states into it, emit time is attributed here, and the finished
+// breakdown feeds the query_latency_ns / query_state_ns histograms and
+// the slow-query log. Its ID is the response's X-Query-ID.
+func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time.Duration, q queryRun) {
 	ctx := r.Context()
 	if d := s.deadline(asked); d > 0 {
 		var cancel context.CancelFunc
@@ -559,68 +565,47 @@ func (s *Server) runAndStreamMode(w http.ResponseWriter, r *http.Request, p aquo
 	}
 	lc := obs.NewLifecycle(fmt.Sprintf("q%d", s.qseq.Add(1)))
 	ctx = obs.WithLifecycle(ctx, lc)
+	w.Header().Set("X-Query-ID", lc.ID)
 
 	start := time.Now()
-	var (
-		res *aquoman.Result
-		hit bool
-		err error
-	)
-	if rawStrategy == "" && meta.cacheKey != "" && s.cfg.DB.ResultCacheHandle() != nil {
-		res, hit, err = s.cfg.DB.RunCachedCtx(ctx, meta.tenant, meta.lane, meta.cacheKey, p)
-	} else {
-		var t *aquoman.Ticket
-		t, err = s.cfg.DB.SubmitTenantCtx(ctx, meta.tenant, meta.lane, p)
-		if err == nil {
-			res, err = t.Wait()
-		}
+	res, rep, err := q.exec(ctx)
+	var fail failure
+	if err != nil {
+		fail = classify(err)
 	}
-	// Admission rejects never ran: keep them out of the latency
-	// histograms (server_requests_total already counts them). A tenant
-	// over its own quota gets 429 so clients can tell "slow down" from
-	// "server overloaded" (503).
-	switch {
-	case errors.Is(err, aquoman.ErrTenantQuota):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, aquoman.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "scheduler queue full, retry later")
-		return
-	case errors.Is(err, aquoman.ErrSchedulerClosed):
-		writeError(w, http.StatusServiceUnavailable, "scheduler closed")
+	if !fail.neverRan {
+		defer func() {
+			lc.Finish()
+			if o := s.cfg.DB.Obs; o != nil {
+				tenant := q.tenant
+				if tenant == "" {
+					tenant = "default"
+				}
+				lc.ObserveInto(o.Reg)
+				o.Reg.Histogram("query_latency_ns", "tenant", tenant).Observe(int64(lc.Wall()))
+			}
+			s.logSlow(lc, q.label, err)
+		}()
+	}
+	if err != nil {
+		if fail.retryAfter {
+			w.Header().Set("Retry-After", "1")
+		}
+		if fail.code != 0 {
+			writeError(w, fail.code, fail.msg)
+		}
 		return
 	}
-	defer func() {
-		lc.Finish()
-		if o := s.cfg.DB.Obs; o != nil {
-			lc.ObserveInto(o.Reg)
-			o.Reg.Histogram("query_latency_ns", "tenant", meta.tenantLabel()).Observe(int64(lc.Wall()))
-		}
-		s.logSlow(lc, label, err)
-	}()
-	if hit {
+	if res.CacheHit {
 		// The whole wait was absorbed by the result cache; attribute it
 		// so coverage stays honest on cached queries.
 		lc.Add(obs.StateResultCacheHit, time.Since(start))
 	}
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			// The client is gone; there is nobody to write an error to.
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
 	endEmit := lc.Timer(obs.StateEmit)
-	if rawStrategy != "" {
-		s.streamRaw(ctx, w, res.Batch, rawStrategy)
+	if q.rawStrategy != "" {
+		s.streamRaw(ctx, w, res.Batch, lc.ID, q.rawStrategy)
 	} else {
-		s.stream(ctx, w, res.Batch, time.Since(start), nil)
+		s.stream(ctx, w, res.Batch, lc.ID, time.Since(start), rep)
 	}
 	endEmit()
 }
@@ -676,87 +661,19 @@ func (s *Server) logSlow(lc *obs.Lifecycle, label string, err error) {
 	_, _ = out.Write(append(buf, '\n'))
 }
 
-// stream writes the batch as NDJSON: a schema header line, one JSON array
-// per row, and a trailer with the row count. Chunks of ChunkRows rows are
-// flushed so clients see results incrementally; a dead context stops the
-// stream at the next chunk boundary.
-func (s *Server) stream(ctx context.Context, w http.ResponseWriter, b *engine.Batch, elapsed time.Duration, rep *cluster.Report) {
+// ndjson writes one response stream: the header line, n row lines (row
+// fills and returns a reused buffer), and the trailer. Chunks of ChunkRows
+// rows are flushed so clients see results incrementally; a dead context
+// stops the stream at the next chunk boundary, leaving it trailerless.
+func (s *Server) ndjson(ctx context.Context, w http.ResponseWriter, header interface{}, n int, row func(r int) interface{}, trailer interface{}) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-
-	type schemaField struct {
-		Name string `json:"name"`
-		Type string `json:"type"`
-	}
-	header := struct {
-		Schema []schemaField `json:"schema"`
-	}{}
-	for _, f := range b.Schema {
-		header.Schema = append(header.Schema, schemaField{Name: f.Name, Type: f.Typ.String()})
-	}
-	if err := enc.Encode(&header); err != nil {
+	if err := enc.Encode(header); err != nil {
 		return
 	}
-
-	n := b.NumRows()
-	written := 0
-	row := make([]interface{}, len(b.Schema))
 	for r := 0; r < n; r++ {
-		for c, f := range b.Schema {
-			row[c] = jsonValue(f, b.Cols[c][r])
-		}
-		if err := enc.Encode(row); err != nil {
-			return
-		}
-		written++
-		if written%s.cfg.ChunkRows == 0 {
-			if ctx.Err() != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
-	trailer := struct {
-		Done          bool    `json:"done"`
-		Rows          int     `json:"rows"`
-		ElapsedMS     float64 `json:"elapsed_ms"`
-		Strategy      string  `json:"strategy,omitempty"`
-		DegradedNodes []int   `json:"degraded_nodes,omitempty"`
-	}{Done: true, Rows: n, ElapsedMS: float64(elapsed.Microseconds()) / 1000}
-	if rep != nil {
-		trailer.Strategy = rep.Strategy
-		trailer.DegradedNodes = rep.DegradedNodes
-	}
-	_ = enc.Encode(&trailer)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// streamRaw writes the cluster wire format: header with schema+strategy,
-// one raw int64 array per row, and the {"done","rows"} trailer the
-// coordinator uses to distinguish completion from truncation. A dead
-// context stops at the next chunk boundary — the resulting trailerless
-// stream is exactly what tells the coordinator the partial is unusable.
-func (s *Server) streamRaw(ctx context.Context, w http.ResponseWriter, b *engine.Batch, strategy string) {
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	header := cluster.HeaderFor(b.Schema, strategy)
-	if err := enc.Encode(&header); err != nil {
-		return
-	}
-	n := b.NumRows()
-	row := make([]int64, len(b.Schema))
-	for r := 0; r < n; r++ {
-		for c := range b.Schema {
-			row[c] = b.Cols[c][r]
-		}
-		if err := enc.Encode(row); err != nil {
+		if err := enc.Encode(row(r)); err != nil {
 			return
 		}
 		if (r+1)%s.cfg.ChunkRows == 0 {
@@ -768,10 +685,61 @@ func (s *Server) streamRaw(ctx context.Context, w http.ResponseWriter, b *engine
 			}
 		}
 	}
-	_ = enc.Encode(&cluster.WireTrailer{Done: true, Rows: n})
+	_ = enc.Encode(trailer)
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// stream writes the batch in display values: a schema header line, one
+// JSON array per row, and a trailer with the row count, the query ID and,
+// from a coordinator, the degradation report.
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, b *engine.Batch, id string, elapsed time.Duration, rep *cluster.Report) {
+	type schemaField struct {
+		Name string `json:"name"`
+		Type string `json:"type"`
+	}
+	header := struct {
+		Schema []schemaField `json:"schema"`
+	}{}
+	for _, f := range b.Schema {
+		header.Schema = append(header.Schema, schemaField{Name: f.Name, Type: f.Typ.String()})
+	}
+	trailer := struct {
+		Done          bool    `json:"done"`
+		Rows          int     `json:"rows"`
+		ID            string  `json:"id"`
+		ElapsedMS     float64 `json:"elapsed_ms"`
+		Strategy      string  `json:"strategy,omitempty"`
+		DegradedNodes []int   `json:"degraded_nodes,omitempty"`
+	}{Done: true, Rows: b.NumRows(), ID: id, ElapsedMS: float64(elapsed.Microseconds()) / 1000}
+	if rep != nil {
+		trailer.Strategy = rep.Strategy
+		trailer.DegradedNodes = rep.DegradedNodes
+	}
+	row := make([]interface{}, len(b.Schema))
+	s.ndjson(ctx, w, &header, b.NumRows(), func(r int) interface{} {
+		for c, f := range b.Schema {
+			row[c] = jsonValue(f, b.Cols[c][r])
+		}
+		return row
+	}, &trailer)
+}
+
+// streamRaw writes the cluster wire format: header with schema+strategy,
+// one raw int64 array per row, and the {"done","rows","id"} trailer the
+// coordinator uses to distinguish completion from truncation — a stream
+// cut short by a dead context is trailerless, which is exactly what tells
+// the coordinator the partial is unusable.
+func (s *Server) streamRaw(ctx context.Context, w http.ResponseWriter, b *engine.Batch, id, strategy string) {
+	header := cluster.HeaderFor(b.Schema, strategy)
+	row := make([]int64, len(b.Schema))
+	s.ndjson(ctx, w, &header, b.NumRows(), func(r int) interface{} {
+		for c := range b.Schema {
+			row[c] = b.Cols[c][r]
+		}
+		return row
+	}, &cluster.WireTrailer{Done: true, Rows: b.NumRows(), ID: id})
 }
 
 // jsonValue converts one stored value to its JSON representation:

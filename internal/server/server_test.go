@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"aquoman"
+	"aquoman/internal/cluster"
 	"aquoman/internal/faults"
 	"aquoman/internal/flash"
 )
@@ -162,22 +163,6 @@ func TestQueryPost(t *testing.T) {
 	}
 }
 
-func TestBadSQLIs400(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/query?q=selectt+nonsense")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var e map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
-		t.Fatalf("error body: %v, %v", e, err)
-	}
-}
-
 func TestMissingSQLIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/query")
@@ -273,61 +258,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueueFull503 fills every scheduler slot and the whole queue with
-// slow queries, then asserts the next request is shed with 503 +
-// Retry-After instead of queueing unboundedly.
-func TestQueueFull503(t *testing.T) {
-	db := aquoman.Open()
-	if err := db.LoadTPCH(0.005, 1); err != nil {
-		t.Fatal(err)
-	}
-	o := db.EnableObservability()
-	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
-	defer db.Close()
-	gate := parkReads(t, db) // queries stay mid-scan until the test is done with them
-	_, ts := newTestServer(t, Config{DB: db})
-
-	// Occupy the slot and the queue directly through the scheduler so the
-	// occupancy is deterministic before the HTTP request fires: submit one
-	// query, wait for it to hold the in-flight slot, then fill the queue.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	submit := func() *aquoman.Ticket {
-		p, err := aquoman.TPCHQuery(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk, err := db.SubmitCtx(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tk
-	}
-	tickets := []*aquoman.Ticket{submit()}
-	awaitParked(t, gate)
-	if v := o.Reg.Gauge("sched_inflight").Value(); v != 1 {
-		t.Fatalf("sched_inflight = %d with one query mid-scan", v)
-	}
-	tickets = append(tickets, submit())
-
-	resp, err := http.Get(ts.URL + "/tpch?q=6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	cancel()
-	gate.Release()
-	for _, tk := range tickets {
-		_, _ = tk.Wait()
-	}
-}
-
 // TestCancelFreesSchedulerSlot is the end-to-end cancellation assertion:
 // a client that disconnects mid-flight frees its scheduler slot (the
 // sched_inflight gauge returns to 0) and the query's simulated flash
@@ -386,29 +316,6 @@ func TestCancelFreesSchedulerSlot(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if s2 := db.FlashStats().PagesRead[flash.Aquoman]; s2 != s1 {
 		t.Fatalf("flash traffic still growing after cancel: %d -> %d", s1, s2)
-	}
-}
-
-// TestDeadline504 verifies the server's per-request deadline surfaces as
-// 504 Gateway Timeout.
-func TestDeadline504(t *testing.T) {
-	db := aquoman.Open()
-	if err := db.LoadTPCH(0.005, 1); err != nil {
-		t.Fatal(err)
-	}
-	db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
-	defer db.Close()
-	parkReadsFor(t, db, 50*time.Millisecond) // ten deadlines
-	_, ts := newTestServer(t, Config{DB: db})
-
-	resp, err := http.Get(ts.URL + "/tpch?q=6&timeout_ms=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d, want 504: %s", resp.StatusCode, b)
 	}
 }
 
@@ -664,80 +571,6 @@ func TestMetricsQueryLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestTenantQuota429 drives a tenant past its own admission quota and
-// asserts the shed is 429 + Retry-After (a per-tenant "slow down", not
-// the 503 that means the whole server is overloaded), while another
-// tenant is still admitted.
-func TestTenantQuota429(t *testing.T) {
-	db := aquoman.Open()
-	if err := db.LoadTPCH(0.005, 1); err != nil {
-		t.Fatal(err)
-	}
-	o := db.EnableObservability()
-	db.ConfigureScheduler(aquoman.SchedulerConfig{
-		MaxInFlight: 1, QueueDepth: 8,
-		Tenants: map[string]aquoman.TenantConfig{
-			"alpha": {Weight: 1, MaxQueued: 1},
-		},
-	})
-	defer db.Close()
-	gate := parkReads(t, db)
-	_, ts := newTestServer(t, Config{DB: db})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p, err := aquoman.TPCHQuery(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Occupy the only slot (in-flight work does not count against the
-	// queued quota), then fill alpha's one queued slot.
-	tk1, err := db.SubmitTenantCtx(ctx, "alpha", aquoman.LaneBatch, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitParked(t, gate)
-	tk2, err := db.SubmitTenantCtx(ctx, "alpha", aquoman.LaneBatch, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/tpch?q=6", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Tenant", "alpha")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if !strings.Contains(string(body), "quota") {
-		t.Fatalf("429 body should name the quota: %s", body)
-	}
-	if n := o.Reg.Counter("sched_tenant_rejected_total", "tenant", "alpha").Value(); n < 1 {
-		t.Fatalf("sched_tenant_rejected_total{tenant=alpha} = %d, want >= 1", n)
-	}
-
-	// A different tenant is not throttled by alpha's quota.
-	tk3, err := db.SubmitTenantCtx(ctx, "beta", aquoman.LaneInteractive, p)
-	if err != nil {
-		t.Fatalf("beta rejected alongside alpha's quota: %v", err)
-	}
-	cancel()
-	gate.Release()
-	for _, tk := range []*aquoman.Ticket{tk1, tk2, tk3} {
-		_, _ = tk.Wait()
-	}
-}
-
 // TestResultCacheHitServesIdenticalRows runs the same statement three
 // times (verbatim, then a whitespace/case variant) against a server
 // with the result cache on: the streamed header and row lines must be
@@ -869,5 +702,297 @@ func TestDMLEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /dml = %d, want 405", resp.StatusCode)
+	}
+}
+
+// latencyCount sums the observations of the per-tenant query_latency_ns
+// series (the unlabeled series counts every query once more).
+func latencyCount(o *aquoman.Observer) int64 {
+	var n int64
+	for _, p := range o.Reg.Snapshot().Points {
+		if p.Name == "query_latency_ns" && p.Labels != "" {
+			n += p.Count
+		}
+	}
+	return n
+}
+
+// awaitIdle waits until no query holds one of the DB's scheduler slots.
+func awaitIdle(t *testing.T, o *aquoman.Observer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for o.Reg.Gauge("sched_inflight").Value() != 0 || o.Reg.Gauge("sched_queued").Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("scheduler never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueryModesShareFailureTable drives the three ways the server
+// answers a query — on its own DB, as a cluster worker's partial, as a
+// coordinator — through one table of failures, each in every mode where
+// it can occur. Whatever the mode: the status is the same, a request
+// turned away before it ran stays out of query_latency_ns and the
+// slow-query log, and one that ran lands in both exactly once.
+func TestQueryModesShareFailureTable(t *testing.T) {
+	db := aquoman.Open()
+	if err := db.LoadTPCH(0.005, 1); err != nil {
+		t.Fatal(err)
+	}
+	o := db.EnableObservability()
+	db.ConfigureScheduler(aquoman.SchedulerConfig{
+		MaxInFlight: 1, QueueDepth: 2,
+		Tenants: map[string]aquoman.TenantConfig{"alpha": {MaxQueued: 1}},
+	})
+	defer db.Close()
+
+	// A one-worker cluster over the same data: the worker's partition is
+	// the whole store, the coordinator merges its single partial.
+	wdb := aquoman.Open()
+	if err := wdb.ExtractPartition(db, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	wo := wdb.EnableObservability()
+	defer wdb.Close()
+	worker := httptest.NewServer(New(Config{DB: wdb}))
+	defer worker.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // a worker URL nothing listens on
+	coordinator := func(url string) *cluster.Coordinator {
+		c, err := cluster.New(cluster.Config{
+			Nodes: []cluster.Node{{URL: url}}, Store: db.Store,
+			RetryBudget: -1, DisableFallback: true, // a lost node is a hard error
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	var slow syncBuffer
+	cfg := Config{DB: db, SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &slow} // every query that runs is "slow"
+	standalone := New(cfg)
+	cfg.Coordinator = coordinator(worker.URL)
+	clustered := New(cfg)
+	cfg.Coordinator = coordinator(gone.URL)
+	severed := New(cfg)
+
+	// mode is one way of answering /tpch?q=6: which server, which URL, and
+	// whose device the scan reads (where a gate holds the query mid-scan).
+	type mode struct {
+		name  string
+		srv   *Server
+		url   string
+		scans *aquoman.DB
+	}
+	modes := []mode{
+		{"local", standalone, "/tpch?q=6", db},
+		{"partial", standalone, "/tpch?q=6&partial=1", db},
+		{"coordinator", clustered, "/tpch?q=6", wdb},
+	}
+	serve := func(srv *Server, req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	// occupy parks one query of tenant on db's only slot and queues n more
+	// behind it; the returned func lets them all go and waits them out.
+	occupy := func(t *testing.T, tenant string, n int) func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		gate := parkReads(t, db)
+		var tickets []*aquoman.Ticket
+		for i := 0; i <= n; i++ {
+			tk, err := db.Submit(ctx, aquoman.Request{TPCH: 6, Admit: &aquoman.Admission{Tenant: tenant, Lane: aquoman.LaneBatch}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				awaitParked(t, gate)
+			}
+			tickets = append(tickets, tk)
+		}
+		return func() {
+			cancel()
+			gate.Release()
+			for _, tk := range tickets {
+				_, _ = tk.Wait()
+			}
+		}
+	}
+
+	cases := []struct {
+		name       string
+		modes      string // the modes where this failure can occur
+		status     int    // 0: nothing may be written
+		retryAfter bool
+		ran        bool
+		run        func(t *testing.T, m mode) *httptest.ResponseRecorder
+	}{
+		{"queue full", "local partial", http.StatusServiceUnavailable, true, false,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				defer occupy(t, "", 2)()
+				return serve(m.srv, httptest.NewRequest(http.MethodGet, m.url, nil))
+			}},
+		{"tenant quota", "local partial", http.StatusTooManyRequests, true, false,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				defer occupy(t, "alpha", 1)()
+				req := httptest.NewRequest(http.MethodGet, m.url, nil)
+				req.Header.Set("X-Tenant", "alpha")
+				rec := serve(m.srv, req)
+				// A per-tenant "slow down", told apart from the 503 that
+				// means the whole server is overloaded: the body names the
+				// quota, the tenant's reject counter moves, and another
+				// tenant is still admitted.
+				if !strings.Contains(rec.Body.String(), "quota") {
+					t.Errorf("429 body should name the quota: %s", rec.Body.String())
+				}
+				if n := o.Reg.Counter("sched_tenant_rejected_total", "tenant", "alpha").Value(); n < 1 {
+					t.Errorf("sched_tenant_rejected_total{tenant=alpha} = %d, want >= 1", n)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if _, err := db.Submit(ctx, aquoman.Request{TPCH: 6, Admit: &aquoman.Admission{Tenant: "beta"}}); err != nil {
+					t.Errorf("beta rejected alongside alpha's quota: %v", err)
+				}
+				return rec
+			}},
+		{"deadline", "local partial coordinator", http.StatusGatewayTimeout, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				parkReadsFor(t, m.scans, 50*time.Millisecond) // ten deadlines
+				return serve(m.srv, httptest.NewRequest(http.MethodGet, m.url+"&timeout_ms=5", nil))
+			}},
+		{"client gone", "local partial coordinator", 0, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				gate := parkReads(t, m.scans)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				done := make(chan *httptest.ResponseRecorder)
+				go func() { done <- serve(m.srv, httptest.NewRequest(http.MethodGet, m.url, nil).WithContext(ctx)) }()
+				awaitParked(t, gate)
+				cancel()       // the client disconnects mid-scan
+				gate.Release() // the read in flight completes; the scan must not go on
+				return <-done
+			}},
+		{"node lost", "coordinator", http.StatusBadGateway, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				return serve(severed, httptest.NewRequest(http.MethodGet, m.url, nil))
+			}},
+		{"compile error", "local", http.StatusBadRequest, false, false,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				return serve(m.srv, httptest.NewRequest(http.MethodGet, "/query?q=selectt+nonsense", nil))
+			}},
+	}
+	for _, tc := range cases {
+		for _, m := range modes {
+			if !strings.Contains(tc.modes, m.name) {
+				continue
+			}
+			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
+				slow.Reset()
+				before := latencyCount(o)
+				rec := tc.run(t, m)
+				if tc.status == 0 {
+					if rec.Body.Len() != 0 || rec.Flushed {
+						t.Fatalf("wrote %q to a client that is gone", rec.Body.String())
+					}
+				} else if rec.Code != tc.status {
+					t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body.String())
+				} else if !strings.Contains(rec.Body.String(), `"error"`) {
+					t.Fatalf("status %d without a JSON error body: %q", rec.Code, rec.Body.String())
+				}
+				if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
+					t.Fatalf("Retry-After present = %v, want %v", got, tc.retryAfter)
+				}
+				want := int64(0)
+				if tc.ran {
+					want = 1
+				}
+				if got := latencyCount(o) - before; got != want {
+					t.Fatalf("query_latency_ns grew by %d observations, want %d", got, want)
+				}
+				lines := strings.Count(slow.String(), "\n")
+				if int64(lines) != want {
+					t.Fatalf("%d slow-query lines, want %d:\n%s", lines, want, slow.String())
+				}
+				if tc.ran && !strings.Contains(slow.String(), `"id":"`+rec.Header().Get("X-Query-ID")+`"`) {
+					t.Fatalf("slow-query line does not carry X-Query-ID %q:\n%s", rec.Header().Get("X-Query-ID"), slow.String())
+				}
+				// The next case starts from idle schedulers and ungated devices.
+				awaitIdle(t, o)
+				awaitIdle(t, wo)
+				db.Flash.SetFaults(nil)
+				wdb.Flash.SetFaults(nil)
+			})
+		}
+	}
+}
+
+// TestQueryIDJoinsResponseAndSlowLog: one minted ID names a query in the
+// X-Query-ID header, in the NDJSON trailer — rendered or raw — and in its
+// slow-query log line.
+func TestQueryIDJoinsResponseAndSlowLog(t *testing.T) {
+	var slow syncBuffer
+	srv, _ := newTestServer(t, Config{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &slow})
+	for _, url := range []string{"/query?q=select+count(*)+as+n+from+region", "/tpch?q=6", "/tpch?q=6&partial=1"} {
+		slow.Reset()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body.String())
+		}
+		id := rec.Header().Get("X-Query-ID")
+		if id == "" {
+			t.Fatalf("%s: no X-Query-ID header", url)
+		}
+		lines := ndjson(t, rec.Body)
+		if trailer := lines[len(lines)-1]; trailer["done"] != true || trailer["id"] != id {
+			t.Fatalf("%s: trailer %v does not carry id %q", url, trailer, id)
+		}
+		var rec1 struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal([]byte(slow.String()), &rec1); err != nil || rec1.ID != id {
+			t.Fatalf("%s: slow-query line %q does not carry id %q (%v)", url, slow.String(), id, err)
+		}
+	}
+}
+
+// TestDMLRefusedOnClusterMembers: a coordinator's replica and a worker's
+// partition refuse POST /dml with 403 and a JSON error naming the mode —
+// a write applied to one member would make scattered and local queries
+// disagree — and the refused statement changes nothing.
+func TestDMLRefusedOnClusterMembers(t *testing.T) {
+	src := sharedDB(t)
+	part := aquoman.Open()
+	if err := part.ExtractPartition(src, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	defer part.Close()
+	full := aquoman.Open()
+	if err := full.LoadTPCH(0.005, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	if _, err := full.NewCoordinator([]aquoman.ClusterNode{{URL: "http://127.0.0.1:1"}, {URL: "http://127.0.0.1:1"}}); err != nil {
+		t.Fatal(err)
+	}
+	for mode, db := range map[string]*aquoman.DB{"partition": part, "coordinator": full} {
+		_, ts := newTestServer(t, Config{DB: db})
+		resp, err := http.Post(ts.URL+"/dml", "application/json",
+			strings.NewReader(`{"sql": "DELETE FROM region WHERE r_regionkey = 0"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden || err != nil || !strings.Contains(body["error"], mode) {
+			t.Fatalf("%s: /dml = %d %v (%v), want 403 naming the mode", mode, resp.StatusCode, body, err)
+		}
+		res, err := db.Query("select count(*) as n from region")
+		if err != nil || res.Batch.Cols[0][0] != 5 {
+			t.Fatalf("%s: region has %v rows after the refused DELETE (%v), want 5", mode, res.Batch.Cols[0], err)
+		}
 	}
 }

@@ -83,8 +83,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceFacade checks DB.Trace: a one-shot tracer independent of the
-// installed observer.
+// TestTraceFacade checks Request.Trace: a one-shot tracer independent of
+// the installed observer.
 func TestTraceFacade(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.001, 7); err != nil {
@@ -94,10 +94,11 @@ func TestTraceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := db.Trace(p)
+	res, err := db.Do(nil, Request{Plan: p, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Trace
 	if res.NumRows() != 1 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}

@@ -9,13 +9,16 @@
 #   1. all three /healthz endpoints go ready,
 #   2. a cluster query returns a complete NDJSON stream produced by the
 #      merge-aggregate scatter path,
-#   3. cancelling the coordinator query mid-flight cancels the in-flight
+#   3. POST /dml is refused with 403 on the coordinator and on a worker
+#      (the cluster does not distribute writes; one applied to a single
+#      member would make scattered and local queries disagree),
+#   4. cancelling the coordinator query mid-flight cancels the in-flight
 #      worker requests (worker sched_inflight returns to 0),
-#   4. after SIGKILLing a worker mid-operation the same query still
+#   5. after SIGKILLing a worker mid-operation the same query still
 #      returns the identical rows, degraded onto the coordinator's
 #      fallback shard ("degraded_nodes" on the trailer and
 #      cluster_degraded_nodes > 0 in /metrics),
-#   5. SIGTERM drains the coordinator cleanly.
+#   6. SIGTERM drains the coordinator cleanly.
 set -euo pipefail
 
 BASE_PORT=${SMOKE_PORT:-18180}
@@ -78,6 +81,17 @@ echo "$HEALTHY" | grep -q '"degraded_nodes"' \
 # next write, and with it the pipeline.)
 grep -q '^cluster_scatter_total' <<<"$(curl -fsS "http://$COORD/metrics")" \
     || { echo "coordinator /metrics missing cluster_scatter_total"; exit 1; }
+
+echo "== /dml is refused on every cluster member"
+for MEMBER in "$COORD coordinator" "$W0 partition"; do
+    set -- $MEMBER
+    DML_BODY=$(mktemp)
+    DML_CODE=$(curl -s -o "$DML_BODY" -w '%{http_code}' -X POST "http://$1/dml" \
+        -d '{"sql": "DELETE FROM region WHERE r_regionkey = 0"}')
+    [ "$DML_CODE" = 403 ] || { echo "POST /dml on the $2 = $DML_CODE, want 403"; cat "$DML_BODY"; exit 1; }
+    grep -q "\"error\".*$2" "$DML_BODY" || { echo "403 body does not name $2 mode:"; cat "$DML_BODY"; exit 1; }
+done
+echo "coordinator and worker both answer /dml with 403"
 
 echo "== client cancel propagates to the workers"
 # q1 runs for 3 s on the workers (see -pagelat above); curl gives up after

@@ -82,11 +82,11 @@ func TestResultCacheInvalidatedByWrite(t *testing.T) {
 	const q = "select count(*) as n from region where r_regionkey < 3"
 	run := func() (*Result, bool) {
 		t.Helper()
-		res, hit, err := db.QueryCached(context.Background(), "t", LaneInteractive, q)
+		res, err := db.Do(context.Background(), Request{SQL: q, Admit: &Admission{Tenant: "t", CacheKey: CanonicalSQL(q)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, hit
+		return res, res.CacheHit
 	}
 	first, hit := run()
 	if hit {

@@ -28,6 +28,16 @@ var (
 	ErrStaleSnapshot = catalog.ErrStaleSnapshot
 )
 
+// ReadOnlyError is Exec's refusal to write to a DB that is one part of a
+// cluster — a coordinator's replica or a worker's partition (Mode names
+// which). Writes are not distributed, so one applied here would make
+// scattered queries answer pre-write and local ones post-write.
+type ReadOnlyError struct{ Mode string }
+
+func (e *ReadOnlyError) Error() string {
+	return fmt.Sprintf("aquoman: read-only in %s mode: a cluster does not distribute writes", e.Mode)
+}
+
 // Catalog returns the DB's write-path catalog, creating it on first
 // use. Creation adopts every table currently in the store, so load data
 // (LoadTPCH, NewTable/Finalize) before the first Catalog/Exec call; for
@@ -130,8 +140,15 @@ const execRetries = 3
 // UPDATE and DELETE pick their victims at a snapshot and commit with a
 // compare-and-swap on the catalog epoch; a concurrent write in between
 // re-runs the statement (up to execRetries times) before surfacing
-// ErrConflict.
+// ErrConflict. A DB that NewCoordinator or ExtractPartition made part of
+// a cluster refuses every statement with *ReadOnlyError.
 func (db *DB) Exec(ctx context.Context, src string) (*ExecResult, error) {
+	db.mu.Lock()
+	role := db.clusterRole
+	db.mu.Unlock()
+	if role != "" {
+		return nil, &ReadOnlyError{Mode: role}
+	}
 	cat := db.Catalog()
 	ex, err := sql.CompileExec(src, db.Store)
 	if err != nil {
