@@ -125,9 +125,10 @@ type (
 	// ClusterConfig parameterizes a Coordinator.
 	ClusterConfig = cluster.Config
 	// ClusterReport describes how one query executed across the cluster.
-	ClusterReport = cluster.Report
-	// ClusterNodeError is a node's typed failure after every failover tier.
-	ClusterNodeError = cluster.NodeError
+	ClusterReport = distrib.Report
+	// ClusterNodeError is a node's typed failure: every failover tier
+	// exhausted, or an error no tier can cure.
+	ClusterNodeError = distrib.ShardError
 	// ClusterProtocolError is a typed violation of the partial-result wire
 	// protocol (truncated/garbled/miscounted worker stream).
 	ClusterProtocolError = cluster.ProtocolError

@@ -177,8 +177,8 @@ func TestClusterDifferentialAllQueries(t *testing.T) {
 			t.Fatalf("q%d: %v", def.Num, err)
 		}
 		tpch.AssertEqual(t, fmt.Sprintf("q%d [%s]", def.Num, rep.Strategy), got, rg.oracle[def.Num])
-		if len(rep.DegradedNodes) != 0 {
-			t.Fatalf("q%d: healthy cluster degraded nodes %v", def.Num, rep.DegradedNodes)
+		if len(rep.DegradedShards) != 0 {
+			t.Fatalf("q%d: healthy cluster degraded nodes %v", def.Num, rep.DegradedShards)
 		}
 		switch {
 		case rep.Local:
@@ -226,14 +226,14 @@ func TestClusterDifferentialWorkerKilledMidScan(t *testing.T) {
 		if !rep.Degraded(1) {
 			t.Fatalf("q%d: killed node 1 not reported degraded: %+v", def.Num, rep)
 		}
-		if rep.NodeRetries[1] == 0 {
+		if rep.ShardRetries[1] == 0 {
 			t.Fatalf("q%d: node 1 degraded without retries", def.Num)
 		}
-		if len(rep.FallbackNodes) != 1 || rep.FallbackNodes[0] != 1 {
-			t.Fatalf("q%d: fallback nodes = %v, want [1]", def.Num, rep.FallbackNodes)
+		if len(rep.FallbackShards) != 1 || rep.FallbackShards[0] != 1 {
+			t.Fatalf("q%d: fallback nodes = %v, want [1]", def.Num, rep.FallbackShards)
 		}
 		if rep.Degraded(0) || rep.Degraded(2) {
-			t.Fatalf("q%d: healthy nodes degraded: %v", def.Num, rep.DegradedNodes)
+			t.Fatalf("q%d: healthy nodes degraded: %v", def.Num, rep.DegradedShards)
 		}
 	}
 	if rg.chaos[1].cuts.Load() == 0 {
@@ -273,10 +273,10 @@ func TestClusterMirrorFailover(t *testing.T) {
 	if !rep.Degraded(0) {
 		t.Fatalf("mirror-served node 0 not reported degraded: %+v", rep)
 	}
-	if len(rep.FallbackNodes) != 0 {
-		t.Fatalf("mirror failover burned host fallback: %v", rep.FallbackNodes)
+	if len(rep.FallbackShards) != 0 {
+		t.Fatalf("mirror failover burned host fallback: %v", rep.FallbackShards)
 	}
-	if rep.NodeRetries[0] == 0 {
+	if rep.ShardRetries[0] == 0 {
 		t.Fatal("dead primary produced no retries")
 	}
 }
@@ -369,5 +369,55 @@ func TestClusterServerEndpoint(t *testing.T) {
 	if !strings.Contains(string(body), `"done":true`) ||
 		!strings.Contains(string(body), `"strategy":"merge-aggregate"`) {
 		t.Fatalf("coordinator response lacks trailer fields: %s", body)
+	}
+}
+
+// One query, one ID: the coordinator sends its query ID on every scatter
+// RPC and the workers adopt it, so a worker's trailer names the query the
+// coordinator's response does.
+func TestClusterQueryIDReachesWorkers(t *testing.T) {
+	rg := clusterRig(t)
+	// tap stands in for worker 0 and keeps the trailers it streams.
+	worker0 := server.New(server.Config{DB: rg.wdbs[0]})
+	var mu sync.Mutex
+	var trailers []string
+	tap := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		worker0.ServeHTTP(rec, r)
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		mu.Lock()
+		trailers = append(trailers, lines[len(lines)-1])
+		mu.Unlock()
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	defer tap.Close()
+	coord, err := cluster.New(cluster.Config{
+		Nodes: []cluster.Node{{URL: tap.URL}, {URL: rg.urls[1]}, {URL: rg.urls[2]}},
+		Store: rg.src.Store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(server.Config{DB: rg.src, Coordinator: coord}))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/tpch?q=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, err %v: %s", resp.StatusCode, err, body)
+	}
+	id := resp.Header.Get("X-Query-ID")
+	if id == "" || !strings.Contains(string(body), `"id":"`+id+`"`) {
+		t.Fatalf("coordinator response does not carry its X-Query-ID %q: %s", id, body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(trailers) != 1 || !strings.Contains(trailers[0], `"id":"`+id+`"`) {
+		t.Fatalf("worker trailers %q, want one carrying the coordinator's id %q", trailers, id)
 	}
 }

@@ -1,8 +1,8 @@
 // Cluster: the paper's Sec. IX future work — distributed execution over
 // multiple AQUOMAN SSDs. A TPC-H data set is co-partitioned (orders +
-// lineitem by order, dimensions replicated) across a cluster; each device
-// offloads its partition through its own in-storage pipeline, and the
-// coordinator merges partial aggregates.
+// lineitem by order, dimensions replicated) across a cluster; the devices
+// offload their partitions at once, each through its own in-storage
+// pipeline, and distrib.Scatter merges the partial aggregates.
 package main
 
 import (

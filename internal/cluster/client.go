@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"aquoman/internal/core"
+	"aquoman/internal/distrib"
+	"aquoman/internal/obs"
 	"aquoman/internal/plan"
 )
 
@@ -41,8 +46,9 @@ type WireHeader struct {
 }
 
 // WireTrailer is the last NDJSON line of a partial response. ID is the
-// worker's query ID (its X-Query-ID header and slow-query log id); the
-// coordinator does not interpret it.
+// worker's query ID (its X-Query-ID header and slow-query log id) — the
+// coordinator's own when the scatter RPC carried one; the coordinator does
+// not interpret it.
 type WireTrailer struct {
 	Done bool   `json:"done"`
 	Rows int    `json:"rows"`
@@ -80,39 +86,60 @@ func (e *ProtocolError) Error() string {
 
 func (e *ProtocolError) Unwrap() error { return e.Err }
 
-// fetchPartial issues one scatter RPC: GET url/tpch?q=N&partial=1,
-// validates the header against the expected (coordinator-bound) partial
-// schema, decodes the raw rows, and verifies the trailer count. The
-// request rides on ctx, so cancelling the coordinator query aborts the
-// worker's stream mid-flight.
-func (c *Coordinator) fetchPartial(ctx context.Context, baseURL string, q int, expected plan.Schema) ([][]int64, error) {
-	url := strings.TrimRight(baseURL, "/") + "/tpch?q=" + strconv.Itoa(q) + "&partial=1"
+// worker is the distrib.Shard over one aquoman-serve URL.
+type worker struct {
+	client *http.Client
+	url    string
+}
+
+// Run issues one scatter RPC: GET url/tpch?q=N&partial=1, validates the
+// header against the expected (coordinator-bound) partial schema, decodes
+// the raw rows, and verifies the trailer count. The request rides on ctx,
+// so cancelling the coordinator query aborts the worker's stream
+// mid-flight, and carries the coordinator's query ID as X-Query-ID, so the
+// worker's trailer and slow-query log name the query the coordinator's do.
+func (w *worker) Run(ctx context.Context, work distrib.Work) ([][]int64, *core.Report, error) {
+	url := strings.TrimRight(w.url, "/") + "/tpch?q=" + strconv.Itoa(work.Q) + "&partial=1"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, &ProtocolError{URL: baseURL, Reason: "building request", Err: err}
+		return nil, nil, &ProtocolError{URL: w.url, Reason: "building request", Err: err}
 	}
-	resp, err := c.client.Do(req)
+	if lc := obs.LifecycleFrom(ctx); lc != nil {
+		req.Header.Set("X-Query-ID", lc.ID)
+	}
+	resp, err := w.client.Do(req)
 	if err != nil {
-		return nil, err // transport error: retryable
+		return nil, nil, err // transport error: retryable
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &ProtocolError{
-			URL:    baseURL,
+		return nil, nil, &ProtocolError{
+			URL:    w.url,
 			Status: resp.StatusCode,
 			Reason: fmt.Sprintf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body))),
 		}
 	}
-	cols, err := decodePartial(resp.Body, expected)
+	cols, err := decodePartial(resp.Body, work.Schema)
 	if err != nil {
 		if pe, ok := err.(*ProtocolError); ok {
-			pe.URL = baseURL
+			pe.URL = w.url
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return cols, nil
+	return cols, nil, nil
 }
+
+// Retryable: a 4xx is the worker rejecting the plan, which no retry and no
+// replica will change; transport errors, truncated or garbled streams, and
+// 5xx (including queue-full 503) may clear.
+func (w *worker) Retryable(err error) bool {
+	var pe *ProtocolError
+	return !(errors.As(err, &pe) && pe.Status >= 400 && pe.Status < 500)
+}
+
+func (w *worker) Local() bool    { return false }
+func (w *worker) String() string { return w.url }
 
 // decodePartial reads an NDJSON partial stream and returns its columns.
 // Every violation — missing/invalid header, schema mismatch, non-integer
@@ -156,7 +183,7 @@ func decodePartial(body io.Reader, expected plan.Schema) ([][]int64, error) {
 			}
 			return nil, &ProtocolError{Reason: fmt.Sprintf("garbled stream after %d rows", rows), Err: err}
 		}
-		trimmed := bytesTrimLeft(raw)
+		trimmed := bytes.TrimLeft(raw, " \t\r\n")
 		if len(trimmed) == 0 {
 			return nil, &ProtocolError{Reason: "empty line in stream"}
 		}
@@ -194,11 +221,4 @@ func decodePartial(body io.Reader, expected plan.Schema) ([][]int64, error) {
 		}
 		rows++
 	}
-}
-
-func bytesTrimLeft(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
-		b = b[1:]
-	}
-	return b
 }

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"aquoman/internal/col"
+	"aquoman/internal/distrib"
+	"aquoman/internal/engine"
 	"aquoman/internal/flash"
 	"aquoman/internal/plan"
 	"aquoman/internal/tpch"
@@ -107,7 +109,7 @@ func tinyStore(t *testing.T) *col.Store {
 }
 
 // A worker that persistently garbles its stream must surface as a typed
-// NodeError wrapping the ProtocolError once every failover tier is
+// ShardError wrapping the ProtocolError once every failover tier is
 // exhausted — with fallback disabled there is nowhere left to go.
 func TestCoordinatorSurfacesProtocolError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -134,9 +136,9 @@ func TestCoordinatorSurfacesProtocolError(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung on a garbled worker stream")
 	}
-	var ne *NodeError
-	if !errors.As(err, &ne) || ne.Node != 0 {
-		t.Fatalf("err = %v, want *NodeError for node 0", err)
+	var se *distrib.ShardError
+	if !errors.As(err, &se) || se.Shard != 0 || se.Tier != ts.URL {
+		t.Fatalf("err = %v, want *distrib.ShardError for shard 0 on %s", err, ts.URL)
 	}
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
@@ -201,10 +203,53 @@ func TestCoordinator5xxRetriesThenFallsBack(t *testing.T) {
 	if n := hits.Load(); n != 3 {
 		t.Fatalf("worker hit %d times, want 1 + 2 retries", n)
 	}
-	if len(rep.FallbackNodes) != 1 || rep.NodeRetries[0] != 2 {
+	if len(rep.FallbackShards) != 1 || rep.ShardRetries[0] != 2 {
 		t.Fatalf("report = %+v, want fallback node 0 with 2 retries", rep)
 	}
 	if b.NumRows() != 1 {
 		t.Fatalf("q6 rows = %d", b.NumRows())
 	}
+}
+
+// Every tier of one query runs the caller's build: with every worker dead
+// the fallback shards must answer the variant Run was handed — not
+// tpch.Get(6), which shares nothing with it but the wire name.
+func TestCoordinatorFallbackRunsCallersBuild(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // nothing listens here
+	store := tinyStore(t)
+	c, err := New(Config{
+		Nodes:       []Node{{URL: gone.URL}, {URL: gone.URL}},
+		Store:       store,
+		RetryBudget: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func() plan.Node {
+		return &plan.GroupBy{
+			Input: &plan.Scan{Table: "lineitem", Cols: []string{"l_returnflag", "l_quantity"}},
+			Keys:  []string{"l_returnflag"},
+			Aggs: []plan.AggSpec{
+				{Func: plan.AggAvg, Name: "avg_qty", E: plan.C("l_quantity"), Typ: col.Decimal},
+				{Func: plan.AggCount, Name: "n"},
+			},
+		}
+	}
+	got, rep, err := c.Run(nil, 6, variant)
+	if err != nil {
+		t.Fatalf("fallback shards did not answer: %v", err)
+	}
+	if len(rep.FallbackShards) != 2 {
+		t.Fatalf("fallback shards = %v, want both", rep.FallbackShards)
+	}
+	ref := variant()
+	if err := plan.Bind(ref, store); err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.New(store).Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpch.AssertBatchesEquivalent(t, "variant of q6", got, want)
 }

@@ -1,30 +1,23 @@
-// Package cluster implements the networked scatter/gather coordinator:
-// the multi-node successor of internal/distrib's in-process multi-SSD
-// execution, and the repo's answer to the paper's "multiple AQUOMAN
-// SSDs" future work at rack scale. A Coordinator owns a full replica of a
-// TPC-H store, views it as partitioned across N `aquoman-serve` worker
-// nodes (shard d = orders row r where r % N == d, lineitem co-located,
-// dimensions replicated — exactly distrib.ExtractShard's layout), and
-// runs queries by scattering per-shard partial plans over the workers'
-// HTTP/NDJSON `/tpch?partial=1` protocol, gathering the raw partial
-// batches, and merging them through the same Swissknife MERGE path the
-// in-process cluster uses (distrib.MergePlan + ReapplyChain).
-//
-// Fault tolerance is tiered per node, mirroring distrib's
-// retry→degradation machinery: a failed scatter RPC retries on the same
-// worker up to RetryBudget times, then on the node's mirror URL (if
-// configured), and finally degrades to a coordinator-local host-fallback
-// shard — a locally partitioned copy of the node's data — so a SIGKILLed
-// worker costs availability of nothing but that node's offload
-// bandwidth. Queries whose shape cannot distribute (nested aggregation,
-// scalar subqueries over partitioned tables — distrib.Classify's
-// rejections) fall back to single-node execution on the coordinator's
+// Package cluster is the networked front end of distrib.Scatter, and the
+// repo's answer to the paper's "multiple AQUOMAN SSDs" future work at
+// rack scale. A Coordinator owns a full replica of a TPC-H store, views it
+// as partitioned across N `aquoman-serve` worker nodes (shard d = orders
+// row r where r % N == d, lineitem co-located, dimensions replicated —
+// exactly distrib.ExtractShard's layout), and hands the one scatter/gather
+// a ladder per node: the worker's URL, its mirror URL if configured, and a
+// coordinator-local host-fallback shard — a locally partitioned copy of
+// the node's data — so a SIGKILLed worker costs availability of nothing
+// but that node's offload bandwidth. What this package adds to Scatter is
+// the HTTP Shard (client.go: the `/tpch?partial=1` NDJSON wire and its
+// typed *ProtocolError) and one policy: a query whose shape cannot
+// distribute (nested aggregation, scalar subqueries over partitioned
+// tables — distrib.Classify's rejections) runs whole on the coordinator's
 // full replica, so every TPC-H query remains answerable.
 //
 // Cancellation is end to end: the query context is threaded into every
 // worker HTTP request (killing in-flight scatter RPCs the moment the
-// client disconnects) and into fallback/local execution's page-read and
-// morsel checkpoints.
+// client disconnects), into fallback/local execution's page-read and
+// morsel checkpoints, and into the merge.
 package cluster
 
 import (
@@ -32,12 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
 
 	"aquoman/internal/col"
-	"aquoman/internal/compiler"
-	"aquoman/internal/core"
 	"aquoman/internal/distrib"
 	"aquoman/internal/engine"
 	"aquoman/internal/flash"
@@ -68,19 +57,20 @@ type Config struct {
 	// Client issues the scatter RPCs (http.DefaultClient when nil;
 	// per-query deadlines ride on the request context, not the client).
 	Client *http.Client
-	// RetryBudget is how many times a failed scatter RPC is re-issued to
-	// the same URL before moving down the failover tier (default 1;
-	// negative disables same-URL retries).
+	// RetryBudget is how many times a failed attempt is repeated on the
+	// same tier before moving down the ladder (default 1; negative
+	// disables same-tier retries).
 	RetryBudget int
 	// DisableFallback skips building coordinator-local fallback shards
 	// (saves one partition copy per node; a node whose every URL fails is
-	// then a hard *NodeError).
+	// then a hard *distrib.ShardError).
 	DisableFallback bool
 	// DRAMBytes and HeapScale configure local (fallback and
 	// non-distributable) execution as in the single-device runtime.
 	DRAMBytes int64
 	HeapScale float64
-	// Obs (optional) receives the cluster counters: cluster_scatter_total,
+	// Obs (optional) receives the scatter spans and the cluster counters:
+	// cluster_queries_total{strategy}, cluster_scatter_total,
 	// cluster_node_retries, cluster_degraded_nodes (all labeled by node).
 	Obs *obs.Observer
 }
@@ -89,15 +79,15 @@ type Config struct {
 // Safe for concurrent use: per-query state lives on the stack and the
 // shard stores are read-only after New.
 type Coordinator struct {
-	cfg    Config
-	client *http.Client
-	// shards are the host-fallback partitions, one per node (nil when
-	// DisableFallback).
-	shards []*col.Store
+	cfg Config
+	// replica runs the shapes distrib.Classify rejects whole on cfg.Store.
+	replica *distrib.LocalShard
+	scatter *distrib.Scatter
 }
 
-// New builds a Coordinator over cfg, extracting one host-fallback shard
-// per node from cfg.Store unless DisableFallback is set.
+// New builds a Coordinator over cfg. Node d's ladder is its URL, its
+// mirror URL if any, and — unless DisableFallback — a host-fallback shard
+// extracted from cfg.Store.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no worker nodes configured")
@@ -117,73 +107,33 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeapScale == 0 {
 		cfg.HeapScale = 1
 	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client}
-	if c.client == nil {
-		c.client = http.DefaultClient
+	client := cfg.Client
+	if client == nil {
+		client = http.DefaultClient
 	}
-	if !cfg.DisableFallback {
-		n := len(cfg.Nodes)
-		c.shards = make([]*col.Store, n)
-		for d := 0; d < n; d++ {
-			c.shards[d] = col.NewStore(flash.NewDevice())
-			if err := distrib.ExtractShard(c.shards[d], cfg.Store, d, n); err != nil {
+	local := func(name string, s *col.Store) *distrib.LocalShard {
+		return distrib.NewLocalShard(name, s, cfg.DRAMBytes, cfg.HeapScale, cfg.Obs)
+	}
+	n := len(cfg.Nodes)
+	tiers := make([][]distrib.Shard, n)
+	for d, node := range cfg.Nodes {
+		tiers[d] = []distrib.Shard{&worker{client: client, url: node.URL}}
+		if node.Mirror != "" {
+			tiers[d] = append(tiers[d], &worker{client: client, url: node.Mirror})
+		}
+		if !cfg.DisableFallback {
+			shard := col.NewStore(flash.NewDevice())
+			if err := distrib.ExtractShard(shard, cfg.Store, d, n); err != nil {
 				return nil, fmt.Errorf("cluster: fallback shard %d: %w", d, err)
 			}
+			tiers[d] = append(tiers[d], local("host fallback", shard))
 		}
 	}
-	return c, nil
-}
-
-// NumNodes returns the cluster size.
-func (c *Coordinator) NumNodes() int { return len(c.cfg.Nodes) }
-
-// Report describes how one query was executed across the cluster.
-type Report struct {
-	// Strategy is the distribution strategy (distrib.Strategy wording),
-	// or a "local (...)" description for coordinator-local execution.
-	Strategy string
-	// NodeRetries counts failed scatter attempts per node (re-issues to
-	// the primary plus every mirror attempt).
-	NodeRetries []int
-	// DegradedNodes lists nodes not served by their primary worker
-	// (mirror or host fallback).
-	DegradedNodes []int
-	// FallbackNodes lists the subset of DegradedNodes served by the
-	// coordinator's local shard copy.
-	FallbackNodes []int
-	// Local is set when the whole query ran on the coordinator's replica
-	// (non-distributable shape); LocalReason carries the classifier's
-	// rejection.
-	Local       bool
-	LocalReason string
-}
-
-// Degraded reports whether node d was served by its mirror or fallback.
-func (r *Report) Degraded(d int) bool {
-	for _, n := range r.DegradedNodes {
-		if n == d {
-			return true
-		}
-	}
-	return false
-}
-
-// NodeError is the typed failure of one node after the retry, mirror and
-// host-fallback tiers were exhausted.
-type NodeError struct {
-	Node int
-	URL  string
-	Err  error
-}
-
-func (e *NodeError) Error() string {
-	return fmt.Sprintf("cluster: node %d (%s) failed: %v", e.Node, e.URL, e.Err)
-}
-
-func (e *NodeError) Unwrap() error { return e.Err }
-
-func (c *Coordinator) counter(name string, node int) {
-	c.cfg.Obs.Counter(name, "node", strconv.Itoa(node)).Inc()
+	return &Coordinator{
+		cfg:     cfg,
+		replica: local("replica", cfg.Store),
+		scatter: distrib.NewScatter(cfg.Store, cfg.Obs, cfg.RetryBudget, tiers),
+	}, nil
 }
 
 // RunTPCH executes TPC-H query q (1..22) across the cluster: scatter the
@@ -192,7 +142,7 @@ func (c *Coordinator) counter(name string, node int) {
 // OrderBy/Limit/Project chain. Non-distributable shapes run on the
 // coordinator's local replica instead. ctx cancels every in-flight
 // worker request and the local merge; a nil ctx never cancels.
-func (c *Coordinator) RunTPCH(ctx context.Context, q int) (*engine.Batch, *Report, error) {
+func (c *Coordinator) RunTPCH(ctx context.Context, q int) (*engine.Batch, *distrib.Report, error) {
 	def, err := tpch.Get(q)
 	if err != nil {
 		return nil, nil, err
@@ -204,270 +154,32 @@ func (c *Coordinator) RunTPCH(ctx context.Context, q int) (*engine.Batch, *Repor
 // protocol (/tpch?q=...) and build must return a fresh plan tree per
 // call — the same contract as distrib.Cluster.RunQuery. Workers derive
 // their partial plan from q alone, so build must agree with the workers'
-// notion of query q.
-func (c *Coordinator) Run(ctx context.Context, q int, build func() plan.Node) (*engine.Batch, *Report, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	probe := build()
-	if err := plan.Bind(probe, c.cfg.Store); err != nil {
-		return nil, nil, err
-	}
-	strat, cerr := distrib.Classify(probe)
-	if cerr != nil {
-		// The shape would need a second shuffle: run it whole on the
-		// coordinator's full replica rather than rejecting the query.
-		b, rep, err := c.runLocal(ctx, build())
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.LocalReason = cerr.Error()
-		rep.Strategy = "local (" + cerr.Error() + ")"
-		c.strategyCounter(rep.Strategy)
-		return b, rep, nil
-	}
-	c.strategyCounter(strat.String())
-
-	// The expected partial schema, bound against the local replica: it
-	// validates worker headers, carries the dictionary sources that let
-	// merged results render as strings, and shapes the gather leaf.
-	partProbe, err := distrib.PartialPlan(build(), strat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := plan.Bind(partProbe, c.cfg.Store); err != nil {
-		return nil, nil, err
-	}
-	expected := partProbe.Schema()
-	chain, coreNode := distrib.Peel(probe)
-
-	targets := c.NumNodes()
-	if strat == distrib.StratSingle {
-		// Replicated-only data is complete on every node; ask just one.
-		targets = 1
-	}
-	rep := &Report{Strategy: strat.String(), NodeRetries: make([]int, c.NumNodes())}
-	if strat == distrib.StratSingle {
-		rep.Strategy = strat.String() + " (node 0)"
-	}
-
-	// Scatter. Every node runs concurrently under a shared cancel scope:
-	// the first unrecoverable failure (or the caller's ctx dying) stops
-	// all in-flight worker requests.
-	lc := obs.LifecycleFrom(ctx)
-	sctx, cancel := context.WithCancel(ctxOrBackground(ctx))
-	defer cancel()
-	parts := make([][][]int64, targets)
-	nodeReps := make([]nodeReport, targets)
-	var wg sync.WaitGroup
-	endScatter := lc.ExclusiveTimer(obs.StateScatterWait)
-	for d := 0; d < targets; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			cols, nr := c.fetchShard(sctx, d, q, strat, expected)
-			parts[d] = cols
-			nodeReps[d] = nr
-			if nr.err != nil {
-				cancel()
-			}
-		}(d)
-	}
-	wg.Wait()
-	endScatter()
-	var firstErr error
-	for d := 0; d < targets; d++ {
-		nr := nodeReps[d]
-		rep.NodeRetries[d] = nr.retries
-		if nr.degraded {
-			rep.DegradedNodes = append(rep.DegradedNodes, d)
-		}
-		if nr.fallback {
-			rep.FallbackNodes = append(rep.FallbackNodes, d)
-		}
-		if nr.err != nil && firstErr == nil {
-			firstErr = nr.err
-		}
-	}
-	if firstErr != nil {
-		// Prefer the caller's cancellation over secondary errors caused
-		// by the shared scatter scope being torn down.
-		if ctx != nil && ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		return nil, nil, firstErr
-	}
-
-	// Gather into a Materialized leaf, in node order so concatenation is
-	// deterministic regardless of arrival order.
-	concat := &plan.Materialized{S: expected, Label: "cluster-gather"}
-	concat.Cols = make([][]int64, len(expected))
-	for d := 0; d < targets; d++ {
-		for ci := range parts[d] {
-			concat.Cols[ci] = append(concat.Cols[ci], parts[d][ci]...)
-		}
-	}
-
-	endMerge := lc.ExclusiveTimer(obs.StateMerge)
-	defer endMerge()
-	if strat == distrib.StratSingle {
-		// The node ran the full plan; the gather is the result.
-		return &engine.Batch{Schema: expected, Cols: concat.Cols}, rep, nil
-	}
-	var merged plan.Node = concat
-	if strat == distrib.StratMergeAgg {
-		g, ok := coreNode.(*plan.GroupBy)
-		if !ok {
-			return nil, nil, fmt.Errorf("cluster: merge strategy on non-group-by core %T", coreNode)
-		}
-		merged = distrib.MergePlan(g, concat)
-	}
-	merged = distrib.ReapplyChain(merged, chain)
-	if err := plan.Bind(merged, c.cfg.Store); err != nil {
-		return nil, nil, err
-	}
-	out, err := engine.New(c.cfg.Store).Run(merged)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
-}
-
-func (c *Coordinator) strategyCounter(strategy string) {
-	if c.cfg.Obs != nil {
-		c.cfg.Obs.Counter("cluster_queries_total", "strategy", strategy).Inc()
-	}
-}
-
-func ctxOrBackground(ctx context.Context) context.Context {
+// notion of query q; the coordinator's own tiers (the expected schema, the
+// fallback shards, the merge) all run build.
+func (c *Coordinator) Run(ctx context.Context, q int, build func() plan.Node) (*engine.Batch, *distrib.Report, error) {
 	if ctx == nil {
-		return context.Background()
+		ctx = context.Background()
 	}
-	return ctx
-}
-
-// nodeReport is one node's scatter outcome.
-type nodeReport struct {
-	retries  int
-	degraded bool
-	fallback bool
-	err      error
-}
-
-// fetchShard obtains node d's partial through the failover tiers:
-// primary URL (1 + RetryBudget attempts), mirror URL (same budget), then
-// the coordinator-local fallback shard. Context errors abort immediately
-// — cancellation is not a node fault.
-func (c *Coordinator) fetchShard(ctx context.Context, d, q int, strat distrib.Strategy, expected plan.Schema) ([][]int64, nodeReport) {
-	var nr nodeReport
-	node := c.cfg.Nodes[d]
-	urls := []string{node.URL}
-	if node.Mirror != "" {
-		urls = append(urls, node.Mirror)
+	b, rep, err := c.scatter.Run(ctx, q, build)
+	if !errors.Is(err, distrib.ErrNotDistributable) {
+		return b, rep, err
 	}
-	var lastErr error
-	for ui, url := range urls {
-		for try := 0; try <= c.cfg.RetryBudget; try++ {
-			if err := ctx.Err(); err != nil {
-				nr.err = err
-				return nil, nr
-			}
-			if ui > 0 || try > 0 {
-				nr.retries++
-				c.counter("cluster_node_retries", d)
-			}
-			c.counter("cluster_scatter_total", d)
-			cols, err := c.fetchPartial(ctx, url, q, expected)
-			if err == nil {
-				if ui > 0 {
-					nr.degraded = true
-					c.counter("cluster_degraded_nodes", d)
-				}
-				return cols, nr
-			}
-			if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				nr.err = err
-				return nil, nr
-			}
-			if !retryable(err) {
-				nr.err = &NodeError{Node: d, URL: url, Err: err}
-				return nil, nr
-			}
-			lastErr = err
-		}
-	}
-
-	if c.shards != nil {
-		nr.degraded = true
-		nr.fallback = true
-		c.counter("cluster_degraded_nodes", d)
-		cols, err := c.runFallback(ctx, d, q, strat)
-		if err != nil {
-			nr.err = &NodeError{Node: d, URL: node.URL, Err: err}
-			return nil, nr
-		}
-		return cols, nr
-	}
-	nr.err = &NodeError{Node: d, URL: node.URL, Err: lastErr}
-	return nil, nr
-}
-
-// runFallback executes node d's partial plan on the coordinator-local
-// shard copy — the host-fallback tier.
-func (c *Coordinator) runFallback(ctx context.Context, d, q int, strat distrib.Strategy) ([][]int64, error) {
-	def, err := tpch.Get(q)
-	if err != nil {
-		return nil, err
-	}
-	part, err := distrib.PartialPlan(def.Build(), strat)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Bind(part, c.shards[d]); err != nil {
-		return nil, err
-	}
-	dev := core.New(c.shards[d], core.Config{
-		DRAMBytes: c.cfg.DRAMBytes,
-		Compiler:  compiler.Config{HeapScale: c.cfg.HeapScale},
-		Obs:       c.cfg.Obs,
-		Ctx:       ctx,
-	})
-	b, _, err := dev.RunQuery(part)
-	if err != nil {
-		return nil, err
-	}
-	return b.Cols, nil
-}
-
-// runLocal executes a non-distributable plan whole on the coordinator's
-// full replica.
-func (c *Coordinator) runLocal(ctx context.Context, p plan.Node) (*engine.Batch, *Report, error) {
+	// The shape would need a second shuffle: run it whole on the
+	// coordinator's full replica rather than rejecting the query.
+	reason := err.Error()
+	p := build()
 	if err := plan.Bind(p, c.cfg.Store); err != nil {
 		return nil, nil, err
 	}
-	dev := core.New(c.cfg.Store, core.Config{
-		DRAMBytes: c.cfg.DRAMBytes,
-		Compiler:  compiler.Config{HeapScale: c.cfg.HeapScale},
-		Obs:       c.cfg.Obs,
-		Ctx:       ctx,
-	})
-	b, _, err := dev.RunQuery(p)
-	if err != nil {
+	if b, _, err = c.replica.Exec(ctx, p, nil); err != nil {
 		return nil, nil, err
 	}
-	return b, &Report{Local: true, NodeRetries: make([]int, c.NumNodes())}, nil
-}
-
-// retryable reports whether a scatter failure may succeed on a retry or
-// a different replica. Protocol violations that indicate a plan-level
-// disagreement (worker said 4xx) are not retryable; transport errors,
-// truncated streams, and 5xx (including queue-full 503) are.
-func retryable(err error) bool {
-	var pe *ProtocolError
-	if errors.As(err, &pe) && pe.Status >= 400 && pe.Status < 500 {
-		return false
+	rep = &distrib.Report{
+		Strategy:     "local (" + reason + ")",
+		ShardRetries: make([]int, len(c.cfg.Nodes)),
+		Local:        true,
+		LocalReason:  reason,
 	}
-	return true
+	c.cfg.Obs.Counter("cluster_queries_total", "strategy", rep.Strategy).Inc()
+	return b, rep, nil
 }

@@ -2,33 +2,35 @@
 // distributed execution of queries whose data is spread over multiple
 // AQUOMAN SSDs.
 //
-// A Cluster holds N devices. Fact tables (orders and lineitem, which are
-// co-clustered on the order key) are horizontally partitioned round-robin
-// by order; dimension tables are replicated, the standard star-schema
-// layout. Each device rematerializes its local FK RowID indices, so the
-// per-device stores are fully self-contained AQUOMAN disks.
+// Fact tables (orders and lineitem, which are co-clustered on the order
+// key) are horizontally partitioned round-robin by order; dimension tables
+// are replicated, the standard star-schema layout. Each partition
+// rematerializes its local FK RowID indices, so every shard store is a
+// fully self-contained AQUOMAN disk (ExtractShard).
 //
-// Queries distribute by scatter-gather: every device runs the plan over
-// its partition (offloading to its own AQUOMAN pipeline), and the
-// coordinator merges the partial results. Root aggregations merge by
+// Queries distribute through one Scatter (scatter.go): Derive (merge.go)
+// rewrites the query into its per-shard partial, every partition runs it
+// at once through its ladder of Shard tiers, and the coordinator merges
+// the partials gathered in shard order. Root aggregations merge by
 // aggregate-specific combination (SUM/COUNT re-sum, MIN/MAX re-min/max,
 // AVG is decomposed into SUM+COUNT partials); row-returning plans
 // concatenate. Plans with nested aggregation or scalar subqueries over a
 // partitioned table are rejected (they would need a second shuffle), and
-// plans touching only replicated tables run on one device.
+// plans touching only replicated tables run on one shard.
+//
+// A Shard is where a partition's partial is computed. This package has
+// the local one (a store this process holds) and the in-process front end:
+// a Cluster of N devices whose ladders are {device d, host-side mirror d}.
+// internal/cluster adds the HTTP worker Shard and the networked front end.
 package distrib
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 
 	"aquoman/internal/col"
-	"aquoman/internal/compiler"
-	"aquoman/internal/core"
 	"aquoman/internal/engine"
-	"aquoman/internal/faults"
 	"aquoman/internal/flash"
 	"aquoman/internal/mem"
 	"aquoman/internal/obs"
@@ -48,17 +50,13 @@ type Cluster struct {
 
 	// Mirrors holds per-shard host-side copies of the partitioned data on
 	// separate fault-free devices (built by Partition unless
-	// DisableHostMirror). A shard whose SSD fails permanently re-runs its
-	// work from the mirror — the graceful-degradation path.
+	// DisableHostMirror): the second tier of each shard's ladder, where a
+	// shard whose SSD keeps failing re-runs its work.
 	Mirrors       []*col.Store
 	MirrorDevices []*flash.Device
 	// DisableHostMirror skips mirror construction (halves load cost and
-	// memory; permanent shard faults then fail with a ShardError).
+	// memory; permanent shard faults then fail with a *ShardError).
 	DisableHostMirror bool
-
-	// ShardRetryBudget is how many times a fault-failed shard is re-run on
-	// the same device before degrading to the mirror (default 1).
-	ShardRetryBudget int
 
 	// DRAMBytes per device; HeapScale as in the single-device runtime.
 	DRAMBytes int64
@@ -75,7 +73,7 @@ type Cluster struct {
 
 // NewCluster returns an empty cluster of n devices.
 func NewCluster(n int) *Cluster {
-	c := &Cluster{DRAMBytes: mem.DefaultCapacity, HeapScale: 1, ShardRetryBudget: 1}
+	c := &Cluster{DRAMBytes: mem.DefaultCapacity, HeapScale: 1}
 	for i := 0; i < n; i++ {
 		dev := flash.NewDevice()
 		c.Devices = append(c.Devices, dev)
@@ -356,192 +354,33 @@ func rematerialize(s *col.Store) error {
 	return tpch.MaterializePartSuppIndex(li, ps)
 }
 
-// Report aggregates the per-device execution reports.
-type Report struct {
-	// PerDevice holds each device's report (nil for devices that did not
-	// participate).
-	PerDevice []*core.Report
-	// Strategy describes how the query was distributed.
-	Strategy string
-	// ShardRetries counts fault-triggered same-device re-runs per shard.
-	ShardRetries []int
-	// DegradedShards lists shards whose work was re-run from the host-side
-	// mirror after the device kept failing.
-	DegradedShards []int
-}
-
-// Degraded reports whether shard d completed via the host-side mirror.
-func (r *Report) Degraded(d int) bool {
-	for _, s := range r.DegradedShards {
-		if s == d {
-			return true
-		}
-	}
-	return false
-}
-
-// ShardError is the typed failure of one shard after retry and (if
-// available) mirror degradation were exhausted.
-type ShardError struct {
-	Device int
-	Err    error
-}
-
-func (e *ShardError) Error() string {
-	return fmt.Sprintf("distrib: shard %d failed: %v", e.Device, e.Err)
-}
-
-func (e *ShardError) Unwrap() error { return e.Err }
-
-// isFault reports whether err stems from an injected device fault (the
-// recoverable class; plan/compile errors are not retried).
-func isFault(err error) bool {
-	var fe *faults.Error
-	return errors.As(err, &fe)
-}
-
-func (c *Cluster) shardCounter(name string, d int) {
-	if c.Obs != nil && c.Obs.Reg != nil {
-		c.Obs.Counter(name, "device", strconv.Itoa(d)).Inc()
-	}
-}
-
-// OffloadFraction returns the cluster-wide in-storage traffic share.
-func (r *Report) OffloadFraction() float64 {
-	var host, aq int64
-	for _, rep := range r.PerDevice {
-		if rep == nil {
-			continue
-		}
-		host += rep.Flash.BytesRead(flash.Host)
-		aq += rep.Flash.BytesRead(flash.Aquoman)
-	}
-	if host+aq == 0 {
-		return 0
-	}
-	return float64(aq) / float64(host+aq)
-}
+// shardRetries is how many times a fault-failed shard is re-run on the same
+// store before the ladder moves to the host-side mirror.
+const shardRetries = 1
 
 // RunQuery executes the plan produced by build across the cluster. build
-// must return a fresh tree per call (each device binds its own copy).
+// must return a fresh tree per call and be safe to call concurrently: each
+// device binds its own copy while its siblings run.
 func (c *Cluster) RunQuery(build func() plan.Node) (*engine.Batch, *Report, error) {
 	return c.RunQueryCtx(nil, build)
 }
 
-// RunQueryCtx is RunQuery with cooperative cancellation: ctx is threaded
-// into every shard's execution (page-read and morsel checkpoints), and is
-// checked between shards, so a cancelled distributed query stops issuing
-// flash page reads on every device. A context error propagates as-is —
-// it is not a device fault, so it triggers neither shard retries nor
-// mirror degradation. A nil ctx never cancels.
+// RunQueryCtx is RunQuery under ctx: one Scatter over a {device, host-side
+// mirror} ladder per shard, merged on device 0's store. A nil ctx never
+// cancels.
 func (c *Cluster) RunQueryCtx(ctx context.Context, build func() plan.Node) (*engine.Batch, *Report, error) {
-	probe := build()
-	if err := plan.Bind(probe, c.Stores[0]); err != nil {
-		return nil, nil, err
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	strat, err := Classify(probe)
-	if err != nil {
-		return nil, nil, err
+	local := func(name string, s *col.Store) Shard {
+		return NewLocalShard(name, s, c.DRAMBytes, c.HeapScale, c.Obs)
 	}
-	root := c.Obs.StartSpan("distrib "+strat.String(), obs.StageQuery)
-	defer root.End()
-	if o := c.Obs; o != nil && o.Reg != nil {
-		o.Counter("distrib_queries_total", "strategy", strat.String()).Inc()
+	tiers := make([][]Shard, c.NumDevices())
+	for d, s := range c.Stores {
+		tiers[d] = []Shard{local("device", s)}
+		if c.Mirrors != nil && c.Mirrors[d] != nil {
+			tiers[d] = append(tiers[d], local("host-side mirror", c.Mirrors[d]))
+		}
 	}
-	switch strat {
-	case StratSingle:
-		rep := &Report{
-			PerDevice:    make([]*core.Report, 1),
-			ShardRetries: make([]int, 1),
-			Strategy:     "replicated-only (device 0)",
-		}
-		mk := func(s *col.Store) (plan.Node, error) {
-			p := build()
-			if err := plan.Bind(p, s); err != nil {
-				return nil, err
-			}
-			return p, nil
-		}
-		b, r, err := c.runShard(ctx, 0, mk, root, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.PerDevice[0] = r
-		return b, rep, nil
-	case StratConcat, StratMergeAgg:
-		return c.scatterGather(ctx, build, strat, root)
-	default:
-		return nil, nil, fmt.Errorf("distrib: unreachable")
-	}
-}
-
-// runShard executes the plan produced by mkPlan (which must build and bind
-// a fresh tree against the given store on every call) on shard d, with
-// fault recovery: fault-typed failures re-run on the same device up to
-// ShardRetryBudget times, then the shard degrades to its host-side mirror
-// (recorded in rep.DegradedShards and the device report's Notes). A
-// non-fault error propagates untouched; an unrecoverable fault returns a
-// typed *ShardError.
-func (c *Cluster) runShard(ctx context.Context, d int, mkPlan func(s *col.Store) (plan.Node, error), parent *obs.Span, rep *Report) (*engine.Batch, *core.Report, error) {
-	run := func(s *col.Store, label string) (*engine.Batch, *core.Report, error) {
-		p, err := mkPlan(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		shard := parent.Child(label, obs.StageShard)
-		shard.SetTid(d + 2)
-		defer shard.End()
-		dev := core.New(s, core.Config{
-			DRAMBytes: c.DRAMBytes,
-			Compiler:  compiler.Config{HeapScale: c.HeapScale},
-			Obs:       c.Obs,
-			ObsParent: shard,
-			Ctx:       ctx,
-		})
-		return dev.RunQuery(p)
-	}
-
-	budget := c.ShardRetryBudget
-	if budget < 0 {
-		budget = 0
-	}
-	var lastErr error
-	for try := 0; try <= budget; try++ {
-		// A dead context ends the shard immediately — fault retries must
-		// not keep a cancelled query's device busy.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		label := "shard " + strconv.Itoa(d)
-		if try > 0 {
-			label += " retry " + strconv.Itoa(try)
-			rep.ShardRetries[d]++
-			c.shardCounter("distrib_shard_retries_total", d)
-		}
-		b, r, err := run(c.Stores[d], label)
-		if err == nil {
-			return b, r, nil
-		}
-		if !isFault(err) {
-			return nil, nil, err
-		}
-		lastErr = err
-	}
-
-	if c.Mirrors != nil && c.Mirrors[d] != nil {
-		rep.DegradedShards = append(rep.DegradedShards, d)
-		c.shardCounter("distrib_shard_degradations_total", d)
-		b, r, err := run(c.Mirrors[d], "shard "+strconv.Itoa(d)+" (host mirror)")
-		if err != nil {
-			return nil, nil, &ShardError{Device: d, Err: err}
-		}
-		if r != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf(
-				"shard %d degraded to host-side mirror after device fault: %v", d, lastErr))
-		}
-		return b, r, nil
-	}
-	return nil, nil, &ShardError{Device: d, Err: lastErr}
+	return NewScatter(c.Stores[0], c.Obs, shardRetries, tiers).Run(ctx, 0, build)
 }

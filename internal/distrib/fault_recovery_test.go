@@ -122,10 +122,10 @@ func TestClusterFaultRecoveryByteIdentical(t *testing.T) {
 	}
 
 	// Recovery must be visible in the metrics registry and flash stats.
-	if v := o.Counter("distrib_shard_degradations_total", "device", "2").Value(); v != int64(len(queries)) {
+	if v := o.Counter("cluster_degraded_nodes", "node", "2").Value(); v != int64(len(queries)) {
 		t.Fatalf("degradation counter = %d, want %d", v, len(queries))
 	}
-	if v := o.Counter("distrib_shard_retries_total", "device", "1").Value(); v == 0 {
+	if v := o.Counter("cluster_node_retries", "node", "1").Value(); v == 0 {
 		t.Fatal("retry counter for device 1 is zero")
 	}
 	if c.Devices[3].Stats().TotalReadRetries() == 0 {
@@ -159,8 +159,8 @@ func TestClusterDeadDeviceWithoutMirror(t *testing.T) {
 		t.Fatal("query over a dead unmirrored shard succeeded")
 	}
 	var se *ShardError
-	if !errors.As(err, &se) || se.Device != 1 {
-		t.Fatalf("err = %v, want *ShardError on device 1", err)
+	if !errors.As(err, &se) || se.Shard != 1 || se.Tier != "device" {
+		t.Fatalf("err = %v, want *ShardError on shard 1, tier device", err)
 	}
 	var fe *faults.Error
 	if !errors.As(err, &fe) || fe.Kind != faults.DeviceStuck {

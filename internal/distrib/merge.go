@@ -1,13 +1,10 @@
 package distrib
 
 import (
-	"context"
+	"errors"
 	"fmt"
 
 	"aquoman/internal/col"
-	"aquoman/internal/core"
-	"aquoman/internal/engine"
-	"aquoman/internal/obs"
 	"aquoman/internal/plan"
 )
 
@@ -128,26 +125,53 @@ func PartialAggs(g *plan.GroupBy) []plan.AggSpec {
 	return out
 }
 
-// PartialPlan rewrites a fresh (unbound) query tree into the per-shard
-// partial plan for the given strategy: the full tree for StratSingle, the
-// peeled core for StratConcat, and the core with mergeable partial
-// aggregates for StratMergeAgg. Both the in-process cluster and the
-// networked workers derive their shard plans through this one function,
-// which is what lets a coordinator trust that a worker given only a query
-// number computed the same partial.
-func PartialPlan(root plan.Node, strat Strategy) (plan.Node, error) {
-	if strat == StratSingle {
-		return root, nil
+// ErrNotDistributable marks a Derive failure that is Classify's rejection
+// of the query's shape (as opposed to a plan that does not bind): a caller
+// holding a full replica may run such a query whole instead.
+var ErrNotDistributable = errors.New("not distributable")
+
+// Partial is a query in its distributed form, bound against one store.
+type Partial struct {
+	Strategy Strategy
+	// Plan is the per-shard plan: the full tree for StratSingle, the peeled
+	// core for StratConcat, and the core with mergeable partial aggregates
+	// for StratMergeAgg.
+	Plan plan.Node
+	// chain (outermost first) and group are what the merge puts back: the
+	// peeled OrderBy/Limit/Project nodes and the original group-by.
+	chain []plan.Node
+	group *plan.GroupBy
+}
+
+// Derive binds a fresh tree from build against s and rewrites it into its
+// distributed form. It is the one place a query becomes (strategy, partial
+// plan and — as Plan.Schema() — partial schema, peeled chain): Scatter derives against the
+// coordinator's store to know what to expect and how to merge, every local
+// Shard against its own partition to know what to run, and a networked
+// worker (server's /tpch?partial=1) against its DB — which is what lets a
+// coordinator trust that a worker given only a query number computed the
+// same partial.
+func Derive(build func() plan.Node, s *col.Store) (*Partial, error) {
+	root := build()
+	if err := plan.Bind(root, s); err != nil {
+		return nil, err
 	}
-	_, coreNode := Peel(root)
-	if strat == StratConcat {
-		return coreNode, nil
+	strat, err := Classify(root)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotDistributable, err)
 	}
-	g, ok := coreNode.(*plan.GroupBy)
-	if !ok {
-		return nil, fmt.Errorf("distrib: merge strategy on non-group-by core %T", coreNode)
+	p := &Partial{Strategy: strat, Plan: root}
+	if strat != StratSingle {
+		p.chain, p.Plan = Peel(root)
 	}
-	return &plan.GroupBy{Input: g.Input, Keys: g.Keys, Aggs: PartialAggs(g)}, nil
+	if strat == StratMergeAgg {
+		p.group = p.Plan.(*plan.GroupBy) // Classify merges only a group-by core
+		p.Plan = &plan.GroupBy{Input: p.group.Input, Keys: p.group.Keys, Aggs: PartialAggs(p.group)}
+		if err := plan.Bind(p.Plan, s); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // MergePlan builds the coordinator-side re-aggregation over the
@@ -208,89 +232,4 @@ func ReapplyChain(merged plan.Node, chain []plan.Node) plan.Node {
 		}
 	}
 	return merged
-}
-
-// scatterGather runs the per-device core plans (each through the shard
-// retry/degradation path) and merges.
-func (c *Cluster) scatterGather(ctx context.Context, build func() plan.Node, strat Strategy, root *obs.Span) (*engine.Batch, *Report, error) {
-	rep := &Report{
-		PerDevice:    make([]*core.Report, c.NumDevices()),
-		ShardRetries: make([]int, c.NumDevices()),
-		Strategy:     strat.String(),
-	}
-
-	var parts []*engine.Batch
-	var partialSchema plan.Schema
-	var probeChain []plan.Node
-	var probeGroup *plan.GroupBy
-
-	for d := 0; d < c.NumDevices(); d++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		d := d
-		var chain []plan.Node
-		mk := func(s *col.Store) (plan.Node, error) {
-			tree := build()
-			if err := plan.Bind(tree, s); err != nil {
-				return nil, err
-			}
-			var coreNode plan.Node
-			chain, coreNode = Peel(tree)
-			if strat == StratConcat {
-				return coreNode, nil
-			}
-			g, ok := coreNode.(*plan.GroupBy)
-			if !ok {
-				return nil, fmt.Errorf("distrib: merge strategy on non-group-by core %T", coreNode)
-			}
-			if d == 0 {
-				probeGroup = g
-			}
-			devicePlan := &plan.GroupBy{Input: g.Input, Keys: g.Keys, Aggs: PartialAggs(g)}
-			if err := plan.Bind(devicePlan, s); err != nil {
-				return nil, err
-			}
-			return devicePlan, nil
-		}
-		b, r, err := c.runShard(ctx, d, mk, root, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.PerDevice[d] = r
-		parts = append(parts, b)
-		if d == 0 {
-			partialSchema = b.Schema
-			probeChain = chain
-		}
-	}
-
-	// Concatenate partials into a Materialized leaf.
-	concat := &plan.Materialized{S: partialSchema, Label: "distrib-gather"}
-	concat.Cols = make([][]int64, len(partialSchema))
-	for _, b := range parts {
-		for ci := range b.Cols {
-			concat.Cols[ci] = append(concat.Cols[ci], b.Cols[ci]...)
-		}
-	}
-
-	var merged plan.Node = concat
-	if strat == StratMergeAgg {
-		merged = MergePlan(probeGroup, concat)
-	}
-	merged = ReapplyChain(merged, probeChain)
-	if err := plan.Bind(merged, c.Stores[0]); err != nil {
-		return nil, nil, err
-	}
-	mSpan := root.Child("merge", obs.StageMerge)
-	coord := engine.New(c.Stores[0])
-	coord.SetObserver(c.Obs, mSpan)
-	out, err := coord.Run(merged)
-	mSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
 }

@@ -47,7 +47,7 @@ func TestClusterObservability(t *testing.T) {
 	if merges != 1 {
 		t.Fatalf("merge spans = %d, want 1", merges)
 	}
-	if queries < 3 { // distrib root + one core query per device
+	if queries < 3 { // scatter root + one core query per device
 		t.Fatalf("query spans = %d, want >= 3", queries)
 	}
 
@@ -60,7 +60,12 @@ func TestClusterObservability(t *testing.T) {
 			t.Fatalf("device %d aquoman pages = %+v, %v", d, p, ok)
 		}
 	}
-	if p, ok := snap.Get("distrib_queries_total", "strategy", "merge-aggregate"); !ok || p.Value != 1 {
-		t.Fatalf("distrib_queries_total = %+v, %v", p, ok)
+	if p, ok := snap.Get("cluster_queries_total", "strategy", "merge-aggregate"); !ok || p.Value != 1 {
+		t.Fatalf("cluster_queries_total = %+v, %v", p, ok)
+	}
+	for d := 0; d < 2; d++ {
+		if p, ok := snap.Get("cluster_scatter_total", "node", strconv.Itoa(d)); !ok || p.Value != 1 {
+			t.Fatalf("cluster_scatter_total{node=%d} = %+v, %v", d, p, ok)
+		}
 	}
 }

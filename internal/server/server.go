@@ -20,7 +20,9 @@
 // its own admission quota gets 429 (the X-Tenant header or ?tenant=
 // parameter names the tenant; ?lane= picks the priority lane). Every
 // query response names its query in an X-Query-ID header and as "id" in
-// the NDJSON trailer — the ID its slow-query log line carries. Drain puts
+// the NDJSON trailer — the ID its slow-query log line carries, minted here
+// unless the request brought a well-formed X-Query-ID of its own (a
+// coordinator's scatter RPCs do). Drain puts
 // the server into a mode where new queries are rejected but in-flight
 // ones finish, for graceful shutdown.
 package server
@@ -34,6 +36,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"regexp"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -218,11 +221,11 @@ type queryRun struct {
 
 // execFunc runs a query under its request's deadline and lifecycle; only a
 // coordinator returns a (degradation) report.
-type execFunc func(ctx context.Context) (*aquoman.Result, *cluster.Report, error)
+type execFunc func(ctx context.Context) (*aquoman.Result, *distrib.Report, error)
 
 // local is the exec of a query admitted through this server's own DB.
 func (s *Server) local(req aquoman.Request) execFunc {
-	return func(ctx context.Context) (*aquoman.Result, *cluster.Report, error) {
+	return func(ctx context.Context) (*aquoman.Result, *distrib.Report, error) {
 		res, err := s.cfg.DB.Do(ctx, req)
 		return res, nil, err
 	}
@@ -438,12 +441,14 @@ func (s *Server) handleTPCH(w http.ResponseWriter, r *http.Request) {
 	run := queryRun{label: fmt.Sprintf("tpch q%d", q), tenant: tenantOf(r)}
 	switch {
 	case r.URL.Query().Get("partial") == "1":
-		// Worker mode: this shard's partial plan runs through the scheduler
-		// and streams back as raw stored int64s in the cluster wire format;
-		// the coordinator merges the partials, nothing is rendered here.
-		// Partials run on the batch lane and never touch the result cache:
-		// serving a whole cached result here would corrupt the merge.
-		part, strat, err := s.partialPlan(q, p)
+		// Worker mode: this shard's partial plan — the same distrib.Derive
+		// every cluster tier uses, so the coordinator can trust the
+		// partial's shape — runs through the scheduler and streams back as
+		// raw stored int64s in the cluster wire format; the coordinator
+		// merges the partials, nothing is rendered here. Partials run on the
+		// batch lane and never touch the result cache: serving a whole cached
+		// result here would corrupt the merge.
+		part, err := distrib.Derive(func() plan.Node { return p }, s.cfg.DB.Store)
 		if err != nil {
 			// A 4xx tells the coordinator retrying elsewhere is pointless:
 			// the query shape itself cannot distribute.
@@ -451,14 +456,14 @@ func (s *Server) handleTPCH(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		run.label += " partial"
-		run.exec = s.local(aquoman.Request{Plan: part, Admit: &aquoman.Admission{Tenant: run.tenant, Lane: aquoman.LaneBatch}})
-		run.rawStrategy = strat
+		run.exec = s.local(aquoman.Request{Plan: part.Plan, Admit: &aquoman.Admission{Tenant: run.tenant, Lane: aquoman.LaneBatch}})
+		run.rawStrategy = part.Strategy.String()
 	case s.cfg.Coordinator != nil:
 		// Coordinator mode: the whole query scatters over the cluster and
 		// the merged result streams back rendered, with the degradation
 		// report riding on the trailer.
 		run.label += " cluster"
-		run.exec = func(ctx context.Context) (*aquoman.Result, *cluster.Report, error) {
+		run.exec = func(ctx context.Context) (*aquoman.Result, *distrib.Report, error) {
 			b, rep, err := s.cfg.Coordinator.RunTPCH(ctx, q)
 			return &aquoman.Result{Batch: b}, rep, err
 		}
@@ -472,26 +477,6 @@ func (s *Server) handleTPCH(w http.ResponseWriter, r *http.Request) {
 			Tenant: run.tenant, Lane: lane, CacheKey: fmt.Sprintf("tpch:q%d", q)}})
 	}
 	s.runAndStream(w, r, time.Duration(ms)*time.Millisecond, run)
-}
-
-// partialPlan derives this shard's partial plan for TPC-H query q (probe
-// is a fresh plan of it) — the same distrib.PartialPlan every cluster
-// tier uses, so the coordinator can trust the partial's shape — and names
-// the distribution strategy for the wire header.
-func (s *Server) partialPlan(q int, probe aquoman.Plan) (aquoman.Plan, string, error) {
-	if err := plan.Bind(probe, s.cfg.DB.Store); err != nil {
-		return nil, "", fmt.Errorf("bind: %w", err)
-	}
-	strat, err := distrib.Classify(probe)
-	if err != nil {
-		return nil, "", fmt.Errorf("not distributable: %w", err)
-	}
-	fresh, _ := aquoman.TPCHQuery(q)
-	part, err := distrib.PartialPlan(fresh, strat)
-	if err != nil {
-		return nil, "", fmt.Errorf("partial plan: %w", err)
-	}
-	return part, strat.String(), nil
 }
 
 // deadline resolves a request's effective timeout from the client's ask
@@ -525,7 +510,7 @@ type failure struct {
 // tier is 502; any other execution failure is the server's (500).
 func classify(err error) failure {
 	var ce *aquoman.CompileError
-	var ne *cluster.NodeError
+	var se *distrib.ShardError
 	switch {
 	case errors.As(err, &ce):
 		return failure{code: http.StatusBadRequest, msg: "compile: " + ce.Error(), neverRan: true}
@@ -539,11 +524,15 @@ func classify(err error) failure {
 		return failure{code: http.StatusGatewayTimeout, msg: "query deadline exceeded"}
 	case errors.Is(err, context.Canceled):
 		return failure{}
-	case errors.As(err, &ne):
+	case errors.As(err, &se):
 		return failure{code: http.StatusBadGateway, msg: err.Error()}
 	}
 	return failure{code: http.StatusInternalServerError, msg: err.Error()}
 }
+
+// inboundQueryID is what an X-Query-ID request header must look like to be
+// adopted; anything else gets a minted ID.
+var inboundQueryID = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // runAndStream answers one query request: it runs q.exec under the
 // request's context and streams the result as NDJSON. The context is
@@ -563,7 +552,13 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	lc := obs.NewLifecycle(fmt.Sprintf("q%d", s.qseq.Add(1)))
+	// A coordinator's scatter RPC names its query; adopting that ID makes a
+	// scattered query one ID across every node's trailer and slow-query log.
+	id := r.Header.Get("X-Query-ID")
+	if !inboundQueryID.MatchString(id) {
+		id = fmt.Sprintf("q%d", s.qseq.Add(1))
+	}
+	lc := obs.NewLifecycle(id)
 	ctx = obs.WithLifecycle(ctx, lc)
 	w.Header().Set("X-Query-ID", lc.ID)
 
@@ -694,7 +689,7 @@ func (s *Server) ndjson(ctx context.Context, w http.ResponseWriter, header inter
 // stream writes the batch in display values: a schema header line, one
 // JSON array per row, and a trailer with the row count, the query ID and,
 // from a coordinator, the degradation report.
-func (s *Server) stream(ctx context.Context, w http.ResponseWriter, b *engine.Batch, id string, elapsed time.Duration, rep *cluster.Report) {
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, b *engine.Batch, id string, elapsed time.Duration, rep *distrib.Report) {
 	type schemaField struct {
 		Name string `json:"name"`
 		Type string `json:"type"`
@@ -715,7 +710,7 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, b *engine.Ba
 	}{Done: true, Rows: b.NumRows(), ID: id, ElapsedMS: float64(elapsed.Microseconds()) / 1000}
 	if rep != nil {
 		trailer.Strategy = rep.Strategy
-		trailer.DegradedNodes = rep.DegradedNodes
+		trailer.DegradedNodes = rep.DegradedShards
 	}
 	row := make([]interface{}, len(b.Schema))
 	s.ndjson(ctx, w, &header, b.NumRows(), func(r int) interface{} {

@@ -996,3 +996,37 @@ func TestDMLRefusedOnClusterMembers(t *testing.T) {
 		}
 	}
 }
+
+// TestInboundQueryIDAdoptedOnlyIfWellFormed: a request may bring its query
+// ID (a coordinator's scatter RPCs do); anything that is not 1..64 of
+// [A-Za-z0-9._-] is ignored and an ID minted as usual.
+func TestInboundQueryIDAdoptedOnlyIfWellFormed(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		inbound string
+		adopted bool
+	}{
+		{"coord-1.q_7", true},
+		{strings.Repeat("a", 64), true},
+		{strings.Repeat("a", 65), false},
+		{"two words", false},
+		{`q1","x":"y`, false},
+		{"", false},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/tpch?q=6&partial=1", nil)
+		req.Header.Set("X-Query-ID", tc.inbound)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("inbound %q: status %d: %s", tc.inbound, rec.Code, rec.Body.String())
+		}
+		id := rec.Header().Get("X-Query-ID")
+		lines := ndjson(t, rec.Body)
+		if lines[len(lines)-1]["id"] != id {
+			t.Fatalf("inbound %q: trailer %v does not carry header id %q", tc.inbound, lines[len(lines)-1], id)
+		}
+		if adopted := id == tc.inbound; adopted != tc.adopted || id == "" {
+			t.Fatalf("inbound %q: query ran as %q, adopted = %v, want %v", tc.inbound, id, adopted, tc.adopted)
+		}
+	}
+}
