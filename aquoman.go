@@ -731,36 +731,11 @@ func (db *DB) RunTPCHHostOnly(q int) (*Result, error) {
 	return db.Do(nil, Request{TPCH: q, HostOnly: true})
 }
 
-// SubmitWait is Submit for a plan with blocking admission: when the queue
-// is full it stalls the caller instead of returning ErrQueueFull.
-func (db *DB) SubmitWait(p Plan) (*Ticket, error) { return db.SubmitWaitCtx(nil, p) }
-
-// SubmitWaitCtx is SubmitWait with end-to-end cancellation: a caller
-// stalled on a full queue unblocks with ctx's error when ctx dies.
+// SubmitWaitCtx is Submit for a plan with blocking admission: when the
+// queue is full it stalls the caller instead of returning ErrQueueFull,
+// and unblocks with ctx's error when ctx dies.
 func (db *DB) SubmitWaitCtx(ctx context.Context, p Plan) (*Ticket, error) {
-	return db.SubmitTenantWaitCtx(ctx, "", LaneInteractive, p)
-}
-
-// SubmitTenantWaitCtx is SubmitWaitCtx attributed to a tenant and lane.
-func (db *DB) SubmitTenantWaitCtx(ctx context.Context, tenant string, lane Lane, p Plan) (*Ticket, error) {
-	return db.Submit(ctx, Request{Plan: p, Admit: &Admission{Tenant: tenant, Lane: lane, Wait: true}})
-}
-
-// RunCachedCtx is Do for a plan scheduled under tenant/lane and answered
-// through the result cache under key (a plain scheduled execution when
-// none is installed). The bool reports whether the result came from the
-// cache.
-func (db *DB) RunCachedCtx(ctx context.Context, tenant string, lane Lane, key string, p Plan) (*Result, bool, error) {
-	res, err := db.Do(ctx, Request{Plan: p, Admit: &Admission{Tenant: tenant, Lane: lane, CacheKey: key}})
-	if err != nil {
-		return nil, false, err
-	}
-	return res, res.CacheHit, nil
-}
-
-// TenantGrants returns the scheduler's cumulative grant count per tenant.
-func (db *DB) TenantGrants() map[string]int64 {
-	return db.scheduler().TenantGrants()
+	return db.Submit(ctx, Request{Plan: p, Admit: &Admission{Wait: true}})
 }
 
 // RunConcurrent submits all plans through the scheduler (blocking
@@ -770,7 +745,7 @@ func (db *DB) RunConcurrent(plans []Plan) ([]*Result, error) {
 	tickets := make([]*Ticket, len(plans))
 	var firstErr error
 	for i, p := range plans {
-		t, err := db.SubmitWait(p)
+		t, err := db.SubmitWaitCtx(nil, p)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("submit plan %d: %w", i, err)

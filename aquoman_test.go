@@ -108,3 +108,49 @@ func TestMaterializeFKPublic(t *testing.T) {
 		t.Fatal("missing table accepted")
 	}
 }
+
+// Auto-selected encodings plus zone-map pruning must pay on flash: over
+// the same generated data q1 and q6 read at least 40% fewer device pages
+// from an EncAuto store than from an EncRaw one (with the same answer),
+// and the encoded column files are smaller in total.
+func TestEncodedQueriesReadFewerPages(t *testing.T) {
+	build := func(sel Encoding) *DB {
+		db := Open()
+		db.SetDefaultEncoding(sel)
+		if err := db.LoadTPCH(0.01, 42); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	columnBytes := func(db *DB) (total int64) {
+		for _, name := range db.Store.Tables() {
+			tab := db.Store.MustTable(name)
+			for _, cn := range tab.ColumnNames() {
+				total += tab.MustColumn(cn).File.Size()
+			}
+		}
+		return total
+	}
+	run := func(db *DB, q int) (string, int64) {
+		db.ResetFlashStats()
+		res, err := db.RunTPCH(q)
+		if err != nil {
+			t.Fatalf("q%d: %v", q, err)
+		}
+		return res.Render(1 << 20), db.FlashStats().TotalPagesRead()
+	}
+	raw, encoded := build(EncRaw), build(EncAuto)
+	if r, e := columnBytes(raw), columnBytes(encoded); e >= r {
+		t.Errorf("encoded column files total %d bytes, raw %d: encoding grew the store", e, r)
+	}
+	for _, q := range []int{1, 6} {
+		rawOut, rawPages := run(raw, q)
+		encOut, encPages := run(encoded, q)
+		if rawOut != encOut {
+			t.Errorf("q%d: encoded answer differs from raw:\n%s\nvs\n%s", q, encOut, rawOut)
+		}
+		if 10*encPages > 6*rawPages {
+			t.Errorf("q%d: %d pages encoded vs %d raw, want at least 40%% fewer", q, encPages, rawPages)
+		}
+	}
+}

@@ -91,12 +91,7 @@ func TestConcurrentOracleDifferential(t *testing.T) {
 				}
 			}
 			for _, q := range nums {
-				p, err := TPCHQuery(q)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ticket, err := db.SubmitWait(p)
+				ticket, err := db.Submit(nil, Request{TPCH: q, Admit: &Admission{Wait: true}})
 				if err != nil {
 					t.Errorf("q%d submit: %v", q, err)
 					return
@@ -117,6 +112,66 @@ func TestConcurrentOracleDifferential(t *testing.T) {
 	}
 	if st.Bytes > 64<<20 {
 		t.Fatalf("cache resident %d bytes exceeds budget", st.Bytes)
+	}
+}
+
+// One device pass under concurrency: behind a page cache larger than the
+// q1 + q6 footprint, S streams each running q1 then q6 cost the device the
+// same page count as one stream — single-flight turns S concurrent scans
+// of a file into one pass, and every cache miss is exactly one device read.
+func TestOneDevicePassUnderConcurrency(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.005, 42); err != nil {
+		t.Fatal(err)
+	}
+	want := concOracle(t, db)
+	// A device that takes time to answer keeps fills in flight long enough
+	// for other streams to arrive at the same pages.
+	db.Flash.SetReadLatency(100 * time.Microsecond)
+	defer db.Close()
+
+	var pages, lookups int64 // of the one-stream round
+	for _, streams := range []int{1, 4, 16} {
+		db.ConfigureScheduler(SchedulerConfig{MaxInFlight: streams, QueueDepth: 2 * streams})
+		cache := db.EnableCache(64 << 20) // cold per round
+		db.ResetFlashStats()
+		var wg sync.WaitGroup
+		for s := 0; s < streams; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for _, q := range []int{1, 6} {
+					ticket, err := db.Submit(nil, Request{TPCH: q, Admit: &Admission{Wait: true}})
+					if err != nil {
+						t.Errorf("stream %d q%d submit: %v", s, q, err)
+						return
+					}
+					res, err := ticket.Wait()
+					if err != nil {
+						t.Errorf("stream %d q%d: %v", s, q, err)
+						return
+					}
+					diffResult(t, fmt.Sprintf("q%d (stream %d of %d)", q, s, streams), res, want[q])
+				}
+			}(s)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		got, st := db.FlashStats().TotalPagesRead(), cache.Stats()
+		if streams == 1 {
+			pages, lookups = got, st.Hits+st.Misses
+			if pages == 0 {
+				t.Fatal("one stream read no device pages — the round measured nothing")
+			}
+		}
+		if got != pages || st.Misses != pages {
+			t.Fatalf("%d streams: device served %d pages on %d cache misses, want %d (one pass) for both", streams, got, st.Misses, pages)
+		}
+		if n := st.Hits + st.Misses; n != int64(streams)*lookups {
+			t.Fatalf("%d streams: %d cache lookups, want %d x %d", streams, n, streams, lookups)
+		}
 	}
 }
 

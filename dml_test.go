@@ -262,19 +262,15 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 	// Result cache across the merge: warm an entry, merge, and the
 	// bumped file generations must force a re-execution with the same
 	// cells.
-	q6, err := TPCHQuery(6)
+	cachedQ6 := Request{TPCH: 6, Admit: &Admission{Tenant: "t", CacheKey: "q6"}}
+	if _, err := db.Do(ctx, cachedQ6); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := db.Do(ctx, cachedQ6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.RunCachedCtx(ctx, "t", LaneInteractive, "q6", q6); err != nil {
-		t.Fatal(err)
-	}
-	q6b, _ := TPCHQuery(6)
-	pre, hit, err := db.RunCachedCtx(ctx, "t", LaneInteractive, "q6", q6b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
+	if !pre.CacheHit {
 		t.Fatal("repeat q6 before the merge missed the result cache")
 	}
 
@@ -286,12 +282,11 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 		t.Fatalf("pre-merge snapshot after merge: err = %v, want ErrStaleSnapshot", err)
 	}
 
-	q6c, _ := TPCHQuery(6)
-	post, hit, err := db.RunCachedCtx(ctx, "t", LaneInteractive, "q6", q6c)
+	post, err := db.Do(ctx, cachedQ6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if post.CacheHit {
 		t.Fatal("q6 after the merge hit the result cache — file generation bump did not invalidate the fingerprint")
 	}
 	// The merge must not change the answer: the recomputed post-merge
@@ -318,11 +313,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 	}
 	pruned0 := obsv.Reg.Counter("enc_pages_pruned_total").Value()
 	for _, q := range tpch.Queries() {
-		p, err := TPCHQuery(q.Num)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ticket, err := db.SubmitWait(p)
+		ticket, err := db.Submit(nil, Request{TPCH: q.Num, Admit: &Admission{Wait: true}})
 		if err != nil {
 			t.Fatalf("q%d submit: %v", q.Num, err)
 		}

@@ -86,12 +86,7 @@ func TestFusedOracleDifferential16Streams(t *testing.T) {
 				if q.Num%16 != g {
 					continue
 				}
-				p, err := TPCHQuery(q.Num)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ticket, err := fused.SubmitWait(p)
+				ticket, err := fused.Submit(nil, Request{TPCH: q.Num, Admit: &Admission{Wait: true}})
 				if err != nil {
 					t.Errorf("q%d submit: %v", q.Num, err)
 					return

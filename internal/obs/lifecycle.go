@@ -43,7 +43,7 @@ var stateNames = [NumStates]string{
 }
 
 // String returns the snake_case state name used in metric labels, the
-// slow-query log, and BENCH_prof.json.
+// slow-query log, and the benchmark's lifecycle.<state>_pct metrics.
 func (s State) String() string {
 	if s < 0 || s >= NumStates {
 		return "unknown"

@@ -8,9 +8,9 @@ import (
 // AllocsPerScan builds the fused scan for t, runs one warmup pass (pool
 // checkouts, group-table inserts, scratch growth all land here), then
 // measures steady-state heap allocations per full re-scan of the table.
-// It is the bench-report twin of the testing.AllocsPerRun gate in
-// fused_test.go: aquoman-bench -report scalebench records the number in
-// BENCH_scale.json and benchcheck -mode scale holds it at zero.
+// It is the reporting twin of the testing.AllocsPerRun gate in
+// fused_test.go, which holds the number at zero: the benchmark ladder
+// records it as the tabletask.fused_allocs_per_scan rung.
 func (e *Executor) AllocsPerScan(t *Task, passes int) (float64, error) {
 	if passes <= 0 {
 		return 0, fmt.Errorf("allocs per scan: passes must be positive, got %d", passes)

@@ -34,10 +34,10 @@ import (
 //
 // All scratch is checked out of pools or pre-sized at setup; the
 // steady-state loop performs zero heap allocations, however many pages it
-// touches (enforced by fused_test.go and the scalebench CI gate). Row
-// order, page accounting and results are identical to the staged path —
-// the differential oracle in fused_oracle_test.go holds the two paths
-// cell-exact against each other.
+// touches (enforced by fused_test.go; the benchmark reports it as
+// tabletask.fused_allocs_per_scan). Row order, page accounting and
+// results are identical to the staged path — the differential oracle in
+// fused_oracle_test.go holds the two paths cell-exact against each other.
 //
 // On encoded columns with no predicates and no transform, whole pages
 // short-circuit further still: enc.AggregatePage folds COUNT/SUM/MIN/MAX

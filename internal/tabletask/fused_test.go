@@ -105,11 +105,12 @@ func fusedScanFor(tb testing.TB, e *Executor, task *Task) *fusedScan {
 // The fused path's allocation gate: after one warmup pass (pool checkouts,
 // group inserts, scratch growth), re-scanning the whole table through the
 // fused q1/q6 pipelines performs zero heap allocations, on every codec.
-// This is what lets 32 concurrent streams scale without GC churn (see
-// BENCH_scale.json and the scalebench CI gate). It holds straight off the
-// device and — the way a server runs — behind a warm page cache, where the
-// window fetches are all hits, and at 2 pages a column as at 32: the count
-// does not depend on how many pages the scan touches.
+// This is what lets 32 concurrent streams scale without GC churn (the
+// benchmark's tabletask.fused_allocs_per_scan rung reports the same
+// count). It holds straight off the device and — the way a server runs —
+// behind a warm page cache, where the window fetches are all hits, and at
+// 2 pages a column as at 32: the count does not depend on how many pages
+// the scan touches.
 func TestFusedScanZeroAllocsSteadyState(t *testing.T) {
 	for _, sel := range []enc.Selection{enc.SelRaw, enc.SelDict, enc.SelRLE, enc.SelFOR} {
 		for _, tc := range []struct {

@@ -63,16 +63,8 @@ func TestAliasesEqualDo(t *testing.T) {
 		{"QueryHostOnly", func() (*Result, error) { return db.QueryHostOnly(stmt) }, Request{SQL: stmt, HostOnly: true}},
 		{"RunTPCH", func() (*Result, error) { return db.RunTPCH(1) }, Request{TPCH: 1}},
 		{"RunTPCHHostOnly", func() (*Result, error) { return db.RunTPCHHostOnly(1) }, Request{TPCH: 1, HostOnly: true}},
-		{"SubmitWait", func() (*Result, error) { return wait(db.SubmitWait(q6())) },
-			Request{TPCH: 6, Admit: &Admission{Wait: true}}},
 		{"SubmitWaitCtx", func() (*Result, error) { return wait(db.SubmitWaitCtx(ctx, q6())) },
 			Request{TPCH: 6, Admit: &Admission{Wait: true}}},
-		{"SubmitTenantWaitCtx", func() (*Result, error) { return wait(db.SubmitTenantWaitCtx(ctx, "t", LaneBatch, q6())) },
-			Request{TPCH: 6, Admit: &Admission{Tenant: "t", Lane: LaneBatch, Wait: true}}},
-		{"RunCachedCtx", func() (*Result, error) {
-			res, _, err := db.RunCachedCtx(ctx, "t", LaneBatch, "", q6()) // no cache installed yet: a plain scheduled run
-			return res, err
-		}, Request{TPCH: 6, Admit: &Admission{Tenant: "t", Lane: LaneBatch}}},
 		{"RunConcurrent", func() (*Result, error) {
 			rs, err := db.RunConcurrent([]Plan{q6()})
 			return rs[0], err
@@ -157,9 +149,14 @@ func TestAliasesEqualDo(t *testing.T) {
 		}
 		first := do(false)
 		sameAnswer(t, do(true), first)
-		res, hit, err := db.RunCachedCtx(ctx, "t", LaneInteractive, CanonicalSQL(count), mustPlanSQL(t, db, count))
-		if err != nil || !hit {
-			t.Fatalf("RunCachedCtx after two Do calls: hit = %v, err = %v", hit, err)
+		byPlan := cached
+		byPlan.SQL, byPlan.Plan = "", mustPlanSQL(t, db, count)
+		res, err := db.Do(ctx, byPlan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit {
+			t.Fatal("the same key by plan after two Do calls by SQL was a miss")
 		}
 		sameAnswer(t, res, first)
 		if _, err := db.Exec(ctx, newLineitemCloner(t, db).insertStmt(t, 0, 2)); err != nil {

@@ -2,10 +2,12 @@ package aquoman
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"aquoman/internal/enc"
 	"aquoman/internal/flash"
+	"aquoman/internal/tpch"
 )
 
 // tenantCacheDB is a small instance with the fair scheduler and the
@@ -34,15 +36,11 @@ func TestResultCacheInvalidatedByReEncode(t *testing.T) {
 	db := tenantCacheDB(t)
 	run := func() (*Result, bool) {
 		t.Helper()
-		p, err := TPCHQuery(6)
+		res, err := db.Do(context.Background(), Request{TPCH: 6, Admit: &Admission{Tenant: "t", CacheKey: "q6"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, hit, err := db.RunCachedCtx(context.Background(), "t", LaneInteractive, "q6", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, hit
+		return res, res.CacheHit
 	}
 	first, hit := run()
 	if hit {
@@ -116,5 +114,36 @@ func TestResultCacheInvalidatedByWrite(t *testing.T) {
 	want := first.Batch.Cols[0][0] + 1
 	if got := third.Batch.Cols[0][0]; got != want {
 		t.Fatalf("post-write count = %d, want %d (the cached path must see the new bytes)", got, want)
+	}
+}
+
+// TestResultCacheOracleAllQueries is the 22-query cached-vs-direct
+// differential: each TPC-H query run directly, then as a result-cache
+// miss, then as a hit under the same key must render byte-identically —
+// the cache may save the work but never change (or swap) an answer.
+func TestResultCacheOracleAllQueries(t *testing.T) {
+	db := tenantCacheDB(t)
+	ctx := context.Background()
+	for _, q := range tpch.Queries() {
+		render := func(req Request, wantHit bool) string {
+			t.Helper()
+			req.Plan = q.Build()
+			res, err := db.Do(ctx, req)
+			if err != nil {
+				t.Fatalf("q%d: %v", q.Num, err)
+			}
+			if res.CacheHit != wantHit {
+				t.Fatalf("q%d: CacheHit = %v, want %v", q.Num, res.CacheHit, wantHit)
+			}
+			return res.Render(1 << 20)
+		}
+		cached := Request{Admit: &Admission{Tenant: "oracle", Lane: LaneBatch, CacheKey: fmt.Sprintf("oracle:q%d", q.Num)}}
+		direct := render(Request{}, false)
+		if miss := render(cached, false); miss != direct {
+			t.Fatalf("q%d: result-cache miss differs from direct execution:\n%s\nvs\n%s", q.Num, miss, direct)
+		}
+		if hit := render(cached, true); hit != direct {
+			t.Fatalf("q%d: result-cache hit differs from direct execution:\n%s\nvs\n%s", q.Num, hit, direct)
+		}
 	}
 }
