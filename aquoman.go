@@ -63,20 +63,19 @@ type (
 	Report = core.Report
 	// Device is one AQUOMAN-augmented SSD plus host runtime.
 	Device = core.Device
-	// Observer bundles the metrics registry and the query tracer.
+	// Observer is the handle EnableObservability installs: the metrics
+	// registry.
 	Observer = obs.Observer
 	// Registry is the metrics registry (counters/gauges/histograms).
 	Registry = obs.Registry
-	// Tracer records per-stage query spans.
-	Tracer = obs.Tracer
-	// Span is one traced pipeline stage.
-	Span = obs.Span
 	// MetricsSnapshot is a point-in-time registry capture.
 	MetricsSnapshot = obs.Snapshot
-	// Lifecycle is a per-query wait-state recorder: attach one to a
-	// submission context with WithLifecycle and the scheduler, flash
-	// layer, and executor attribute queue-wait / device-read /
-	// cache-hit / coalesce-wait / per-stage CPU time into it.
+	// Lifecycle is the per-query recorder: attach one to a submission
+	// context with WithLifecycle and the scheduler, flash layer, and
+	// executor attribute queue-wait / device-read / cache-hit /
+	// coalesce-wait / per-stage CPU time into it (a query whose context
+	// carries none gets its own). With Request.Trace it also keeps the
+	// query's spans: Result.Trace.Spans(), Tree(), ChromeTrace().
 	Lifecycle = obs.Lifecycle
 	// LifecycleState names one attributed query state.
 	LifecycleState = obs.State
@@ -223,8 +222,8 @@ type DB struct {
 	// performance comparison.
 	DisableFusion bool
 
-	// Obs (optional, see EnableObservability) collects per-stage spans and
-	// metrics for every query this DB runs.
+	// Obs (optional, see EnableObservability) collects metrics for every
+	// query this DB runs.
 	Obs *obs.Observer
 
 	// mu guards the lazily created scheduler, caches, and catalog.
@@ -279,12 +278,12 @@ func (db *DB) ReEncodeStore(sel Encoding) error {
 	return nil
 }
 
-// EnableObservability attaches a fresh Observer: a metrics registry (with
-// the flash device's per-requester page counters bound in) plus a query
-// tracer. Subsequent Run/Query calls record one span per pipeline stage
-// and fill Report.Metrics with the query's registry delta. Call with the
-// DB idle; returns the observer for export (Prometheus text, Chrome
-// trace, expvar, HTTP handler).
+// EnableObservability attaches a fresh Observer: a metrics registry with
+// the flash device's per-requester page counters bound in. Subsequent
+// queries count into it, and unscheduled ones fill Report.Metrics with
+// their registry delta; nothing per-query is kept (spans are a query's
+// own: see Request.Trace). Call with the DB idle; returns the observer for
+// export (Prometheus text, expvar, HTTP handler).
 func (db *DB) EnableObservability() *obs.Observer {
 	o := obs.New()
 	db.Obs = o
@@ -508,8 +507,7 @@ type Request struct {
 	// baseline systems of the evaluation) instead of offloading Table
 	// Tasks to the in-storage pipeline.
 	HostOnly bool
-	// Trace records the query with a one-shot tracer (independent of any
-	// observer installed by EnableObservability), returned in
+	// Trace makes the query's recorder keep its spans; it is returned in
 	// Result.Trace ready for ChromeTrace() or Tree() export.
 	Trace bool
 
@@ -547,8 +545,8 @@ type Result struct {
 	Report *core.Report
 	// CacheHit reports that Do served the result from the result cache.
 	CacheHit bool
-	// Trace is the query's one-shot tracer (nil unless Request.Trace).
-	Trace *Tracer
+	// Trace is the query's own recorder (nil unless Request.Trace).
+	Trace *Lifecycle
 }
 
 // Render formats up to maxRows of the result for display.
@@ -605,6 +603,9 @@ func (db *DB) Do(ctx context.Context, req Request) (*Result, error) {
 	if rc == nil || req.Admit.CacheKey == "" {
 		return scheduled()
 	}
+	// Lookup, a wait on another caller's execution, and the bookkeeping
+	// around a miss are the cache's time; the execution nests its own.
+	defer obs.LifecycleFrom(ctx).Begin(obs.StateResultCacheHit, "result-cache").End()
 	// The fingerprint is captured *before* the lookup, so two calls
 	// bracketing a store mutation can never share an entry or an in-flight
 	// execution, and a result that raced a mutation is returned but not
@@ -660,7 +661,7 @@ func (db *DB) plan(ctx context.Context, req Request) (Plan, error) {
 	case req.Plan != nil:
 		return req.Plan, nil
 	case req.SQL != "":
-		defer obs.LifecycleFrom(ctx).Timer(obs.StateCompile)()
+		defer obs.LifecycleFrom(ctx).Begin(obs.StateCompile, "plan").End()
 		return sql.Plan(req.SQL, db.Store)
 	}
 	return TPCHQuery(req.TPCH)
@@ -668,14 +669,12 @@ func (db *DB) plan(ctx context.Context, req Request) (Plan, error) {
 
 // run executes a resolved request. shared marks a scheduler-run query:
 // the device is shared with concurrent queries, so per-query flash and
-// metrics attribution is disabled.
+// metrics attribution is disabled. The query records into its context's
+// Lifecycle, or into one of its own.
 func (db *DB) run(ctx context.Context, req *Request, shared bool) (*Result, error) {
-	o := db.Obs
+	ctx, lc := obs.Ensure(ctx, db.Obs.Registry())
 	if req.Trace {
-		o = &obs.Observer{Tracer: obs.NewTracer()}
-		if db.Obs != nil {
-			o.Reg = db.Obs.Reg
-		}
+		lc.Retain()
 	}
 	cfg := core.Config{
 		DRAMBytes:      db.DRAMBytes,
@@ -684,7 +683,6 @@ func (db *DB) run(ctx context.Context, req *Request, shared bool) (*Result, erro
 		DisableFusion:  db.DisableFusion,
 		SharedDevice:   shared,
 		Ctx:            ctx,
-		Obs:            o,
 	}
 	if err := plan.Bind(req.Plan, db.Store); err != nil {
 		return nil, err
@@ -698,7 +696,7 @@ func (db *DB) run(ctx context.Context, req *Request, shared bool) (*Result, erro
 	}
 	res := &Result{Batch: b, Report: rep}
 	if req.Trace {
-		res.Trace = o.Tracer
+		res.Trace = lc
 	}
 	return res, nil
 }

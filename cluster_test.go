@@ -213,7 +213,7 @@ func TestClusterDifferentialWorkerKilledMidScan(t *testing.T) {
 	rg.chaos[1].truncate.Store(true)
 	defer rg.calm()
 
-	before := rg.obs.Counter("cluster_degraded_nodes", "node", "1").Value()
+	before := rg.obs.Reg.Counter("cluster_degraded_nodes", "node", "1").Value()
 	for _, def := range tpch.Queries() {
 		got, rep, err := rg.coord.RunTPCH(context.Background(), def.Num)
 		if err != nil {
@@ -239,7 +239,7 @@ func TestClusterDifferentialWorkerKilledMidScan(t *testing.T) {
 	if rg.chaos[1].cuts.Load() == 0 {
 		t.Fatal("chaos stage severed no connections; the schedule never fired")
 	}
-	if v := rg.obs.Counter("cluster_degraded_nodes", "node", "1").Value(); v <= before {
+	if v := rg.obs.Reg.Counter("cluster_degraded_nodes", "node", "1").Value(); v <= before {
 		t.Fatalf("cluster_degraded_nodes{node=1} = %d, not incremented", v)
 	}
 }
@@ -326,10 +326,10 @@ func TestClusterCancellationPropagates(t *testing.T) {
 	// The workers saw their scatter requests die: nothing stays in flight.
 	deadline := time.Now().Add(10 * time.Second)
 	for d, wo := range rg.wobs {
-		for wo.Gauge("sched_inflight").Value() != 0 {
+		for wo.Reg.Gauge("sched_inflight").Value() != 0 {
 			if time.Now().After(deadline) {
 				t.Fatalf("worker %d sched_inflight stuck at %d after cancel",
-					d, wo.Gauge("sched_inflight").Value())
+					d, wo.Reg.Gauge("sched_inflight").Value())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

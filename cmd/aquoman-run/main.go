@@ -116,9 +116,11 @@ func main() {
 		return
 	}
 
-	wantObs := *traceOut != "" || *tree || *metrics || *listen != ""
+	// -trace and -tree read the query's own recorder (Request.Trace); only
+	// -metrics and -listen need the process-wide registry.
+	trace := *traceOut != "" || *tree
 	var obsv *aquoman.Observer
-	if wantObs {
+	if *metrics || *listen != "" {
 		obsv = db.EnableObservability()
 	}
 
@@ -148,19 +150,25 @@ func main() {
 		}
 		db.ConfigureScheduler(aquoman.SchedulerConfig{MaxInFlight: *jobs, QueueDepth: 2 * *jobs})
 		defer db.Close()
-		plans := make([]aquoman.Plan, *jobs)
-		for i := range plans {
-			if plans[i], err = aquoman.TPCHQuery(*q); err != nil {
+		tickets := make([]*aquoman.Ticket, *jobs)
+		start := time.Now()
+		for i := range tickets {
+			tickets[i], err = db.Submit(nil, aquoman.Request{TPCH: *q, Trace: trace && i == 0,
+				Admit: &aquoman.Admission{Wait: true}})
+			if err != nil {
 				log.Fatal(err)
 			}
 		}
-		start := time.Now()
-		results, rcErr := db.RunConcurrent(plans)
-		wall := time.Since(start)
-		if rcErr != nil {
-			log.Fatal(rcErr)
+		for i, t := range tickets {
+			r, err := t.Wait()
+			if err != nil {
+				log.Fatal(err)
+			}
+			if i == 0 {
+				res = r
+			}
 		}
-		res = results[0]
+		wall := time.Since(start)
 		fmt.Printf("=== %d concurrent streams of q%d: %.2f queries/sec (wall %v) ===\n",
 			*jobs, *q, float64(*jobs)/wall.Seconds(), wall.Round(time.Millisecond))
 		if *cacheMB > 0 {
@@ -169,10 +177,8 @@ func main() {
 				100*st.HitRate(), st.Hits, st.Misses, st.Evictions, float64(st.Bytes)/1e6)
 		}
 		fmt.Println("note: per-query flash attribution is disabled for concurrent runs; see aggregate FlashStats")
-	case *host:
-		res, err = db.RunTPCHHostOnly(*q)
 	default:
-		res, err = db.RunTPCH(*q)
+		res, err = db.Do(nil, aquoman.Request{TPCH: *q, HostOnly: *host, Trace: trace})
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -214,14 +220,14 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, obsv.Tracer.ChromeTrace(), 0o644); err != nil {
+		if err := os.WriteFile(*traceOut, res.Trace.ChromeTrace(), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote Chrome trace (%d spans) to %s — open in chrome://tracing or https://ui.perfetto.dev\n",
-			len(obsv.Tracer.Spans()), *traceOut)
+			len(res.Trace.Spans()), *traceOut)
 	}
 	if *tree {
-		fmt.Printf("\n=== span tree ===\n%s", obsv.Tracer.Tree())
+		fmt.Printf("\n=== span tree ===\n%s", res.Trace.Tree())
 	}
 	if *metrics {
 		fmt.Printf("\n=== metrics (Prometheus text) ===\n%s", rep.Metrics.Prometheus())

@@ -69,7 +69,7 @@ type Config struct {
 	// non-distributable) execution as in the single-device runtime.
 	DRAMBytes int64
 	HeapScale float64
-	// Obs (optional) receives the scatter spans and the cluster counters:
+	// Obs (optional) receives the cluster counters:
 	// cluster_queries_total{strategy}, cluster_scatter_total,
 	// cluster_node_retries, cluster_degraded_nodes (all labeled by node).
 	Obs *obs.Observer
@@ -171,7 +171,7 @@ func (c *Coordinator) Run(ctx context.Context, q int, build func() plan.Node) (*
 	if err := plan.Bind(p, c.cfg.Store); err != nil {
 		return nil, nil, err
 	}
-	if b, _, err = c.replica.Exec(ctx, p, nil); err != nil {
+	if b, _, err = c.replica.Exec(ctx, p); err != nil {
 		return nil, nil, err
 	}
 	rep = &distrib.Report{
@@ -180,6 +180,6 @@ func (c *Coordinator) Run(ctx context.Context, q int, build func() plan.Node) (*
 		Local:        true,
 		LocalReason:  reason,
 	}
-	c.cfg.Obs.Counter("cluster_queries_total", "strategy", rep.Strategy).Inc()
+	c.cfg.Obs.Registry().Counter("cluster_queries_total", "strategy", rep.Strategy).Inc()
 	return b, rep, nil
 }

@@ -61,14 +61,10 @@ type Config struct {
 	// stage, page-read and morsel boundaries stop the query — and its
 	// simulated flash traffic — shortly after Ctx is done. Cancellation is
 	// NOT a suspension: a context error propagates to the caller instead
-	// of triggering the host-resume fallback. Nil never cancels.
+	// of triggering the host-resume fallback. Nil never cancels. The
+	// query's obs.Lifecycle, if any, rides here too: its regions, and the
+	// registry its counters go to.
 	Ctx context.Context
-
-	// Obs (optional) collects per-stage spans and metrics for the query.
-	Obs *obs.Observer
-	// ObsParent, when set, nests the query span under an enclosing span
-	// (e.g. a distrib shard).
-	ObsParent *obs.Span
 }
 
 // Device is one AQUOMAN-augmented SSD plus its host.
@@ -118,7 +114,7 @@ type Report struct {
 	OffloadFraction float64
 
 	// Metrics is the registry delta accumulated during this query (nil
-	// when the device runs without an observer).
+	// without a registry, and on a shared device).
 	Metrics *obs.Snapshot
 }
 
@@ -128,51 +124,43 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 	flashBefore := d.Store.Dev.Stats()
 	rep := &Report{HostStats: engine.NewStats()}
 
-	o := d.cfg.Obs
+	lc := obs.LifecycleFrom(d.cfg.Ctx)
+	reg := lc.Registry()
+	// Everything RunQuery does that no inner region claims — unit glue,
+	// finalize, report bookkeeping — is host-side work.
+	q := lc.Begin(obs.StateHost, "query")
+	defer q.End()
+	// The per-query registry delta is only meaningful on a device this
+	// query has to itself; a shared one never pays for the snapshots.
 	var metricsBefore obs.Snapshot
-	if o != nil && o.Reg != nil {
-		metricsBefore = o.Reg.Snapshot()
+	if reg != nil && !d.cfg.SharedDevice {
+		metricsBefore = reg.Snapshot()
 	}
-	qSpan := o.SpanUnder(d.cfg.ObsParent, "query", obs.StageQuery)
 	finish := func() {
-		d.finishReport(rep, flashBefore)
-		qSpan.End()
-		if o != nil && o.Reg != nil && !d.cfg.SharedDevice {
-			delta := o.Reg.Snapshot().Delta(metricsBefore)
+		d.finishReport(rep, reg, flashBefore)
+		if reg != nil && !d.cfg.SharedDevice {
+			delta := reg.Snapshot().Delta(metricsBefore)
 			rep.Metrics = &delta
 		}
 	}
 
-	lc := obs.LifecycleFrom(d.cfg.Ctx)
-	// Everything RunQuery does that no inner timer claims — unit glue,
-	// finalize, report bookkeeping — is host-side work. Exclusive regions
-	// nest: this outer window subtracts whatever the compiler, the table
-	// tasks, the flash layer, and the inner host timers attribute, so only
-	// the otherwise-unattributed remainder lands in StateHost.
-	defer lc.ExclusiveTimer(obs.StateHost)()
-	run := func(stage string, root plan.Node) (*engine.Batch, error) {
-		hostSpan := qSpan.Child(stage, obs.StageHost)
-		defer hostSpan.End()
-		// Exclusive: host scans read flash, and that time is attributed to
-		// the flash states, not host CPU.
-		defer lc.ExclusiveTimer(obs.StateHost)()
+	run := func(root plan.Node, name ...string) (*engine.Batch, error) {
+		// Host scans read flash; that time nests as flash states.
+		defer lc.Begin(obs.StateHost, name...).End()
 		host := engine.New(d.Store)
 		host.Stats = rep.HostStats
-		host.SetObserver(o, hostSpan)
 		host.SetContext(d.cfg.Ctx)
 		host.SetOverlays(d.cfg.Overlays)
 		return host.Run(root)
 	}
 
 	if err := d.ctxErr(); err != nil {
-		qSpan.End()
 		return nil, nil, err
 	}
 
 	if d.cfg.DisableOffload {
-		b, err := run("host-plan", n)
+		b, err := run(n, "host-plan")
 		if err != nil {
-			qSpan.End()
 			return nil, nil, err
 		}
 		finish()
@@ -201,9 +189,8 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 		if len(dirty) > 0 && (!offloadable || len(tables) > 1) {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"mvcc overlay on %s: executing on host", strings.Join(dirty, ",")))
-			b, err := run("host-plan", n)
+			b, err := run(n, "host-plan")
 			if err != nil {
-				qSpan.End()
 				return nil, nil, err
 			}
 			finish()
@@ -219,37 +206,33 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 		}
 	}
 
-	cSpan := qSpan.Child("compile", obs.StageCompile)
-	endCompile := lc.ExclusiveTimer(obs.StateCompile)
+	c := lc.Begin(obs.StateCompile, "compile")
 	res, err := compiler.Compile(n, d.Store, d.cfg.Compiler)
-	endCompile()
-	cSpan.End()
+	if err == nil {
+		c.SetInt("units", int64(len(res.Units)))
+	}
+	c.End()
 	if err != nil {
-		qSpan.End()
 		return nil, nil, err
 	}
 	rep.Notes = res.Notes
 	rep.FullyOffloaded = res.FullyOffloaded()
-	cSpan.SetInt("units", int64(len(res.Units)))
 
 	exec := tabletask.NewExecutor(d.Store, d.DRAM)
-	exec.Obs = o
 	exec.Ctx = d.cfg.Ctx
 	exec.DisableFusion = d.cfg.DisableFusion
 	exec.DeleteMasks = deleteMasks
 	var allObjects []string
 	for _, u := range res.Units {
-		uSpan := qSpan.Child("unit "+u.Label, obs.StageUnit)
-		exec.ObsParent = uSpan
+		r := lc.Begin(obs.StateHost, "unit", u.Label)
 		err := d.runUnit(exec, u)
-		uSpan.End()
+		r.End()
 		if err != nil {
 			// Cancellation is not a suspension: a dead context propagates
 			// instead of re-running the unit's subtree on the host (which
 			// would keep consuming flash bandwidth for a query nobody is
 			// waiting on).
 			if cerr := d.ctxErr(); cerr != nil {
-				qSpan.End()
 				return nil, nil, cerr
 			}
 			// Suspension (Sec. VI-E): the unit's intermediate state is
@@ -263,9 +246,7 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 			if errors.As(err, &fe) {
 				rep.Notes = append(rep.Notes, fmt.Sprintf(
 					"unit %s hit a device fault, resuming on host: %v", u.Label, fe))
-				if o != nil && o.Reg != nil {
-					o.Counter("core_unit_faults_total", "kind", fe.Kind.String()).Inc()
-				}
+				reg.Counter("core_unit_faults_total", "kind", fe.Kind.String()).Inc()
 			}
 			rep.Suspended = true
 			rep.SuspendReason = err.Error()
@@ -273,9 +254,8 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 			for _, name := range u.DRAMObjects {
 				d.DRAM.Free(name)
 			}
-			hb, herr := run("host-resume "+u.Label, u.Replaced)
+			hb, herr := run(u.Replaced, "host-resume", u.Label)
 			if herr != nil {
-				qSpan.End()
 				return nil, nil, fmt.Errorf("core: host resume of %s: %w", u.Label, herr)
 			}
 			u.Placeholder.Cols = hb.Cols
@@ -284,23 +264,21 @@ func (d *Device) RunQuery(n plan.Node) (*engine.Batch, *Report, error) {
 		rep.Units = append(rep.Units, u.Label)
 		allObjects = append(allObjects, u.DRAMObjects...)
 	}
-	exec.ObsParent = nil
 	rep.AquomanTrace = exec.Trace
 	rep.DRAMPeak = d.DRAM.Peak()
 	for _, name := range allObjects {
 		d.DRAM.Free(name)
 	}
 
-	b, err := run("host-plan", res.Root)
+	b, err := run(res.Root, "host-plan")
 	if err != nil {
-		qSpan.End()
 		return nil, nil, err
 	}
 	finish()
 	return b, rep, nil
 }
 
-func (d *Device) finishReport(rep *Report, before flash.Stats) {
+func (d *Device) finishReport(rep *Report, reg *obs.Registry, before flash.Stats) {
 	if !d.cfg.SharedDevice {
 		rep.Flash = d.Store.Dev.Stats().Sub(before)
 		total := rep.Flash.BytesRead(flash.Host) + rep.Flash.BytesRead(flash.Aquoman)
@@ -309,14 +287,14 @@ func (d *Device) finishReport(rep *Report, before flash.Stats) {
 		}
 	}
 	d.DRAM.ResetPeak()
-	if o := d.cfg.Obs; o != nil && o.Reg != nil {
+	if reg != nil {
 		rep.HostStats.Each(func(kind string, n int64) {
-			o.Counter("engine_work_total", "kind", kind).Add(n)
+			reg.Counter("engine_work_total", "kind", kind).Add(n)
 		})
-		o.Gauge("engine_peak_bytes").SetMax(rep.HostStats.Peak())
-		o.Counter("core_queries_total").Inc()
+		reg.Gauge("engine_peak_bytes").SetMax(rep.HostStats.Peak())
+		reg.Counter("core_queries_total").Inc()
 		if rep.Suspended {
-			o.Counter("core_suspensions_total").Inc()
+			reg.Counter("core_suspensions_total").Inc()
 		}
 	}
 }

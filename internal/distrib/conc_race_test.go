@@ -67,7 +67,7 @@ func TestConcurrentMirrorDegradationRace(t *testing.T) {
 	wg.Wait()
 
 	want := int64(len(queries) * rounds)
-	if v := o.Counter("cluster_degraded_nodes", "node", "2").Value(); v != want {
+	if v := o.Reg.Counter("cluster_degraded_nodes", "node", "2").Value(); v != want {
 		t.Fatalf("degradation counter = %d, want %d", v, want)
 	}
 }

@@ -62,8 +62,9 @@ type Cluster struct {
 	DRAMBytes int64
 	HeapScale float64
 
-	// Obs (optional) collects cluster-wide spans and metrics; shard spans
-	// carry one trace lane (tid) per device.
+	// Obs (optional) collects cluster-wide metrics. Spans and per-state time
+	// go to the obs.Lifecycle on RunQueryCtx's context: each shard attempt
+	// a fork of it, on its own trace lane.
 	Obs *obs.Observer
 
 	// cache (optional, see EnableCache) is shared by every shard device

@@ -122,10 +122,10 @@ func TestClusterFaultRecoveryByteIdentical(t *testing.T) {
 	}
 
 	// Recovery must be visible in the metrics registry and flash stats.
-	if v := o.Counter("cluster_degraded_nodes", "node", "2").Value(); v != int64(len(queries)) {
+	if v := o.Reg.Counter("cluster_degraded_nodes", "node", "2").Value(); v != int64(len(queries)) {
 		t.Fatalf("degradation counter = %d, want %d", v, len(queries))
 	}
-	if v := o.Counter("cluster_node_retries", "node", "1").Value(); v == 0 {
+	if v := o.Reg.Counter("cluster_node_retries", "node", "1").Value(); v == 0 {
 		t.Fatal("retry counter for device 1 is zero")
 	}
 	if c.Devices[3].Stats().TotalReadRetries() == 0 {

@@ -1,7 +1,9 @@
 package distrib
 
 import (
+	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"aquoman/internal/obs"
@@ -10,7 +12,8 @@ import (
 )
 
 // TestClusterObservability runs a scatter-gather query on an observed
-// cluster and checks the shard/merge spans and per-device flash metrics.
+// cluster with a retaining recorder on the context, and checks the
+// scatter/shard/merge spans, the forks, and per-device flash metrics.
 func TestClusterObservability(t *testing.T) {
 	src, _ := setup(t)
 	c := NewCluster(2)
@@ -24,20 +27,22 @@ func TestClusterObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.RunQuery(func() plan.Node { return def.Build() }); err != nil {
+	lc := obs.NewLifecycle("q6")
+	lc.Retain()
+	if _, _, err := c.RunQueryCtx(obs.WithLifecycle(context.Background(), lc), func() plan.Node { return def.Build() }); err != nil {
 		t.Fatal(err)
 	}
+	wall := lc.Finish()
 
-	spans := o.Tracer.Spans()
 	shardTids := make(map[int]bool)
 	var merges, queries int
-	for _, s := range spans {
-		switch s.Stage {
-		case obs.StageShard:
+	for _, s := range lc.Spans() {
+		switch {
+		case strings.HasPrefix(s.Name, "shard "):
 			shardTids[s.Tid] = true
-		case obs.StageMerge:
+		case s.Name == "merge" && s.State == obs.StateMerge:
 			merges++
-		case obs.StageQuery:
+		case s.Name == "query":
 			queries++
 		}
 	}
@@ -47,8 +52,32 @@ func TestClusterObservability(t *testing.T) {
 	if merges != 1 {
 		t.Fatalf("merge spans = %d, want 1", merges)
 	}
-	if queries < 3 { // scatter root + one core query per device
-		t.Fatalf("query spans = %d, want >= 3", queries)
+	if queries != 2 { // one core query per device, each under its shard
+		t.Fatalf("query spans = %d, want 2", queries)
+	}
+
+	// The coordinator's own time is scatter_wait + merge (+ glue); the
+	// shards' time hangs under it, one fork each, and stays out of it.
+	states := lc.Breakdown()
+	if states["scatter_wait"] <= 0 || states["merge"] <= 0 {
+		t.Fatalf("coordinator states = %v, want scatter_wait and merge", states)
+	}
+	for _, leaked := range []string{"rowsel", "read", "device_read", "systolic", "swissknife"} {
+		if states[leaked] != 0 {
+			t.Fatalf("coordinator %s = %d: a shard's time leaked into the parent (%v)", leaked, states[leaked], states)
+		}
+	}
+	if lc.Attributed()+lc.Unattributed() != wall || lc.Open() != 0 {
+		t.Fatalf("coordinator Σstates %v + unattributed %v != wall %v (open %d)", lc.Attributed(), lc.Unattributed(), wall, lc.Open())
+	}
+	forks := lc.Forks()
+	if len(forks) != 2 {
+		t.Fatalf("forks = %d, want one per shard", len(forks))
+	}
+	for _, f := range forks {
+		if fs := f.Breakdown(); fs["rowsel"] <= 0 || f.Attributed()+f.Unattributed() != f.Wall() || f.Open() != 0 {
+			t.Fatalf("fork %s: states %v, wall %v, open %d", f.Name, fs, f.Wall(), f.Open())
+		}
 	}
 
 	// Flash traffic is labeled per device.

@@ -45,8 +45,6 @@ type Work struct {
 	Build func() plan.Node
 	// Schema is the partial schema the coordinator expects.
 	Schema plan.Schema
-	// Span is this attempt's shard span (nil when unobserved).
-	Span *obs.Span
 }
 
 // LocalShard is the Shard over a store this process holds: a cluster
@@ -66,13 +64,13 @@ func NewLocalShard(name string, s *col.Store, dram int64, heapScale float64, o *
 }
 
 // Exec runs p, already bound against the shard's store, on the AQUOMAN
-// device over it, nesting the query span under parent.
-func (l *LocalShard) Exec(ctx context.Context, p plan.Node, parent *obs.Span) (*engine.Batch, *core.Report, error) {
+// device over it. The query records into ctx's obs.Lifecycle — the shard
+// attempt's fork under a Scatter; one of its own when ctx has none.
+func (l *LocalShard) Exec(ctx context.Context, p plan.Node) (*engine.Batch, *core.Report, error) {
+	ctx, _ = obs.Ensure(ctx, l.obs.Registry())
 	return core.New(l.store, core.Config{
 		DRAMBytes: l.dram,
 		Compiler:  compiler.Config{HeapScale: l.heapScale},
-		Obs:       l.obs,
-		ObsParent: parent,
 		Ctx:       ctx,
 	}).RunQuery(p)
 }
@@ -82,7 +80,7 @@ func (l *LocalShard) Run(ctx context.Context, w Work) ([][]int64, *core.Report, 
 	if err != nil {
 		return nil, nil, err
 	}
-	b, rep, err := l.Exec(ctx, part.Plan, w.Span)
+	b, rep, err := l.Exec(ctx, part.Plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,34 +208,35 @@ func (s *Scatter) Run(ctx context.Context, q int, build func() plan.Node) (*engi
 		PerDevice:    make([]*core.Report, n),
 		ShardRetries: make([]int, n),
 	}
-	s.obs.Counter("cluster_queries_total", "strategy", rep.Strategy).Inc()
+	reg := s.obs.Registry()
+	reg.Counter("cluster_queries_total", "strategy", rep.Strategy).Inc()
 	if part.Strategy == StratSingle {
 		// Replicated-only data is complete on every shard; ask just one.
 		n = 1
 		rep.Strategy += " (shard 0)"
 	}
-	root := s.obs.StartSpan("scatter "+rep.Strategy, obs.StageQuery)
-	defer root.End()
+	// The coordinator sits in scatter_wait while the shards run; each
+	// attempt records into its own fork (see ladder), never into lc.
 	lc := obs.LifecycleFrom(ctx)
+	wait := lc.Begin(obs.StateScatterWait, "scatter", rep.Strategy)
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	outs := make([]outcome, n)
 	work := Work{Q: q, Build: build, Schema: schema}
-	endScatter := lc.ExclusiveTimer(obs.StateScatterWait)
 	var wg sync.WaitGroup
 	for d := range outs {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			outs[d] = s.ladder(sctx, d, work, root)
+			outs[d] = s.ladder(sctx, lc, d, work)
 			if outs[d].err != nil {
 				cancel()
 			}
 		}(d)
 	}
 	wg.Wait()
-	endScatter()
+	wait.End()
 
 	var failed error
 	gather := &plan.Materialized{S: schema, Label: "scatter-gather", Cols: make([][]int64, len(schema))}
@@ -267,7 +266,7 @@ func (s *Scatter) Run(ctx context.Context, q int, build func() plan.Node) (*engi
 
 	// A replicated-only shard ran the full plan: nothing was peeled, and
 	// the merge below is the gather itself.
-	defer lc.ExclusiveTimer(obs.StateMerge)()
+	defer lc.Begin(obs.StateMerge, "merge").End()
 	var merged plan.Node = gather
 	if part.group != nil {
 		merged = MergePlan(part.group, gather)
@@ -276,10 +275,7 @@ func (s *Scatter) Run(ctx context.Context, q int, build func() plan.Node) (*engi
 	if err := plan.Bind(merged, s.store); err != nil {
 		return nil, nil, err
 	}
-	span := root.Child("merge", obs.StageMerge)
-	defer span.End()
 	eng := engine.New(s.store)
-	eng.SetObserver(s.obs, span)
 	eng.SetContext(ctx)
 	out, err := eng.Run(merged)
 	if err != nil {
@@ -292,11 +288,11 @@ func (s *Scatter) Run(ctx context.Context, q int, build func() plan.Node) (*engi
 // tier, in order, gets 1 + budget attempts; a success past the first tier
 // is a degradation; an error the tier calls not retryable, or the last
 // tier's last failure, ends the shard with a *ShardError. Every attempt
-// has its own shard span on trace lane d+2 and counts into
+// records into its own fork of lc, on trace lane d+2, and counts into
 // cluster_scatter_total; re-runs and degradations count into
 // cluster_node_retries and cluster_degraded_nodes.
-func (s *Scatter) ladder(ctx context.Context, d int, w Work, root *obs.Span) (out outcome) {
-	node := strconv.Itoa(d)
+func (s *Scatter) ladder(ctx context.Context, lc *obs.Lifecycle, d int, w Work) (out outcome) {
+	node, reg := strconv.Itoa(d), s.obs.Registry()
 	for ti, tier := range s.tiers[d] {
 		for try := 0; try <= s.budget; try++ {
 			if err := ctx.Err(); err != nil {
@@ -310,16 +306,17 @@ func (s *Scatter) ladder(ctx context.Context, d int, w Work, root *obs.Span) (ou
 			if try > 0 {
 				label += " retry " + strconv.Itoa(try)
 				out.retries++
-				s.obs.Counter("cluster_node_retries", "node", node).Inc()
+				reg.Counter("cluster_node_retries", "node", node).Inc()
 			}
-			s.obs.Counter("cluster_scatter_total", "node", node).Inc()
-			w.Span = root.Child(label, obs.StageShard)
-			w.Span.SetTid(d + 2)
-			cols, rep, err := tier.Run(ctx, w)
-			w.Span.End()
+			reg.Counter("cluster_scatter_total", "node", node).Inc()
+			fork := lc.Fork(label, d+2)
+			shard := fork.Begin(obs.StateHost, label)
+			cols, rep, err := tier.Run(obs.WithLifecycle(ctx, fork), w)
+			shard.End()
+			fork.Finish()
 			if err == nil {
 				if ti > 0 {
-					s.obs.Counter("cluster_degraded_nodes", "node", node).Inc()
+					reg.Counter("cluster_degraded_nodes", "node", node).Inc()
 					if rep != nil {
 						rep.Notes = append(rep.Notes, fmt.Sprintf("shard %d degraded to %s after: %v", d, tier, out.err))
 					}

@@ -103,13 +103,11 @@ type Engine struct {
 
 	// ctx (optional, see SetContext) cancels execution cooperatively: it
 	// is checked before every operator, at scan page-chunk boundaries, and
-	// at morsel boundaries of parallel sections.
+	// at morsel boundaries of parallel sections. lc is the query recorder
+	// it carries, if any: every operator is one host region (exec recursion
+	// runs on one goroutine).
 	ctx context.Context
-
-	// obs/cur trace per-operator spans; cur is the parent of the node
-	// being executed (exec recursion runs on one goroutine).
-	obs *obs.Observer
-	cur *obs.Span
+	lc  *obs.Lifecycle
 }
 
 // New returns an engine over the store with fresh counters.
@@ -117,17 +115,10 @@ func New(store *col.Store) *Engine {
 	return &Engine{Store: store, Stats: NewStats(), threads: 1}
 }
 
-// SetObserver attaches an observability handle; per-operator spans nest
-// under parent (which may be nil for root spans).
-func (e *Engine) SetObserver(o *obs.Observer, parent *obs.Span) {
-	e.obs = o
-	e.cur = parent
-}
-
 // SetContext attaches a cancellation context: a cancelled query stops
 // between operators and within scans at page-chunk granularity, ending
 // its flash traffic promptly. A nil ctx (the default) never cancels.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
+func (e *Engine) SetContext(ctx context.Context) { e.ctx, e.lc = ctx, obs.LifecycleFrom(ctx) }
 
 // SetOverlays attaches MVCC delta overlays: every scan of a listed
 // table drops the overlay's deleted base rows and appends its visible
@@ -153,29 +144,30 @@ func (e *Engine) Run(n plan.Node) (*Batch, error) {
 	return b, nil
 }
 
-// nodeLabel names a plan node for span display.
-func nodeLabel(n plan.Node) string {
+// nodeLabel names a plan node for span display, in the two parts
+// Lifecycle.Begin joins only when somebody will read the span.
+func nodeLabel(n plan.Node) (kind, detail string) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return "scan " + t.Table
+		return "scan", t.Table
 	case *plan.Filter:
-		return "filter"
+		return "filter", ""
 	case *plan.Project:
-		return "project"
+		return "project", ""
 	case *plan.Join:
-		return "join"
+		return "join", ""
 	case *plan.GroupBy:
-		return "groupby"
+		return "groupby", ""
 	case *plan.OrderBy:
-		return "orderby"
+		return "orderby", ""
 	case *plan.Limit:
-		return "limit"
+		return "limit", ""
 	case *plan.ScalarJoin:
-		return "scalar-join"
+		return "scalar-join", ""
 	case *plan.Materialized:
-		return "materialized " + t.Label
+		return "materialized", t.Label
 	default:
-		return fmt.Sprintf("%T", n)
+		return "node", ""
 	}
 }
 
@@ -183,21 +175,13 @@ func (e *Engine) exec(n plan.Node) (*Batch, error) {
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
-	var b *Batch
-	var err error
-	if e.obs == nil && e.cur == nil {
-		b, err = e.execNode(n)
-	} else {
-		sp := e.obs.SpanUnder(e.cur, nodeLabel(n), obs.StageHost)
-		saved := e.cur
-		e.cur = sp
-		b, err = e.execNode(n)
-		e.cur = saved
-		if b != nil {
-			sp.SetInt("rows_out", int64(b.NumRows()))
-		}
-		sp.End()
+	kind, detail := nodeLabel(n)
+	r := e.lc.Begin(obs.StateHost, kind, detail)
+	b, err := e.execNode(n)
+	if b != nil {
+		r.SetInt("rows_out", int64(b.NumRows()))
 	}
+	r.End()
 	if err == nil {
 		// Re-check after the node: a cancellation that landed mid-operator
 		// (e.g. skipped parallel morsels) must not leak a truncated batch.

@@ -3,7 +3,6 @@ package flash
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"aquoman/internal/obs"
 )
@@ -99,15 +98,9 @@ func (b *Batch) Read(ctx context.Context, who Requester) error {
 	} else {
 		// Straight off the device: fault checks, copies and the wait for
 		// the command queue are all device-read time.
-		lc := obs.LifecycleFrom(ctx)
-		var t0 time.Time
-		if lc != nil {
-			t0 = time.Now()
-		}
+		r := obs.LifecycleFrom(ctx).Begin(obs.StateDeviceRead)
 		err = b.fill(nil, b.data, nil)
-		if lc != nil {
-			lc.Add(obs.StateDeviceRead, time.Since(t0))
-		}
+		r.End()
 	}
 	if err == nil && ctx != nil {
 		err = ctx.Err()

@@ -764,15 +764,9 @@ func (f *File) ReadAt(p []byte, off int64, who Requester) (int, error) {
 // alongside the context error.
 func (f *File) readDirect(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
 	// Uncached reads hit the device directly: fault check, copy, and
-	// simulated NAND latency are all device-read time. Attributed with an
-	// explicit start stamp rather than a deferred Timer closure so the hot
-	// read path stays allocation-free.
-	lc := obs.LifecycleFrom(ctx)
-	var lcStart time.Time
-	if lc != nil {
-		lcStart = time.Now()
-		defer func() { lc.Add(obs.StateDeviceRead, time.Since(lcStart)) }()
-	}
+	// simulated NAND latency are all device-read time. A Region is a value,
+	// so the hot read path stays allocation-free.
+	defer obs.LifecycleFrom(ctx).Begin(obs.StateDeviceRead).End()
 	f.mu.Lock()
 	size := int64(len(f.data))
 	f.mu.Unlock()

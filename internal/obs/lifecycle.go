@@ -2,19 +2,17 @@ package obs
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// State names one phase of a query's lifecycle. Every nanosecond of a
-// query's wall time should be attributable to exactly one state: the
-// scheduler attributes queue wait, the table-task executor attributes
-// per-stage CPU, the flash layer attributes device reads vs. page-cache
-// hits vs. single-flight coalesce waits, and the server attributes
-// result emission. The per-stage CPU states are *exclusive*: time a
-// stage spends inside the flash layer is recorded as a flash state and
-// subtracted from the enclosing stage, so the per-query sum of states
-// approximates wall time instead of double counting.
+// State names one phase of a query's lifecycle and is the recorder's only
+// vocabulary: metric labels, the slow-query log, the benchmark's
+// lifecycle.<state>_pct metrics, Chrome trace categories and the span
+// tree's [state] share these names. Structural regions (query, unit, task,
+// shard) carry StateHost, the state their un-nested time is charged to.
 type State int
 
 const (
@@ -25,16 +23,20 @@ const (
 	StateSystolic                    // table task: systolic row-transformer (CPU)
 	StateSwissknife                  // table task: SQL Swissknife operator (CPU)
 	StateSorter                      // table task: streaming sort/merge (CPU)
-	StateHost                        // core: host-side engine execution (CPU)
+	StateHost                        // core: host-side engine execution and glue (CPU)
 	StateDeviceRead                  // flash: simulated NAND page reads (includes tR latency)
 	StateCacheHit                    // flash: page served from the shared cache
 	StateCoalesceWait                // flash: waiting on another query's in-flight read
 	StateEmit                        // server: streaming the result to the client
 	StateScatterWait                 // cluster: coordinator waiting on worker partials
 	StateMerge                       // cluster: coordinator-side partial-result merge
-	StateResultCacheHit              // server: whole result served from the query result cache
+	StateResultCacheHit              // server: lookup of, or wait on, the query result cache
 	NumStates                        // count sentinel, not a state
 )
+
+// unattributed is where a recorder's timeline sits outside every region:
+// time nobody claimed, which is what Coverage measures.
+const unattributed = NumStates
 
 var stateNames = [NumStates]string{
 	"queue_wait", "compile", "rowsel", "read", "systolic", "swissknife",
@@ -42,8 +44,7 @@ var stateNames = [NumStates]string{
 	"scatter_wait", "merge", "result_cache_hit",
 }
 
-// String returns the snake_case state name used in metric labels, the
-// slow-query log, and the benchmark's lifecycle.<state>_pct metrics.
+// String returns the snake_case state name.
 func (s State) String() string {
 	if s < 0 || s >= NumStates {
 		return "unknown"
@@ -51,212 +52,211 @@ func (s State) String() string {
 	return stateNames[s]
 }
 
-// StateNames lists every state name in State order.
-func StateNames() []string {
-	out := make([]string, NumStates)
-	copy(out, stateNames[:])
-	return out
-}
-
-// Lifecycle accumulates per-state time for one query. All updates are
-// atomic and a nil *Lifecycle no-ops on every method, so instrumented
-// paths record unconditionally whether or not telemetry is attached.
+// Lifecycle is the one per-query recorder, carried on the query's context.
+// It keeps a timeline: exactly one state is current at any instant, Begin
+// switches to a region's state and End back to the enclosing one, so every
+// nanosecond between creation and Finish lands in exactly one state (or in
+// none: unattributed) and Σstates ≤ wall needs no subtraction and no
+// repair. A nil *Lifecycle no-ops on every method.
 //
-// The nested counter tracks the total time attributed to *any* state;
-// exclusive regions (Cursor.Mark, ExclusiveTimer) subtract the nested
-// attribution that occurred inside their window, which is what keeps a
-// page-cache coalesce wait from also counting as rowsel CPU.
+// The accumulators are atomic, so a reader (a handler that gave up on its
+// query and logs) is always safe. The timeline cursor is not: it belongs to
+// the goroutine that holds the query, and hand-offs (handler → scheduler
+// worker → handler) must be ordered, as the scheduler's queue and ticket
+// order them. Work that runs beside the holder takes a Fork.
 type Lifecycle struct {
-	ID     string
+	// ID names the query (X-Query-ID); a fork inherits it.
+	ID string
+	// Name labels a fork ("shard 0"); empty on a query's own recorder.
+	Name string
+	// Reg is the registry the query's sites count into (nil: none).
+	Reg *Registry
+
 	start  time.Time
 	wall   atomic.Int64 // frozen wall time in ns; 0 until Finish
-	nested atomic.Int64 // total ns attributed across all states, minus debt
-	debt   atomic.Int64 // ns double-attributed by concurrent adds (see below)
-	states [NumStates]atomic.Int64
+	states [NumStates + 1]atomic.Int64
+	depth  atomic.Int32 // regions begun and not yet ended
+
+	// The timeline cursor: the current state and when it became current,
+	// as an offset from start.
+	cur   State
+	since time.Duration
+
+	// Retention (see Retain): the span store shared with every fork, the
+	// ID of the innermost open span, this recorder's Chrome lane, and the
+	// offset of start from the store's time base.
+	tr   *trace
+	open int64
+	lane int
+	skew time.Duration
+
+	mu    sync.Mutex
+	forks []*Lifecycle
 }
 
 // NewLifecycle starts a recorder; wall time is measured from this call.
 func NewLifecycle(id string) *Lifecycle {
-	return &Lifecycle{ID: id, start: time.Now()}
+	return &Lifecycle{ID: id, start: time.Now(), cur: unattributed}
 }
 
-// Add attributes d to state s (no-op for nil receivers or d <= 0).
-func (lc *Lifecycle) Add(s State, d time.Duration) {
-	if lc == nil || d <= 0 || s < 0 || s >= NumStates {
-		return
-	}
-	lc.states[s].Add(int64(d))
-	lc.nested.Add(int64(d))
-}
-
-// addExclusive closes an exclusive region whose remainder is r. A
-// positive remainder is a normal Add. A negative remainder means an Add
-// from outside this goroutine's call stack landed inside the window —
-// a coalesced cache fill completing between Mark regions, a cluster
-// worker attributing flash time while the coordinator holds a
-// scatter-wait window — so the same nanoseconds were attributed twice.
-// The overcount is banked as debt and subtracted from nested so the
-// enclosing window is not charged for it a second time; Finish settles
-// the debt by scaling states back down, keeping Σstates ≤ wall.
-func (lc *Lifecycle) addExclusive(s State, r time.Duration) {
-	if r >= 0 {
-		lc.Add(s, r)
-		return
-	}
-	lc.debt.Add(int64(-r))
-	lc.nested.Add(int64(r))
-}
-
-// Timer starts an inclusive region: the returned func attributes the
-// elapsed time to s. Use for leaf states that contain no instrumented
-// sub-states (emit, device reads).
-func (lc *Lifecycle) Timer(s State) func() {
-	if lc == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { lc.Add(s, time.Since(t0)) }
-}
-
-// ExclusiveTimer starts an exclusive region: the returned func
-// attributes the elapsed time minus whatever was attributed to other
-// states during the window. Use for stages that call into instrumented
-// layers (a host scan that reads flash, a swissknife op that sorts).
-func (lc *Lifecycle) ExclusiveTimer(s State) func() {
-	if lc == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	n0 := lc.nested.Load()
-	return func() {
-		lc.addExclusive(s, time.Since(t0)-time.Duration(lc.nested.Load()-n0))
-	}
-}
-
-// Cursor walks one goroutine's timeline, attributing contiguous regions
-// between Mark calls. Like ExclusiveTimer, each region excludes time
-// already attributed to nested states inside it. A nil Lifecycle yields
-// a nil Cursor whose methods no-op.
-type Cursor struct {
-	lc     *Lifecycle
-	last   time.Time
-	nested int64
-}
-
-// Cursor starts a timeline cursor at now.
-func (lc *Lifecycle) Cursor() *Cursor {
+// Registry returns the recorder's registry (nil for a nil recorder).
+func (lc *Lifecycle) Registry() *Registry {
 	if lc == nil {
 		return nil
 	}
-	return &Cursor{lc: lc, last: time.Now(), nested: lc.nested.Load()}
+	return lc.Reg
 }
 
-// Mark attributes the time since the previous Mark (or Cursor creation)
-// to s, excluding nested attribution, and advances the cursor.
-func (cu *Cursor) Mark(s State) {
-	if cu == nil {
-		return
+// segment closes the timeline segment ending at now and returns its length
+// for the caller to charge. A segment ends at the frozen wall at the latest,
+// so a worker outliving its caller's Finish cannot push Σstates past wall.
+func (lc *Lifecycle) segment(now time.Duration) time.Duration {
+	if w := time.Duration(lc.wall.Load()); w != 0 && now > w {
+		now = w
 	}
-	now := time.Now()
-	cu.lc.addExclusive(s, now.Sub(cu.last)-time.Duration(cu.lc.nested.Load()-cu.nested))
-	cu.last = now
-	cu.nested = cu.lc.nested.Load()
+	d := now - lc.since
+	if d <= 0 {
+		return 0
+	}
+	lc.since = now
+	return d
 }
 
-// Split attributes the time since the previous Mark among states in
-// proportion to weights — all of it to states[0] when no weight is
-// positive — excluding nested attribution, and advances the cursor. A hot
-// loop uses it to time the stages of a sample of its iterations and charge
-// the whole region by the sample's proportions, instead of reading the
-// clock at every stage of every iteration: the region's length is still
-// measured, only its division is estimated.
-func (cu *Cursor) Split(states []State, weights []time.Duration) {
-	if cu == nil {
+// Region is one open Begin. The zero Region (a nil recorder's) no-ops.
+type Region struct {
+	lc   *Lifecycle
+	prev State
+	sp   *SpanData // nil unless the recorder retains spans and the region is named
+}
+
+// Begin opens a region: the time until its End, minus the regions nested
+// inside it, is charged to s. The name parts, joined by a space, label its
+// span when the recorder retains spans; an unnamed region (a leaf such as a
+// device read) is time only. Without retention Begin allocates nothing.
+func (lc *Lifecycle) Begin(s State, name ...string) Region {
+	if lc == nil {
+		return Region{}
+	}
+	now := time.Since(lc.start)
+	lc.states[lc.cur].Add(int64(lc.segment(now)))
+	r := Region{lc: lc, prev: lc.cur}
+	lc.cur = s
+	lc.depth.Add(1)
+	if lc.tr != nil && len(name) > 0 {
+		r.sp = &SpanData{ParentID: lc.open, Name: strings.TrimSpace(strings.Join(name, " ")), State: s,
+			Tid: lc.lane, Start: now + lc.skew, Dur: -1}
+		lc.open = lc.tr.add(r.sp)
+	}
+	return r
+}
+
+// End closes the region and returns the timeline to the enclosing state.
+func (r Region) End() {
+	lc := r.lc
+	if lc == nil {
 		return
 	}
-	now := time.Now()
-	r := now.Sub(cu.last) - time.Duration(cu.lc.nested.Load()-cu.nested)
+	now := time.Since(lc.start)
+	lc.states[lc.cur].Add(int64(lc.segment(now)))
+	lc.cur = r.prev
+	lc.depth.Add(-1)
+	if r.sp != nil && r.sp.Dur < 0 { // a second End keeps the first end time
+		lc.tr.mu.Lock()
+		r.sp.Dur = max(now+lc.skew-r.sp.Start, 0)
+		lc.tr.mu.Unlock()
+		lc.open = r.sp.ParentID
+	}
+}
+
+// EndSplit is End for a hot loop that timed the stages of a sample of its
+// iterations: the segment since the last switch goes to states in
+// proportion to weights (all to states[0] when none is positive), not to the
+// region's own state. Its length is still measured, only its division
+// estimated.
+func (r Region) EndSplit(states []State, weights []time.Duration) {
+	lc := r.lc
+	if lc == nil {
+		return
+	}
+	seg := lc.segment(time.Since(lc.start))
 	var sum time.Duration
 	for _, w := range weights {
 		sum += max(w, 0)
 	}
-	rest := r
-	if r > 0 && sum > 0 {
-		for i := 1; i < len(states); i++ {
-			d := time.Duration(float64(r) * float64(max(weights[i], 0)) / float64(sum))
-			cu.lc.Add(states[i], d)
-			rest -= d
-		}
+	rest := seg
+	for i := 1; i < len(states) && sum > 0; i++ {
+		d := time.Duration(float64(seg) * float64(max(weights[i], 0)) / float64(sum))
+		lc.states[states[i]].Add(int64(d))
+		rest -= d
 	}
-	cu.lc.addExclusive(states[0], rest)
-	cu.last = now
-	cu.nested = cu.lc.nested.Load()
+	lc.states[states[0]].Add(int64(rest))
+	r.End()
 }
 
-// Skip advances the cursor without attributing the elapsed region.
-func (cu *Cursor) Skip() {
-	if cu == nil {
-		return
+// Fork returns a child recorder for work that runs beside lc's holder (one
+// shard attempt of a scatter): its own timeline and Chrome lane, the
+// parent's ID and registry. Its totals hang under the parent (Forks, the
+// span tree, the slow-query line's children) and are never added to the
+// parent's states. Safe to call from the forked goroutines.
+func (lc *Lifecycle) Fork(name string, lane int) *Lifecycle {
+	if lc == nil {
+		return nil
 	}
-	cu.last = time.Now()
-	cu.nested = cu.lc.nested.Load()
+	c := &Lifecycle{ID: lc.ID, Name: name, Reg: lc.Reg, start: time.Now(), cur: unattributed}
+	if lc.tr != nil {
+		c.tr, c.open, c.lane, c.skew = lc.tr, lc.open, lane, c.start.Sub(lc.tr.base)
+	}
+	lc.mu.Lock()
+	lc.forks = append(lc.forks, c)
+	lc.mu.Unlock()
+	return c
 }
 
-// State returns the time attributed to s so far.
-func (lc *Lifecycle) State(s State) time.Duration {
-	if lc == nil || s < 0 || s >= NumStates {
-		return 0
+// Forks returns the recorders forked from lc so far, in fork order.
+func (lc *Lifecycle) Forks() []*Lifecycle {
+	if lc == nil {
+		return nil
 	}
-	return time.Duration(lc.states[s].Load())
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return append([]*Lifecycle(nil), lc.forks...)
 }
+
+// Open returns how many regions were begun and not ended: zero once the
+// query is over, on every path.
+func (lc *Lifecycle) Open() int { return int(lc.depth.Load()) }
 
 // Attributed returns the total time attributed across all states.
 func (lc *Lifecycle) Attributed() time.Duration {
 	if lc == nil {
 		return 0
 	}
-	return time.Duration(lc.nested.Load())
+	var sum int64
+	for s := State(0); s < NumStates; s++ {
+		sum += lc.states[s].Load()
+	}
+	return time.Duration(sum)
 }
 
-// Finish freezes the wall clock (first call wins) and returns it. The
-// first call also settles any attribution debt: when concurrent adds
-// landed inside exclusive windows, the per-state totals overcount the
-// attributed total by exactly the banked debt, so each state is scaled
-// down proportionally until Σstates equals Attributed() again. This is
-// what keeps the per-query breakdown summing to ≤ wall time even when
-// cache fills or cluster workers attribute from other goroutines.
+// Unattributed returns the time the timeline spent outside every region.
+// After a Finish by the holder, Attributed() + Unattributed() == Wall().
+func (lc *Lifecycle) Unattributed() time.Duration {
+	return time.Duration(lc.states[unattributed].Load())
+}
+
+// Finish freezes the wall clock (first call wins) and returns it. With no
+// region open the caller holds the timeline, and its tail is closed too; a
+// Finish racing a goroutine still inside a region (a handler giving up on
+// its query) leaves the cursor alone and the open segment unclaimed.
 func (lc *Lifecycle) Finish() time.Duration {
 	if lc == nil {
 		return 0
 	}
-	if lc.wall.CompareAndSwap(0, int64(time.Since(lc.start))) {
-		lc.settle()
+	now := max(time.Since(lc.start), 1)
+	if lc.wall.CompareAndSwap(0, int64(now)) && lc.depth.Load() == 0 {
+		lc.states[lc.cur].Add(int64(lc.segment(now)))
 	}
 	return time.Duration(lc.wall.Load())
-}
-
-// settle reconciles Σstates with the attributed total (see Finish).
-func (lc *Lifecycle) settle() {
-	debt := lc.debt.Load()
-	if debt <= 0 {
-		return
-	}
-	attributed := lc.nested.Load()
-	gross := attributed + debt
-	if gross <= 0 || attributed < 0 {
-		attributed = 0
-	}
-	for s := range lc.states {
-		v := lc.states[s].Load()
-		if v <= 0 {
-			continue
-		}
-		keep := int64(0)
-		if attributed > 0 {
-			keep = int64(float64(v) * float64(attributed) / float64(gross))
-		}
-		lc.states[s].Add(keep - v)
-	}
 }
 
 // Wall returns the frozen wall time, or time since start before Finish.
@@ -270,22 +270,17 @@ func (lc *Lifecycle) Wall() time.Duration {
 	return time.Since(lc.start)
 }
 
-// Coverage is Attributed/Wall in [0, ~1]: the fraction of wall time
+// Coverage is Attributed/Wall in [0, 1]: the fraction of wall time
 // explained by named states (0 when wall is 0).
 func (lc *Lifecycle) Coverage() float64 {
-	if lc == nil {
-		return 0
+	if w := lc.Wall(); w > 0 {
+		return float64(lc.Attributed()) / float64(w)
 	}
-	w := lc.Wall()
-	if w <= 0 {
-		return 0
-	}
-	return float64(lc.Attributed()) / float64(w)
+	return 0
 }
 
-// Breakdown returns state name -> attributed nanoseconds for every
-// state (zero-valued states included, so consumers see a stable key
-// set). Nil receivers return nil.
+// Breakdown returns state name -> attributed nanoseconds for every state,
+// zero-valued ones included, so consumers see a stable key set.
 func (lc *Lifecycle) Breakdown() map[string]int64 {
 	if lc == nil {
 		return nil
@@ -313,14 +308,14 @@ func (lc *Lifecycle) ObserveInto(reg *Registry) {
 		}
 	}
 	reg.Counter("query_wall_ns_total").Add(int64(wall))
-	reg.Counter("query_attributed_ns_total").Add(lc.nested.Load())
+	reg.Counter("query_attributed_ns_total").Add(int64(lc.Attributed()))
 }
 
 // lifecycleKey carries a *Lifecycle through a context.
 type lifecycleKey struct{}
 
-// WithLifecycle attaches lc to ctx (Background when ctx is nil) so the
-// scheduler, flash layer, and executor can attribute into it.
+// WithLifecycle attaches lc to ctx (Background when ctx is nil) so every
+// layer under the query can open regions in it.
 func WithLifecycle(ctx context.Context, lc *Lifecycle) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
@@ -339,4 +334,19 @@ func LifecycleFrom(ctx context.Context) *Lifecycle {
 	}
 	lc, _ := ctx.Value(lifecycleKey{}).(*Lifecycle)
 	return lc
+}
+
+// Ensure returns ctx's recorder, attaching a fresh one when ctx carries
+// none; reg becomes its registry unless it has one. Entry points with no
+// front door above them call it, so the layers below find one recorder.
+func Ensure(ctx context.Context, reg *Registry) (context.Context, *Lifecycle) {
+	lc := LifecycleFrom(ctx)
+	if lc == nil {
+		lc = NewLifecycle("")
+		ctx = WithLifecycle(ctx, lc)
+	}
+	if lc.Reg == nil {
+		lc.Reg = reg
+	}
+	return ctx, lc
 }

@@ -1,89 +1,38 @@
 // Package obs is AQUOMAN's zero-dependency observability layer: a
 // metrics registry (counters, gauges, power-of-two histograms — all
-// atomic, safe under engine.SetParallelism and distrib workers) and a
-// span-based query tracer that records one span per pipeline stage per
-// Table Task.
+// atomic, safe under engine.SetParallelism and distrib workers) and one
+// per-query recorder, the Lifecycle, carried on the query's context.
 //
-// The registry renders snapshots as Prometheus text or expvar-style JSON
-// and can serve both over HTTP; the tracer exports Chrome trace_event
-// JSON (load it in chrome://tracing or https://ui.perfetto.dev) and a
-// human-readable tree.
+// A site instruments itself with one call, r := lc.Begin(state, name...)
+// and r.End(): the recorder keeps a timeline with exactly one current
+// state, so per-state time is exclusive by construction. A recorder asked
+// to Retain keeps the same regions as spans and exports them as Chrome
+// trace_event JSON (chrome://tracing, https://ui.perfetto.dev) or a
+// human-readable tree; otherwise a region is two clock reads and no
+// allocation. The registry renders snapshots as Prometheus text or
+// expvar-style JSON and can serve both over HTTP.
 //
-// Everything is nil-safe: a nil *Observer, *Registry, *Tracer or *Span
-// turns every call into a no-op, so instrumented code needs no "is
+// A nil *Observer, *Registry or *Lifecycle (and the zero Region it hands
+// out) turns every call into a no-op, so instrumented code needs no "is
 // observability on?" branches.
 package obs
 
-// Pipeline stage names used as span stages (and Chrome trace categories).
-// One query produces at least one span per stage it exercises: flash
-// issue, Row Selector, Row Transformer, SQL Swissknife, host
-// post-processing, and — for clustered runs — distrib shard/merge.
-const (
-	StageQuery      = "query"
-	StageCompile    = "compile"
-	StageUnit       = "unit"
-	StageTask       = "task"
-	StageFlash      = "flash"
-	StageRowSel     = "rowsel"
-	StageTransform  = "transform"
-	StageSwissknife = "swissknife"
-	StageSorter     = "sorter"
-	StageHost       = "host"
-	StageShard      = "shard"
-	StageMerge      = "merge"
-)
-
-// Observer bundles a metrics registry and a tracer; it is the single
-// handle threaded through the stack (flash device, Table-Task executor,
-// host engine, distrib cluster).
+// Observer is the process-wide handle EnableObservability installs: the
+// metrics registry every layer binds its counters into. Per-query state
+// lives in the query's Lifecycle, never here.
 type Observer struct {
-	Reg    *Registry
-	Tracer *Tracer
+	Reg *Registry
 }
 
-// New returns an Observer with a fresh registry and tracer.
+// New returns an Observer with a fresh registry.
 func New() *Observer {
-	return &Observer{Reg: NewRegistry(), Tracer: NewTracer()}
+	return &Observer{Reg: NewRegistry()}
 }
 
-// Counter resolves a counter in the registry (nil-safe).
-func (o *Observer) Counter(name string, labels ...string) *Counter {
+// Registry returns the observer's registry (nil for a nil observer).
+func (o *Observer) Registry() *Registry {
 	if o == nil {
 		return nil
 	}
-	return o.Reg.Counter(name, labels...)
-}
-
-// Gauge resolves a gauge in the registry (nil-safe).
-func (o *Observer) Gauge(name string, labels ...string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Gauge(name, labels...)
-}
-
-// Histogram resolves a histogram in the registry (nil-safe).
-func (o *Observer) Histogram(name string, labels ...string) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Histogram(name, labels...)
-}
-
-// StartSpan opens a root span (nil-safe).
-func (o *Observer) StartSpan(name, stage string) *Span {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.Start(name, stage)
-}
-
-// SpanUnder opens a span as a child of parent when parent is non-nil,
-// and as a root span otherwise. Useful for components that may or may
-// not be handed an enclosing span.
-func (o *Observer) SpanUnder(parent *Span, name, stage string) *Span {
-	if parent != nil {
-		return parent.Child(name, stage)
-	}
-	return o.StartSpan(name, stage)
+	return o.Reg
 }

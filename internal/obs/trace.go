@@ -9,33 +9,13 @@ import (
 	"time"
 )
 
-// Tracer records spans. All span operations lock the tracer, so spans
-// may be started and ended from any goroutine (distrib shards, engine
-// workers).
-type Tracer struct {
-	mu     sync.Mutex
-	base   time.Time
-	now    func() time.Duration
-	spans  []*Span
-	nextID int64
-}
-
-// NewTracer returns a tracer whose clock is the wall time since creation
-// (monotonic).
-func NewTracer() *Tracer {
-	t := &Tracer{base: time.Now()}
-	t.now = func() time.Duration { return time.Since(t.base) }
-	return t
-}
-
-// SetNow replaces the clock — tests install a deterministic step clock.
-func (t *Tracer) SetNow(f func() time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.now = f
-	t.mu.Unlock()
+// trace is the span store of one retaining recorder and its forks, which
+// begin and end spans from their own goroutines: every span operation takes
+// the lock. Only the query holds it, so it is garbage with the recorder.
+type trace struct {
+	mu    sync.Mutex
+	base  time.Time
+	spans []*SpanData
 }
 
 // Attr is one integer annotation on a span (row counts, bytes, pages).
@@ -44,148 +24,67 @@ type Attr struct {
 	V int64
 }
 
-// Span is one timed pipeline stage. A nil *Span no-ops on every method,
-// so instrumented code never branches on "is tracing on?".
-type Span struct {
-	tr       *Tracer
-	ID       int64
-	ParentID int64 // 0 for roots
-	Name     string
-	Stage    string
-	Tid      int // Chrome trace lane; distrib devices get their own
-	Start    time.Duration
-	end      time.Duration
-	ended    bool
-	Attrs    []Attr
-}
-
-// Start opens a root span.
-func (t *Tracer) Start(name, stage string) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.startLocked(name, stage, 0, 1)
-}
-
-func (t *Tracer) startLocked(name, stage string, parent int64, tid int) *Span {
-	t.nextID++
-	s := &Span{tr: t, ID: t.nextID, ParentID: parent, Name: name, Stage: stage,
-		Tid: tid, Start: t.now()}
-	t.spans = append(t.spans, s)
-	return s
-}
-
-// Child opens a span nested under s (inheriting its trace lane).
-func (s *Span) Child(name, stage string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return s.tr.startLocked(name, stage, s.ID, s.Tid)
-}
-
-// SetTid moves the span to a different Chrome trace lane (one lane per
-// distrib device).
-func (s *Span) SetTid(tid int) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.Tid = tid
-	s.tr.mu.Unlock()
-}
-
-// SetInt sets (replacing any previous value of) an integer attribute.
-func (s *Span) SetInt(k string, v int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	for i := range s.Attrs {
-		if s.Attrs[i].K == k {
-			s.Attrs[i].V = v
-			return
-		}
-	}
-	s.Attrs = append(s.Attrs, Attr{K: k, V: v})
-}
-
-// AddInt accumulates into an integer attribute.
-func (s *Span) AddInt(k string, v int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	for i := range s.Attrs {
-		if s.Attrs[i].K == k {
-			s.Attrs[i].V += v
-			return
-		}
-	}
-	s.Attrs = append(s.Attrs, Attr{K: k, V: v})
-}
-
-// End closes the span. Ending twice keeps the first end time.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	if !s.ended {
-		s.ended = true
-		s.end = s.tr.now()
-		if s.end < s.Start {
-			s.end = s.Start
-		}
-	}
-	s.tr.mu.Unlock()
-}
-
-// SpanData is an exported, immutable copy of a finished span.
+// SpanData is one retained region; Spans hands out copies.
 type SpanData struct {
 	ID       int64
-	ParentID int64
+	ParentID int64 // 0 for roots; a fork's outermost span hangs under the span it forked in
 	Name     string
-	Stage    string
-	Tid      int
+	State    State
+	Tid      int // Chrome trace lane; every fork has its own
 	Start    time.Duration
-	Dur      time.Duration
+	Dur      time.Duration // negative while the region is open
 	Attrs    []Attr
 }
 
-// Spans returns copies of all spans in start order. Unfinished spans get
-// their duration up to now.
-func (t *Tracer) Spans() []SpanData {
-	if t == nil {
-		return nil
+// Retain makes the recorder keep every named region as a span, for Spans,
+// Tree and ChromeTrace. Call it before the first Begin and any Fork.
+func (lc *Lifecycle) Retain() {
+	if lc != nil && lc.tr == nil {
+		lc.tr, lc.lane = &trace{base: lc.start}, 1
 	}
+}
+
+// add stores a just-begun span and returns the ID it gave it.
+func (t *trace) add(sp *SpanData) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
+	t.spans = append(t.spans, sp)
+	sp.ID = int64(len(t.spans))
+	return sp.ID
+}
+
+// SetInt sets an integer attribute on the region's span; a region without
+// a span ignores it.
+func (r Region) SetInt(k string, v int64) {
+	if r.sp != nil {
+		r.lc.tr.mu.Lock()
+		r.sp.Attrs = append(r.sp.Attrs, Attr{K: k, V: v})
+		r.lc.tr.mu.Unlock()
+	}
+}
+
+// Spans returns copies of the retained spans of lc and its forks in start
+// order (nil unless Retain was called). Open spans get their duration up
+// to now.
+func (lc *Lifecycle) Spans() []SpanData {
+	if lc == nil || lc.tr == nil {
+		return nil
+	}
+	t := lc.tr
+	now := lc.Wall() + lc.skew
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]SpanData, 0, len(t.spans))
 	for _, s := range t.spans {
-		end := s.end
-		if !s.ended {
-			end = now
+		d := *s
+		if d.Dur < 0 {
+			d.Dur = max(now-d.Start, 0)
 		}
-		if end < s.Start {
-			end = s.Start
-		}
-		out = append(out, SpanData{ID: s.ID, ParentID: s.ParentID, Name: s.Name,
-			Stage: s.Stage, Tid: s.Tid, Start: s.Start, Dur: end - s.Start,
-			Attrs: append([]Attr(nil), s.Attrs...)})
+		d.Attrs = append([]Attr(nil), s.Attrs...)
+		out = append(out, d)
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Start != out[b].Start {
-			return out[a].Start < out[b].Start
-		}
-		return out[a].ID < out[b].ID
-	})
+	// Stable: spans that start together stay in ID order.
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
 	return out
 }
 
@@ -201,18 +100,16 @@ type chromeEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // ChromeTrace renders every span as a Chrome trace_event JSON document.
 // Events are sorted by ts (monotonic) and all durations are non-negative.
-func (t *Tracer) ChromeTrace() []byte {
-	spans := t.Spans()
-	doc := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(spans)), DisplayTimeUnit: "ms"}
+func (lc *Lifecycle) ChromeTrace() []byte {
+	spans := lc.Spans()
+	doc := struct {
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{make([]chromeEvent, 0, len(spans)), "ms"}
 	for _, s := range spans {
-		ev := chromeEvent{Name: s.Name, Cat: s.Stage, Ph: "X",
+		ev := chromeEvent{Name: s.Name, Cat: s.State.String(), Ph: "X",
 			Ts: s.Start.Microseconds(), Dur: s.Dur.Microseconds(), Pid: 1, Tid: s.Tid}
 		if len(s.Attrs) > 0 {
 			ev.Args = make(map[string]int64, len(s.Attrs))
@@ -229,13 +126,12 @@ func (t *Tracer) ChromeTrace() []byte {
 	return out
 }
 
-// Tree renders the span forest as an indented human-readable listing:
+// Tree renders the span forest as an indented listing, one line a span:
 //
-//	query q6 [query] 12.4ms
-//	  compile [compile] 0.2ms
-//	  unit u0 [unit] 9.1ms rows_in=60175
-func (t *Tracer) Tree() string {
-	spans := t.Spans()
+//	query [host] 12.4ms
+//	  compile [compile] 0.2ms units=1
+func (lc *Lifecycle) Tree() string {
+	spans := lc.Spans()
 	children := make(map[int64][]SpanData, len(spans))
 	for _, s := range spans {
 		children[s.ParentID] = append(children[s.ParentID], s)
@@ -245,7 +141,7 @@ func (t *Tracer) Tree() string {
 	walk = func(parent int64, depth int) {
 		for _, s := range children[parent] {
 			sb.WriteString(strings.Repeat("  ", depth))
-			fmt.Fprintf(&sb, "%s [%s] %s", s.Name, s.Stage, s.Dur.Round(time.Microsecond))
+			fmt.Fprintf(&sb, "%s [%s] %s", s.Name, s.State, s.Dur.Round(time.Microsecond))
 			for _, a := range s.Attrs {
 				fmt.Fprintf(&sb, " %s=%d", a.K, a.V)
 			}

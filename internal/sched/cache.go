@@ -231,21 +231,16 @@ type pending struct {
 // Callers must treat the returned slices as read-only. When ctx carries a
 // query lifecycle, the elapsed time is attributed to cache_hit (the
 // lookups), device_read (the fill) and coalesce_wait (other readers'
-// flights); the timing calls are skipped entirely otherwise.
+// flights); the clock is not read at all otherwise.
 func (c *PageCache) getPages(ctx context.Context, part string, ids []flash.PageID, data [][]byte, fill flash.PageFiller) error {
 	lc := obs.LifecycleFrom(ctx)
-	var t0 time.Time
-	if lc != nil {
-		t0 = time.Now()
-	}
+	hit := lc.Begin(obs.StateCacheHit)
 	var p pending
 	c.mu.Lock()
 	c.lookupLocked(part, ids, data, &p)
 	c.mu.Unlock()
 	c.cHits.Add(int64(len(ids) - len(p.miss)))
-	if lc != nil {
-		lc.Add(obs.StateCacheHit, time.Since(t0))
-	}
+	hit.End()
 	if len(p.miss) == 0 && len(p.joined) == 0 {
 		return nil
 	}
@@ -305,15 +300,15 @@ func (c *PageCache) resolve(lc *obs.Lifecycle, part string, p *pending, data [][
 	if len(p.miss) > 0 {
 		c.cMisses.Add(int64(len(p.miss)))
 		got, errs := make([][]byte, len(p.miss)), make([]error, len(p.miss))
-		if lc != nil || c.hDeviceRead != nil {
+		r := lc.Begin(obs.StateDeviceRead)
+		if c.hDeviceRead != nil {
 			r0 := time.Now()
 			fill.FillPages(p.miss, got, errs)
-			d := time.Since(r0)
-			lc.Add(obs.StateDeviceRead, d)
-			c.hDeviceRead.Observe(int64(d))
+			c.hDeviceRead.Observe(int64(time.Since(r0)))
 		} else {
 			fill.FillPages(p.miss, got, errs)
 		}
+		r.End()
 		c.mu.Lock()
 		for k, f := range p.mine {
 			f.data, f.err = got[k], errs[k]
@@ -332,8 +327,9 @@ func (c *PageCache) resolve(lc *obs.Lifecycle, part string, p *pending, data [][
 		close(p.mine[0].done)
 	}
 	if len(p.joined) > 0 {
+		r := lc.Begin(obs.StateCoalesceWait)
 		var w0 time.Time
-		if lc != nil {
+		if c.hCoalesce != nil {
 			w0 = time.Now()
 		}
 		for k, f := range p.joined {
@@ -341,11 +337,10 @@ func (c *PageCache) resolve(lc *obs.Lifecycle, part string, p *pending, data [][
 			data[p.joinAt[k]] = f.data
 			fail(p.joinAt[k], f.err)
 		}
-		if lc != nil {
-			d := time.Since(w0)
-			lc.Add(obs.StateCoalesceWait, d)
-			c.hCoalesce.Observe(int64(d))
+		if c.hCoalesce != nil {
+			c.hCoalesce.Observe(int64(time.Since(w0)))
 		}
+		r.End()
 	}
 	return firstErr
 }

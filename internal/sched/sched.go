@@ -136,6 +136,9 @@ type submission struct {
 	ctx      context.Context // nil = never cancels
 	ticket   *Ticket
 	enqueued time.Time
+	// wait is the query's queue_wait region: begun by the submitter, ended
+	// by the worker that dequeues it. The queue's mutex orders the two.
+	wait obs.Region
 }
 
 // NewScheduler starts cfg.MaxInFlight worker goroutines and returns the
@@ -232,7 +235,7 @@ func (s *Scheduler) worker() {
 		ts.gQueued.Add(-1)
 		wait := time.Since(sub.enqueued)
 		s.queueWait.Observe(int64(wait))
-		obs.LifecycleFrom(sub.ctx).Add(obs.StateQueueWait, wait)
+		sub.wait.End()
 		// A job whose context died while queued never runs: it would only
 		// burn an in-flight slot (and simulated flash bandwidth) producing
 		// a result nobody is waiting on.
@@ -244,11 +247,10 @@ func (s *Scheduler) worker() {
 			ts.gInflight.Add(1)
 			sub.ticket.round.Store(s.rounds.Add(1))
 			// Dispatch glue around the job (facade config setup, panic
-			// guard) is host-side work no inner timer claims; the exclusive
-			// window attributes only that remainder.
-			endHost := obs.LifecycleFrom(sub.ctx).ExclusiveTimer(obs.StateHost)
+			// guard) is host-side work no inner region claims.
+			r := obs.LifecycleFrom(sub.ctx).Begin(obs.StateHost)
 			s.run(sub)
-			endHost()
+			r.End()
 			s.inflight.Add(-1)
 			ts.gInflight.Add(-1)
 			s.completed.Inc()

@@ -185,11 +185,13 @@ func (s *Scheduler) submit(ctx context.Context, opts SubmitOpts, job JobCtx) (*T
 	}
 	// Queue wait runs from here, so time spent blocked on a full queue or
 	// an exhausted quota is accounted as waiting, not lost.
-	sub := &submission{job: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}, enqueued: time.Now()}
+	sub := &submission{job: job, ctx: ctx, ticket: &Ticket{done: make(chan struct{})}, enqueued: time.Now(),
+		wait: obs.LifecycleFrom(ctx).Begin(obs.StateQueueWait)}
 	s.mu.Lock()
 	ts := s.tenantLocked(opts.Tenant)
 	reject := func(err error) (*Ticket, error) {
 		s.mu.Unlock()
+		sub.wait.End()
 		s.rejected.Inc()
 		ts.cRejected.Inc()
 		return nil, err
@@ -197,6 +199,7 @@ func (s *Scheduler) submit(ctx context.Context, opts SubmitOpts, job JobCtx) (*T
 	for {
 		if s.closed {
 			s.mu.Unlock()
+			sub.wait.End()
 			return nil, ErrClosed
 		}
 		if ctx != nil && ctx.Err() != nil {

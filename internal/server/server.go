@@ -181,7 +181,7 @@ func (w *statusWriter) Flush() {
 // instrument wraps an endpoint with inflight tracking, request/latency
 // metrics, and (for query endpoints) the drain gate.
 func (s *Server) instrument(endpoint string, gated bool, h http.HandlerFunc) http.HandlerFunc {
-	o := s.cfg.DB.Obs // nil-safe: obs metrics accept a nil receiver
+	o := s.cfg.DB.Obs.Registry() // nil-safe: obs metrics accept a nil receiver
 	return func(w http.ResponseWriter, r *http.Request) {
 		if gated && s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -540,11 +540,12 @@ var inboundQueryID = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // abandoned query stops consuming flash bandwidth at its next checkpoint
 // and its scheduler slot frees up.
 //
-// A per-query obs.Lifecycle rides in the context: the scheduler, flash
-// layer, executor and cluster attribute queue-wait / device / CPU /
-// scatter states into it, emit time is attributed here, and the finished
-// breakdown feeds the query_latency_ns / query_state_ns histograms and
-// the slow-query log. Its ID is the response's X-Query-ID.
+// The query's obs.Lifecycle is created here and rides in the context: the
+// scheduler, flash layer, executor and cluster open their regions in it
+// (queue-wait / device / CPU / scatter states), the emit region is opened
+// here, and the finished breakdown feeds the query_latency_ns /
+// query_state_ns histograms and the slow-query log. Its ID is the
+// response's X-Query-ID.
 func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time.Duration, q queryRun) {
 	ctx := r.Context()
 	if d := s.deadline(asked); d > 0 {
@@ -559,6 +560,7 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 		id = fmt.Sprintf("q%d", s.qseq.Add(1))
 	}
 	lc := obs.NewLifecycle(id)
+	lc.Reg = s.cfg.DB.Obs.Registry()
 	ctx = obs.WithLifecycle(ctx, lc)
 	w.Header().Set("X-Query-ID", lc.ID)
 
@@ -571,13 +573,13 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 	if !fail.neverRan {
 		defer func() {
 			lc.Finish()
-			if o := s.cfg.DB.Obs; o != nil {
+			if lc.Reg != nil {
 				tenant := q.tenant
 				if tenant == "" {
 					tenant = "default"
 				}
-				lc.ObserveInto(o.Reg)
-				o.Reg.Histogram("query_latency_ns", "tenant", tenant).Observe(int64(lc.Wall()))
+				lc.ObserveInto(lc.Reg)
+				lc.Reg.Histogram("query_latency_ns", "tenant", tenant).Observe(int64(lc.Wall()))
 			}
 			s.logSlow(lc, q.label, err)
 		}()
@@ -591,22 +593,18 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 		}
 		return
 	}
-	if res.CacheHit {
-		// The whole wait was absorbed by the result cache; attribute it
-		// so coverage stays honest on cached queries.
-		lc.Add(obs.StateResultCacheHit, time.Since(start))
-	}
-	endEmit := lc.Timer(obs.StateEmit)
+	emit := lc.Begin(obs.StateEmit)
 	if q.rawStrategy != "" {
 		s.streamRaw(ctx, w, res.Batch, lc.ID, q.rawStrategy)
 	} else {
 		s.stream(ctx, w, res.Batch, lc.ID, time.Since(start), rep)
 	}
-	endEmit()
+	emit.End()
 }
 
 // slowQueryLine is one slow-query log record; states_ms holds only the
-// nonzero states.
+// nonzero states, and children one entry per fork of the query's recorder
+// (the shard attempts of a scatter), whose time is not in states_ms.
 type slowQueryLine struct {
 	Time     string             `json:"time"`
 	ID       string             `json:"id"`
@@ -615,6 +613,24 @@ type slowQueryLine struct {
 	WallMS   float64            `json:"wall_ms"`
 	Coverage float64            `json:"coverage"`
 	StatesMS map[string]float64 `json:"states_ms"`
+	Children []slowQueryChild   `json:"children,omitempty"`
+}
+
+type slowQueryChild struct {
+	Name     string             `json:"name"`
+	WallMS   float64            `json:"wall_ms"`
+	StatesMS map[string]float64 `json:"states_ms"`
+}
+
+// statesMS renders a recorder's nonzero states in milliseconds.
+func statesMS(lc *obs.Lifecycle) map[string]float64 {
+	m := make(map[string]float64)
+	for name, ns := range lc.Breakdown() {
+		if ns > 0 {
+			m[name] = float64(ns) / 1e6
+		}
+	}
+	return m
 }
 
 // logSlow writes one JSON line for a query whose wall time reached the
@@ -624,24 +640,21 @@ func (s *Server) logSlow(lc *obs.Lifecycle, label string, err error) {
 	if th <= 0 || lc.Wall() < th {
 		return
 	}
-	if o := s.cfg.DB.Obs; o != nil {
-		o.Counter("server_slow_queries_total").Inc()
-	}
+	lc.Reg.Counter("server_slow_queries_total").Inc()
 	line := slowQueryLine{
 		Time:     time.Now().UTC().Format(time.RFC3339Nano),
 		ID:       lc.ID,
 		Query:    label,
 		WallMS:   float64(lc.Wall().Microseconds()) / 1000,
 		Coverage: lc.Coverage(),
-		StatesMS: make(map[string]float64),
+		StatesMS: statesMS(lc),
 	}
 	if err != nil {
 		line.Error = err.Error()
 	}
-	for name, ns := range lc.Breakdown() {
-		if ns > 0 {
-			line.StatesMS[name] = float64(ns) / 1e6
-		}
+	for _, f := range lc.Forks() {
+		line.Children = append(line.Children, slowQueryChild{
+			Name: f.Name, WallMS: float64(f.Wall().Microseconds()) / 1000, StatesMS: statesMS(f)})
 	}
 	buf, jerr := json.Marshal(line)
 	if jerr != nil {

@@ -36,7 +36,7 @@ func (e *Executor) AllocsPerScan(t *Task, passes int) (float64, error) {
 	if fs.pageKernelOK() {
 		scan = fs.scanPages
 	}
-	if err := scan(nil); err != nil { // warmup
+	if err := scan(); err != nil { // warmup
 		return 0, err
 	}
 
@@ -48,7 +48,7 @@ func (e *Executor) AllocsPerScan(t *Task, passes int) (float64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < passes; i++ {
-		if err := scan(nil); err != nil {
+		if err := scan(); err != nil {
 			return 0, err
 		}
 	}

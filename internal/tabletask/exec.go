@@ -92,13 +92,9 @@ type Executor struct {
 	// Ctx (optional) cancels in-flight tasks cooperatively: it is checked
 	// at stage boundaries and before every flash page load, so a cancelled
 	// task stops consuming flash bandwidth within one page boundary. Nil
-	// never cancels.
+	// never cancels. The query's obs.Lifecycle, if any, rides on it: stage
+	// regions, and the registry finishTask counts into.
 	Ctx context.Context
-
-	// Obs (optional) receives per-stage spans and metric counters;
-	// ObsParent, when set, is the enclosing span (the offload unit).
-	Obs       *obs.Observer
-	ObsParent *obs.Span
 
 	// DisableFusion forces every task onto the staged (materializing)
 	// path, even when the fused scan could run it. The differential
@@ -143,7 +139,9 @@ func (r *Result) NumRows() int {
 	return len(r.Cols[0])
 }
 
-// Run executes one task.
+// Run executes one task. Every stage is one recorder region, ended on
+// every return path: stage time lives in the query's obs.Lifecycle, stage
+// work in the TaskTrace, and finishTask is where the two meet.
 func (e *Executor) Run(t *Task) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -152,18 +150,14 @@ func (e *Executor) Run(t *Task) (*Result, error) {
 		return nil, err
 	}
 	tt := TaskTrace{Name: t.Name, Table: t.Table, Op: t.Op.Kind.String()}
-	// Lifecycle cursor: stages run sequentially on this goroutine, so
-	// each Mark attributes the region since the previous one, minus the
-	// flash time (device read / cache hit / coalesce wait) recorded
-	// inside it. Error returns leave the trailing region unattributed.
-	cu := obs.LifecycleFrom(e.Ctx).Cursor()
-	span := e.Obs.SpanUnder(e.ObsParent, "task "+t.Name, obs.StageTask)
+	lc := obs.LifecycleFrom(e.Ctx)
+	task := lc.Begin(obs.StateHost, "task", t.Name)
 	defer func() {
 		e.Trace.Tasks = append(e.Trace.Tasks, tt)
 		if p := e.DRAM.Peak(); p > e.Trace.DRAMPeak {
 			e.Trace.DRAMPeak = p
 		}
-		e.finishTask(span, &tt)
+		e.finishTask(lc.Registry(), task, &tt)
 	}()
 
 	tab, err := e.Store.Table(t.Table)
@@ -174,13 +168,44 @@ func (e *Executor) Run(t *Task) (*Result, error) {
 	// Fused path: aggregation scans run the whole pipeline in one pass
 	// per 32-row vector instead of the staged flow below (see fused.go).
 	if e.fusedEligible(t) {
-		res, err := e.runFused(t, tab, &tt, span, cu)
+		res, err := e.runFused(t, tab, &tt, lc)
 		if err != nil {
 			return nil, err
 		}
 		tt.HostRows = int64(res.NumRows())
 		return res, nil
 	}
+
+	mask, err := e.selectRows(lc, t, tab, &tt)
+	if err != nil {
+		return nil, err
+	}
+	inputs, err := e.readInputs(lc, t, tab, mask, &tt)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ctxErr(); err != nil {
+		return nil, err
+	}
+	outputs, err := e.transform(lc, t, inputs, &tt)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ctxErr(); err != nil {
+		return nil, err
+	}
+	res, err := e.operate(lc, t, tab, outputs, &tt)
+	if err != nil {
+		return nil, err
+	}
+	tt.HostRows = int64(res.NumRows())
+	return res, nil
+}
+
+// selectRows is stages 1-2: the incoming mask, narrowed by the Row
+// Selector and the regex accelerator.
+func (e *Executor) selectRows(lc *obs.Lifecycle, t *Task, tab *col.Table, tt *TaskTrace) (*bitvec.Mask, error) {
+	defer lc.Begin(obs.StateRowSel, "row-select").End()
 
 	// 1. Incoming mask.
 	loadMask := func(src MaskSource) (*bitvec.Mask, error) {
@@ -244,55 +269,40 @@ func (e *Executor) Run(t *Task) (*Result, error) {
 	}
 
 	// 2. Row Selector.
-	selSpan := span.Child("row-select", obs.StageRowSel)
 	sel := t.RowSel
 	if sel == nil {
 		sel = &Program{}
 	}
 	mask, selStats, err := sel.RunCtx(e.Ctx, tab, mask, flash.Aquoman)
 	if err != nil {
-		selSpan.End()
 		return nil, err
 	}
 	tt.RowsIn = selStats.RowsIn
-	tt.RowsSelected = selStats.RowsSelected
-	tt.PagesRead += selStats.PagesRead
-	tt.PagesSkipped += selStats.PagesSkipped
-	tt.PagesPruned += selStats.PagesPruned
-	tt.EncBytesSaved += selStats.EncBytesSaved
-	for c := range selStats.EncDecoded {
-		tt.EncDecoded[c] += selStats.EncDecoded[c]
-	}
+	tt.addReader(col.ReaderStats{PagesRead: selStats.PagesRead, PagesSkipped: selStats.PagesSkipped,
+		PagesPruned: selStats.PagesPruned, EncBytesSaved: selStats.EncBytesSaved, EncDecoded: selStats.EncDecoded})
 	tt.SelectorCPs = sel.NumCPs()
 
 	// 2b. Regular-expression accelerator: pre-process string columns into
 	// one-bit columns refining the mask (the heap is streamed once into
 	// the 1 MB cache).
 	for _, rf := range t.RegexFilters {
-		if err := e.runRegexFilter(t, tab, rf, mask, &tt); err != nil {
-			selSpan.End()
+		if err := e.runRegexFilter(t, tab, rf, mask, tt); err != nil {
 			return nil, err
 		}
 	}
 	tt.RowsSelected = int64(mask.Count())
-	selSpan.SetInt("rows_in", tt.RowsIn)
-	selSpan.SetInt("rows_selected", tt.RowsSelected)
-	selSpan.SetInt("pages_read", tt.PagesRead)
-	selSpan.SetInt("pages_skipped", tt.PagesSkipped)
-	selSpan.SetInt("pages_pruned", tt.PagesPruned)
-	selSpan.End()
-	cu.Mark(obs.StateRowSel)
+	return mask, nil
+}
 
-	// 3. Table Reader: stream the input columns for selected rows,
-	// skipping fully-masked pages.
-	readSpan := span.Child("table-read", obs.StageFlash)
-	pagesBefore := tt.PagesRead
-	selRows := mask.Rows()
+// readInputs is stage 3, the Table Reader: stream the input columns for
+// the selected rows, skipping fully-masked pages, and chase the gathers.
+func (e *Executor) readInputs(lc *obs.Lifecycle, t *Task, tab *col.Table, mask *bitvec.Mask, tt *TaskTrace) ([][]int64, error) {
+	defer lc.Begin(obs.StateRead, "table-read").End()
+	nSel := int(tt.RowsSelected)
 	inputs := make([][]int64, 0, len(t.Stream)+len(t.Gathers))
 	for _, name := range t.Stream {
-		vals, rs, err := e.streamColumn(tab, name, mask, len(selRows))
+		vals, rs, err := e.streamColumn(tab, name, mask, nSel)
 		if err != nil {
-			readSpan.End()
 			return nil, fmt.Errorf("tabletask %q: %w", t.Name, err)
 		}
 		tt.addReader(rs)
@@ -300,56 +310,52 @@ func (e *Executor) Run(t *Task) (*Result, error) {
 	}
 	// 3b. Gathers (RowID chases).
 	for _, ga := range t.Gathers {
-		base, rs, err := e.streamColumn(tab, ga.BaseCol, mask, len(selRows))
+		vals, rs, err := e.streamColumn(tab, ga.BaseCol, mask, nSel)
 		if err != nil {
-			readSpan.End()
 			return nil, fmt.Errorf("tabletask %q gather %q: %w", t.Name, ga.Name, err)
 		}
 		tt.addReader(rs)
-		vals := base
 		for _, hop := range ga.Hops {
-			vals, err = e.gatherHop(hop, vals, &tt)
+			vals, err = e.gatherHop(hop, vals, tt)
 			if err != nil {
-				readSpan.End()
 				return nil, fmt.Errorf("tabletask %q gather %q: %w", t.Name, ga.Name, err)
 			}
 		}
 		inputs = append(inputs, vals)
 	}
-	readSpan.SetInt("columns", int64(len(t.Stream)+len(t.Gathers)))
-	readSpan.SetInt("pages_read", tt.PagesRead-pagesBefore)
-	readSpan.SetInt("gather_dram_reads", tt.GatherDRAMReads)
-	readSpan.SetInt("gather_flash_reads", tt.GatherFlashReads)
-	readSpan.End()
-	cu.Mark(obs.StateRead)
+	return inputs, nil
+}
 
-	// 4. Row Transformation Systolic Array.
-	if err := e.ctxErr(); err != nil {
-		return nil, err
+// transform is stage 4, the Row Transformation Systolic Array.
+func (e *Executor) transform(lc *obs.Lifecycle, t *Task, inputs [][]int64, tt *TaskTrace) ([][]int64, error) {
+	tt.RowsTransformed = tt.RowsSelected
+	if t.Transform == nil {
+		return inputs, nil
 	}
-	outputs := inputs
-	if t.Transform != nil {
-		trSpan := span.Child("transform", obs.StageTransform)
-		mapped, err := systolic.Compile(t.Transform, len(inputs), systolic.DefaultConfig())
-		if err != nil {
-			trSpan.End()
-			return nil, fmt.Errorf("tabletask %q: transform: %w", t.Name, err)
-		}
-		tt.TransformerPEs = mapped.NumPEs()
-		tt.WidenedRegs = mapped.WidenedRegs
-		outputs, err = systolic.NewMachine(mapped).Transform(inputs)
-		if err != nil {
-			trSpan.End()
-			return nil, fmt.Errorf("tabletask %q: transform run: %w", t.Name, err)
-		}
-		trSpan.SetInt("rows", int64(len(selRows)))
-		trSpan.SetInt("pes", int64(tt.TransformerPEs))
-		trSpan.End()
+	defer lc.Begin(obs.StateSystolic, "transform").End()
+	mapped, err := systolic.Compile(t.Transform, len(inputs), systolic.DefaultConfig())
+	if err != nil {
+		return nil, fmt.Errorf("tabletask %q: transform: %w", t.Name, err)
 	}
-	cu.Mark(obs.StateSystolic)
-	tt.RowsTransformed = int64(len(selRows))
+	tt.TransformerPEs = mapped.NumPEs()
+	tt.WidenedRegs = mapped.WidenedRegs
+	outputs, err := systolic.NewMachine(mapped).Transform(inputs)
+	if err != nil {
+		return nil, fmt.Errorf("tabletask %q: transform run: %w", t.Name, err)
+	}
+	return outputs, nil
+}
 
-	// 5. Mask Reader: apply the transformer-computed sub-predicate.
+// operate is stages 5-6: the Mask Reader applies the transformer-computed
+// sub-predicate and the SQL Swissknife (or the streaming sorter) consumes
+// what is left.
+func (e *Executor) operate(lc *obs.Lifecycle, t *Task, tab *col.Table, outputs [][]int64, tt *TaskTrace) (*Result, error) {
+	state := obs.StateSwissknife
+	switch t.Op.Kind {
+	case OpSort, OpMerge, OpSortMerge:
+		state = obs.StateSorter
+	}
+	defer lc.Begin(state, "swissknife", t.Op.Kind.String()).End()
 	if t.FilterOut >= 0 {
 		pred := outputs[t.FilterOut]
 		var kept [][]int64
@@ -367,56 +373,28 @@ func (e *Executor) Run(t *Task) (*Result, error) {
 		}
 		outputs = kept
 	}
-	nRows := 0
 	if len(outputs) > 0 {
-		nRows = len(outputs[0])
+		tt.RowsToSwissknife = int64(len(outputs[0]))
 	}
-	tt.RowsToSwissknife = int64(nRows)
-
-	// 6. SQL Swissknife.
-	if err := e.ctxErr(); err != nil {
-		return nil, err
-	}
-	skSpan := span.Child("swissknife "+t.Op.Kind.String(), obs.StageSwissknife)
-	res, err := e.runOperator(t, tab, outputs, &tt, skSpan)
-	if err != nil {
-		skSpan.End()
-		return nil, err
-	}
-	tt.HostRows = int64(res.NumRows())
-	skSpan.SetInt("rows_in", tt.RowsToSwissknife)
-	skSpan.SetInt("host_rows", tt.HostRows)
-	if tt.Groups > 0 {
-		skSpan.SetInt("groups", tt.Groups)
-		skSpan.SetInt("spilled_rows", tt.SpilledRows)
-		skSpan.SetInt("spilled_groups", tt.SpilledGroups)
-	}
-	skSpan.End()
-	switch t.Op.Kind {
-	case OpSort, OpMerge, OpSortMerge:
-		cu.Mark(obs.StateSorter)
-	default:
-		cu.Mark(obs.StateSwissknife)
-	}
-	return res, nil
+	return e.runOperator(t, tab, outputs, tt)
 }
 
-// finishTask copies the task trace onto its span and mirrors the
-// counters into the metrics registry.
-func (e *Executor) finishTask(span *obs.Span, tt *TaskTrace) {
-	span.SetInt("rows_in", tt.RowsIn)
-	span.SetInt("rows_selected", tt.RowsSelected)
-	span.SetInt("rows_to_swissknife", tt.RowsToSwissknife)
-	span.SetInt("pages_read", tt.PagesRead)
-	span.SetInt("pages_skipped", tt.PagesSkipped)
-	span.SetInt("pages_pruned", tt.PagesPruned)
-	span.SetInt("enc_bytes_saved", tt.EncBytesSaved)
-	span.SetInt("host_rows", tt.HostRows)
-	span.End()
-	if e.Obs == nil || e.Obs.Reg == nil {
+// finishTask is the one place a task's TaskTrace becomes registry
+// counters and, when the query retains spans, the task region's
+// attributes; it ends the region.
+func (e *Executor) finishTask(reg *obs.Registry, task obs.Region, tt *TaskTrace) {
+	task.SetInt("rows_in", tt.RowsIn)
+	task.SetInt("rows_selected", tt.RowsSelected)
+	task.SetInt("rows_to_swissknife", tt.RowsToSwissknife)
+	task.SetInt("pages_read", tt.PagesRead)
+	task.SetInt("pages_skipped", tt.PagesSkipped)
+	task.SetInt("pages_pruned", tt.PagesPruned)
+	task.SetInt("enc_bytes_saved", tt.EncBytesSaved)
+	task.SetInt("host_rows", tt.HostRows)
+	task.End()
+	if reg == nil {
 		return
 	}
-	reg := e.Obs.Reg
 	reg.Counter("tabletask_tasks_total", "op", tt.Op).Inc()
 	reg.Counter("tabletask_rows_in_total").Add(tt.RowsIn)
 	reg.Counter("tabletask_rows_selected_total").Add(tt.RowsSelected)
@@ -623,7 +601,7 @@ func (e *Executor) gatherHop(hop GatherHop, rows []int64, tt *TaskTrace) ([]int6
 	return out, nil
 }
 
-func (e *Executor) runOperator(t *Task, tab *col.Table, outputs [][]int64, tt *TaskTrace, span *obs.Span) (*Result, error) {
+func (e *Executor) runOperator(t *Task, tab *col.Table, outputs [][]int64, tt *TaskTrace) (*Result, error) {
 	switch t.Op.Kind {
 	case OpNop:
 		if t.Out.Kind == ToHost {
@@ -659,7 +637,7 @@ func (e *Executor) runOperator(t *Task, tab *col.Table, outputs [][]int64, tt *T
 		return &Result{}, nil
 
 	case OpSort, OpMerge, OpSortMerge:
-		return e.runSortMerge(t, tab, outputs, tt, span)
+		return e.runSortMerge(t, tab, outputs, tt)
 
 	case OpAggregate:
 		acc, err := swissknife.NewAggregate(t.Op.Aggs)
@@ -740,22 +718,15 @@ func (e *Executor) runOperator(t *Task, tab *col.Table, outputs [][]int64, tt *T
 	}
 }
 
-func (e *Executor) runSortMerge(t *Task, tab *col.Table, outputs [][]int64, tt *TaskTrace, parent *obs.Span) (*Result, error) {
+func (e *Executor) runSortMerge(t *Task, tab *col.Table, outputs [][]int64, tt *TaskTrace) (*Result, error) {
 	kvs, err := toKVs(outputs)
 	if err != nil {
 		return nil, fmt.Errorf("tabletask %q: %w", t.Name, err)
 	}
 	ss := sorter.NewStreaming(e.Sorter)
-	sortSpan := parent.Child("streaming-sort", obs.StageSorter)
 	defer func() {
 		st := ss.Stats()
 		tt.SorterMergePasses += st.SRAMMergePasses + st.DRAMMergePasses
-		sortSpan.SetInt("elems", st.ElemsIn)
-		sortSpan.SetInt("runs", st.Runs)
-		sortSpan.SetInt("sram_bytes", st.SRAMBytes)
-		sortSpan.SetInt("dram_bytes", st.DRAMBytes)
-		sortSpan.SetInt("merge_passes", st.SRAMMergePasses+st.DRAMMergePasses)
-		sortSpan.End()
 	}()
 	var runs [][]sorter.KV
 	if t.Op.Kind == OpMerge {

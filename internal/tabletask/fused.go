@@ -109,9 +109,11 @@ type fusedScan struct {
 	pageBuf  []byte
 	bufPages int
 
-	// Lifecycle attribution of the per-vector body: the clock is read at
-	// the stage boundaries of one live vector in stageSampleEvery, and the
-	// body's measured time is split by what those samples saw.
+	// Lifecycle attribution of the per-vector body (lc is nil when nobody
+	// records): the clock is read at the stage boundaries of one live vector
+	// in stageSampleEvery, and the body region's measured time is split by
+	// what those samples saw.
+	lc       *obs.Lifecycle
 	liveVecs int
 	stageNs  [len(bodyStates)]time.Duration
 }
@@ -128,57 +130,23 @@ const stageSampleEvery = 8
 
 // runFused executes the whole task on the fused path. The caller has
 // already validated the task and resolved the table.
-func (e *Executor) runFused(t *Task, tab *col.Table, tt *TaskTrace, span *obs.Span, cu *obs.Cursor) (*Result, error) {
+func (e *Executor) runFused(t *Task, tab *col.Table, tt *TaskTrace, lc *obs.Lifecycle) (*Result, error) {
 	fs := &fusedScan{e: e, t: t, tab: tab, tt: tt}
 	defer fs.close()
-	fSpan := span.Child("fused-scan", obs.StageTask)
-	defer fSpan.End()
+	// Setup and finish are the task's own glue; the windows inside open the
+	// stage regions, a few per flash.QueueDepth pages.
+	defer lc.Begin(obs.StateHost, "fused-scan").End()
 	if err := fs.setup(); err != nil {
 		return nil, err
 	}
-	var err error
+	scan := fs.scan
 	if fs.pageKernelOK() {
-		err = fs.scanPages(cu)
-	} else {
-		err = fs.scan(cu)
+		scan = fs.scanPages
 	}
-	if err != nil {
+	if err := scan(); err != nil {
 		return nil, err
 	}
-	res, err := fs.finish()
-	if err != nil {
-		return nil, err
-	}
-	fSpan.SetInt("rows_in", tt.RowsIn)
-	fSpan.SetInt("rows_selected", tt.RowsSelected)
-	fSpan.SetInt("rows_to_swissknife", tt.RowsToSwissknife)
-	fSpan.SetInt("pages_read", tt.PagesRead)
-
-	// The fused loop never leaves this function, so the per-stage spans
-	// the staged path would emit are published as zero-length markers
-	// carrying the same stats: tracing consumers keep seeing every
-	// pipeline stage for fused tasks, with stage *time* on the fused-scan
-	// span and stage *work* on the markers.
-	selSpan := fSpan.Child("row-select", obs.StageRowSel)
-	selSpan.SetInt("rows_in", tt.RowsIn)
-	selSpan.SetInt("rows_selected", tt.RowsSelected)
-	selSpan.SetInt("pages_pruned", tt.PagesPruned)
-	selSpan.End()
-	readSpan := fSpan.Child("table-read", obs.StageFlash)
-	readSpan.SetInt("pages_read", tt.PagesRead)
-	readSpan.SetInt("pages_skipped", tt.PagesSkipped)
-	readSpan.End()
-	if t.Transform != nil {
-		trSpan := fSpan.Child("transform", obs.StageTransform)
-		trSpan.SetInt("rows", tt.RowsTransformed)
-		trSpan.SetInt("pes", int64(tt.TransformerPEs))
-		trSpan.End()
-	}
-	skSpan := fSpan.Child("swissknife "+t.Op.Kind.String(), obs.StageSwissknife)
-	skSpan.SetInt("rows_in", tt.RowsToSwissknife)
-	skSpan.SetInt("host_rows", int64(res.NumRows()))
-	skSpan.End()
-	return res, nil
+	return fs.finish()
 }
 
 // setup builds the readers, evaluators, machine, accelerator and scratch,
@@ -186,6 +154,7 @@ func (e *Executor) runFused(t *Task, tab *col.Table, tt *TaskTrace, span *obs.Sp
 // allocated here.
 func (fs *fusedScan) setup() error {
 	t, tab, tt := fs.t, fs.tab, fs.tt
+	fs.lc = obs.LifecycleFrom(fs.e.Ctx)
 	fs.mask = bitvec.NewFull(tab.NumRows)
 	tt.RowsIn = int64(tab.NumRows)
 
@@ -286,48 +255,60 @@ func (fs *fusedScan) pageKernelOK() bool {
 // over RLE runs and FOR deltas without expanding the page, one window of
 // pages per device batch. A page the kernel refuses falls back to the
 // per-vector body.
-func (fs *fusedScan) scanPages(cu *obs.Cursor) error {
-	rd := fs.streamRd[0]
-	pages := rd.Meta().Pages
+func (fs *fusedScan) scanPages() error {
+	pages := fs.streamRd[0].Meta().Pages
 	for p0 := 0; p0 < len(pages); p0 += windowPages {
-		p1 := min(p0+windowPages, len(pages))
-		lastRow := pages[p1-1].StartRow + pages[p1-1].Count
-		v0 := pages[p0].StartRow / bitvec.VecSize
-		fs.recycleBuffer(v0)
-		if err := fs.fetch(fs.streamRd, v0, (lastRow+bitvec.VecSize-1)/bitvec.VecSize); err != nil {
+		if err := fs.pageWindow(p0, min(p0+windowPages, len(pages))); err != nil {
 			return err
-		}
-		for pi := p0; pi < p1; pi++ {
-			agg, ok, err := rd.PageAggregate(pi)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				end := pages[pi].StartRow + pages[pi].Count
-				for vec := pages[pi].StartRow / bitvec.VecSize; vec*bitvec.VecSize < end; vec++ {
-					if err := fs.consumeVec(vec, cu); err != nil {
-						return err
-					}
-				}
-				fs.splitBody(cu)
-				continue
-			}
-			cu.Mark(obs.StateRead)
-			fs.agg.ConsumeSummary(agg.Count, agg.Sum, agg.Min, agg.Max)
-			fs.tt.RowsTransformed += int64(agg.Count)
-			fs.tt.RowsToSwissknife += int64(agg.Count)
-			cu.Mark(obs.StateSwissknife)
 		}
 	}
 	return nil
 }
 
+// pageWindow folds pages [p0, p1) of the one streamed column: one read
+// region, since summarizing a page is a decode that never materializes and
+// consuming the summary is a handful of adds (the rare refused page's
+// vectors stay in it undivided).
+func (fs *fusedScan) pageWindow(p0, p1 int) error {
+	defer fs.lc.Begin(obs.StateRead, "page-aggregate").End()
+	rd := fs.streamRd[0]
+	pages := rd.Meta().Pages
+	lastRow := pages[p1-1].StartRow + pages[p1-1].Count
+	v0 := pages[p0].StartRow / bitvec.VecSize
+	fs.recycleBuffer(v0)
+	if err := fs.fetch(fs.streamRd, v0, (lastRow+bitvec.VecSize-1)/bitvec.VecSize); err != nil {
+		return err
+	}
+	for pi := p0; pi < p1; pi++ {
+		agg, ok, err := rd.PageAggregate(pi)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			end := pages[pi].StartRow + pages[pi].Count
+			for vec := pages[pi].StartRow / bitvec.VecSize; vec*bitvec.VecSize < end; vec++ {
+				if err := fs.consumeVec(vec); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		fs.agg.ConsumeSummary(agg.Count, agg.Sum, agg.Min, agg.Max)
+		fs.tt.RowsTransformed += int64(agg.Count)
+		fs.tt.RowsToSwissknife += int64(agg.Count)
+	}
+	return nil
+}
+
 // scan runs the window-major fused loop over the whole table.
-func (fs *fusedScan) scan(cu *obs.Cursor) error {
+func (fs *fusedScan) scan() error {
 	nVecs := fs.mask.NumVecs()
 	for v0 := 0; v0 < nVecs; {
 		v1 := fs.windowEnd(v0, nVecs)
-		if err := fs.window(v0, v1, cu); err != nil {
+		if err := fs.selectWindow(v0, v1); err != nil {
+			return err
+		}
+		if err := fs.streamWindow(v0, v1); err != nil {
 			return err
 		}
 		v0 = v1
@@ -386,11 +367,13 @@ func (fs *fusedScan) fetch(readers []*col.PagedReader, v0, v1 int) error {
 	return nil
 }
 
-// window processes Row Vectors [v0, v1) end to end: refine the mask
-// through each predicate column in turn, then stream and compact the
-// surviving lanes, run them through the PE chain, apply the transformer
-// sub-predicate, and feed the Swissknife. Steady state allocates nothing.
-func (fs *fusedScan) window(v0, v1 int, cu *obs.Cursor) error {
+// A window is Row Vectors [v0, v1) end to end: selectWindow refines the
+// mask through each predicate column in turn, then streamWindow streams and
+// compacts the surviving lanes, runs them through the PE chain, applies the
+// transformer sub-predicate, and feeds the Swissknife. Steady state
+// allocates nothing.
+func (fs *fusedScan) selectWindow(v0, v1 int) error {
+	defer fs.lc.Begin(obs.StateRowSel, "row-select").End()
 	mask := fs.mask
 	fs.recycleBuffer(v0)
 	for pi := range fs.evals {
@@ -406,28 +389,31 @@ func (fs *fusedScan) window(v0, v1 int, cu *obs.Cursor) error {
 			}
 		}
 	}
-	cu.Mark(obs.StateRowSel)
+	return nil
+}
+
+// streamWindow fetches the streamed columns' pages and consumes the live
+// vectors of [v0, v1), as one region charged to the body's states by the
+// sampled stage times.
+func (fs *fusedScan) streamWindow(v0, v1 int) error {
+	r := fs.lc.Begin(obs.StateRead, "stream-transform-consume")
+	defer func() {
+		r.EndSplit(bodyStates[:], fs.stageNs[:])
+		fs.stageNs = [len(bodyStates)]time.Duration{}
+	}()
 	if err := fs.fetch(fs.streamRd, v0, v1); err != nil {
 		return err
 	}
 	for vec := v0; vec < v1; vec++ {
-		if mask.VecAllZero(vec) {
+		if fs.mask.VecAllZero(vec) {
 			fs.skipStreams(vec)
 			continue
 		}
-		if err := fs.consumeVec(vec, cu); err != nil {
+		if err := fs.consumeVec(vec); err != nil {
 			return err
 		}
 	}
-	fs.splitBody(cu)
 	return nil
-}
-
-// splitBody charges the time since the cursor's last mark — a run of
-// consumeVec calls — to the body's states by the sampled stage times.
-func (fs *fusedScan) splitBody(cu *obs.Cursor) {
-	cu.Split(bodyStates[:], fs.stageNs[:])
-	fs.stageNs = [len(bodyStates)]time.Duration{}
 }
 
 // lap adds the time since t to the sampled time of body stage i and
@@ -439,11 +425,11 @@ func (fs *fusedScan) lap(i int, t time.Time) time.Time {
 }
 
 // consumeVec streams one live 32-row vector and carries its surviving
-// lanes through compaction, the PE chain and the Swissknife. The caller
-// follows a run of calls with splitBody.
-func (fs *fusedScan) consumeVec(vec int, cu *obs.Cursor) error {
+// lanes through compaction, the PE chain and the Swissknife; streamWindow
+// owns the region a run of calls is charged to.
+func (fs *fusedScan) consumeVec(vec int) error {
 	mask := fs.mask
-	sampled := cu != nil && fs.liveVecs%stageSampleEvery == 0
+	sampled := fs.lc != nil && fs.liveVecs%stageSampleEvery == 0
 	fs.liveVecs++
 	var t time.Time
 	if sampled {

@@ -1,12 +1,14 @@
 package tabletask
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"aquoman/internal/col"
 	"aquoman/internal/enc"
 	"aquoman/internal/flash"
+	"aquoman/internal/obs"
 	"aquoman/internal/rowsel"
 	"aquoman/internal/sched"
 	"aquoman/internal/swissknife"
@@ -107,10 +109,12 @@ func fusedScanFor(tb testing.TB, e *Executor, task *Task) *fusedScan {
 // fused q1/q6 pipelines performs zero heap allocations, on every codec.
 // This is what lets 32 concurrent streams scale without GC churn (the
 // benchmark's tabletask.fused_allocs_per_scan rung reports the same
-// count). It holds straight off the device and — the way a server runs —
-// behind a warm page cache, where the window fetches are all hits, and at
-// 2 pages a column as at 32: the count does not depend on how many pages
-// the scan touches.
+// count). It holds straight off the device, behind a warm page cache, where
+// the window fetches are all hits, and — cached=served, the way a server
+// runs it — with the query's recorder on the executor's context as well, so
+// every window opens its regions and every cache lookup its own; and at 2
+// pages a column as at 32: the count does not depend on how many pages the
+// scan touches.
 func TestFusedScanZeroAllocsSteadyState(t *testing.T) {
 	for _, sel := range []enc.Selection{enc.SelRaw, enc.SelDict, enc.SelRLE, enc.SelFOR} {
 		for _, tc := range []struct {
@@ -120,21 +124,23 @@ func TestFusedScanZeroAllocsSteadyState(t *testing.T) {
 			{"q6", q6ShapedTask(25, 5)},
 			{"q1", q1ShapedTask()},
 		} {
-			for _, cached := range []bool{false, true} {
+			for _, cached := range []string{"false", "true", "served"} {
 				for _, rows := range []int{4096, 16 * 4096} {
 					t.Run(fmt.Sprintf("%s/%s/cached=%v/rows=%d", sel, tc.name, cached, rows), func(t *testing.T) {
 						s := scanStore(t, sel, rows)
-						if cached {
+						if cached != "false" {
 							s.Dev.SetPageCache(sched.NewPageCache(64 << 20))
 						}
 						e := newExec(t, s)
+						lc := servedRecorder(e, cached == "served")
+						defer requireRecorded(t, lc)
 						fs := fusedScanFor(t, e, tc.task)
 						defer fs.close()
-						if err := fs.scan(nil); err != nil { // warmup
+						if err := fs.scan(); err != nil { // warmup
 							t.Fatal(err)
 						}
 						allocs := testing.AllocsPerRun(5, func() {
-							if err := fs.scan(nil); err != nil {
+							if err := fs.scan(); err != nil {
 								t.Fatal(err)
 							}
 						})
@@ -148,28 +154,58 @@ func TestFusedScanZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// servedRecorder puts a recorder that retains nothing on the executor's
+// context — what every query a server runs carries — when on is set.
+func servedRecorder(e *Executor, on bool) *obs.Lifecycle {
+	if !on {
+		return nil
+	}
+	lc := obs.NewLifecycle("served")
+	e.Ctx = obs.WithLifecycle(context.Background(), lc)
+	return lc
+}
+
+// requireRecorded checks that a served scan's regions really ran: time
+// landed in the recorder, and every region was ended.
+func requireRecorded(t *testing.T, lc *obs.Lifecycle) {
+	t.Helper()
+	if lc != nil && (lc.Attributed() <= 0 || lc.Open() != 0) {
+		t.Fatalf("served scan attributed %v with %d regions open", lc.Attributed(), lc.Open())
+	}
+}
+
 // The whole-page aggregation kernel is allocation-free too: RLE runs and
-// FOR deltas fold into the accelerator without ever expanding the page.
+// FOR deltas fold into the accelerator without ever expanding the page —
+// bare, and the way a server runs it (see servedRecorder).
 func TestFusedPageKernelZeroAllocs(t *testing.T) {
 	for _, sel := range []enc.Selection{enc.SelRLE, enc.SelFOR} {
 		t.Run(sel.String(), func(t *testing.T) {
-			s := scanStore(t, sel, 4096)
-			e := newExec(t, s)
-			fs := fusedScanFor(t, e, kernelTask())
-			defer fs.close()
-			if !fs.pageKernelOK() {
-				t.Fatal("kernel task did not qualify for the page path")
-			}
-			if err := fs.scanPages(nil); err != nil { // warmup
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if err := fs.scanPages(nil); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("page-kernel scan allocates %.1f times per pass, want 0", allocs)
+			for _, served := range []bool{false, true} {
+				t.Run(fmt.Sprintf("served=%v", served), func(t *testing.T) {
+					s := scanStore(t, sel, 4096)
+					if served {
+						s.Dev.SetPageCache(sched.NewPageCache(64 << 20))
+					}
+					e := newExec(t, s)
+					lc := servedRecorder(e, served)
+					defer requireRecorded(t, lc)
+					fs := fusedScanFor(t, e, kernelTask())
+					defer fs.close()
+					if !fs.pageKernelOK() {
+						t.Fatal("kernel task did not qualify for the page path")
+					}
+					if err := fs.scanPages(); err != nil { // warmup
+						t.Fatal(err)
+					}
+					allocs := testing.AllocsPerRun(5, func() {
+						if err := fs.scanPages(); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("page-kernel scan allocates %.1f times per pass, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

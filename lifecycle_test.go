@@ -2,11 +2,17 @@ package aquoman
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aquoman/internal/distrib"
+	"aquoman/internal/faults"
+	"aquoman/internal/flash"
 	"aquoman/internal/tpch"
 )
 
@@ -17,7 +23,8 @@ import (
 // queue waits, per-stage CPU, device reads, cache hits, and coalesce
 // waits included. Results stay cell-exact against the oracle, so the
 // telemetry demonstrably does not perturb execution. Run with -race
-// this also exercises concurrent attribution into shared lifecycles.
+// this also exercises the recorder's hand-off from submitter to scheduler
+// worker and back.
 func TestLifecycleAttributionConcurrentOracle(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.01, 42); err != nil {
@@ -96,13 +103,11 @@ func TestLifecycleAttributionConcurrentOracle(t *testing.T) {
 	checkQueueTelemetry(t, db, len(lifecycles))
 }
 
-// Regression for the over-attribution side of the ledger: at 32 in-flight
-// streams hammering the same pages, coalesced cache fills complete while
-// other queries hold exclusive Mark regions, which used to leave the
-// nested counter inflated after the negative remainder was dropped —
-// enclosing windows were then double-charged and a query's state
-// breakdown could sum past its wall time. With debt settlement, every
-// query's Σstates must stay ≤ wall (small slack for clock granularity).
+// The exactness side of the ledger, under the most contention the cache
+// sees: at 32 in-flight streams hammering the same pages, coalesced fills
+// complete while other queries sit in their own regions. Each recorder is
+// a timeline with one current state, so every query's Σstates is ≤ wall —
+// no slack constant — and, with the unclaimed remainder, equals it.
 func TestLifecycleSumOfStatesWithinWallAt32Streams(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.01, 42); err != nil {
@@ -150,18 +155,141 @@ func TestLifecycleSumOfStatesWithinWallAt32Streams(t *testing.T) {
 	if len(lifecycles) != 64 {
 		t.Fatalf("recorded %d lifecycles, want 64", len(lifecycles))
 	}
-	const slack = 500 * time.Microsecond
 	for _, lc := range lifecycles {
-		var sum time.Duration
-		for _, ns := range lc.Breakdown() {
-			sum += time.Duration(ns)
+		requireExact(t, lc.ID, lc)
+	}
+}
+
+// requireExact holds one finished recorder (and its forks) to the
+// timeline's promise: every region was ended, Σstates ≤ wall, and Σstates
+// plus the time nobody claimed is the wall clock to the nanosecond.
+func requireExact(t *testing.T, label string, lc *Lifecycle) {
+	t.Helper()
+	if n := lc.Open(); n != 0 {
+		t.Errorf("%s: %d regions begun and never ended", label, n)
+	}
+	var sum time.Duration
+	for _, ns := range lc.Breakdown() {
+		sum += time.Duration(ns)
+	}
+	wall := lc.Wall()
+	if sum > wall {
+		t.Errorf("%s: Σstates %v > wall %v (attribution overcounts)", label, sum, wall)
+	}
+	if sum+lc.Unattributed() != wall {
+		t.Errorf("%s: Σstates %v + unattributed %v != wall %v", label, sum, lc.Unattributed(), wall)
+	}
+	for _, f := range lc.Forks() {
+		requireExact(t, label+"/"+f.Name, f)
+	}
+}
+
+// Attribution is exact, and says so: all 22 TPC-H queries on every
+// execution path — fused, staged, host-only, scattered over two local
+// shards — plus one query failed by a permanent read fault and one
+// cancelled mid-scan leave a recorder whose states and unclaimed remainder
+// add up to its wall clock exactly, with every region ended (error returns
+// included). A scattered query's shard time sits under its forks and never
+// in the coordinator's states.
+func TestAttributionExactOnEveryPath(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.005, 42); err != nil {
+		t.Fatal(err)
+	}
+	db.HeapScale = 1000 / 0.005
+	run := func(label string, req Request, wantErr bool) *Lifecycle {
+		t.Helper()
+		lc := NewLifecycle(label)
+		_, err := db.Do(WithLifecycle(context.Background(), lc), req)
+		lc.Finish()
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v, want error %v", label, err, wantErr)
 		}
-		if wall := lc.Wall(); sum > wall+slack {
-			t.Errorf("%s: Σstates %v > wall %v (attribution overcounts)", lc.ID, sum, wall)
+		requireExact(t, label, lc)
+		return lc
+	}
+	for _, q := range tpch.Queries() {
+		for _, mode := range []string{"fused", "staged", "host"} {
+			db.DisableFusion = mode == "staged"
+			lc := run(fmt.Sprintf("q%d/%s", q.Num, mode), Request{TPCH: q.Num, HostOnly: mode == "host"}, false)
+			if lc.Attributed() <= 0 {
+				t.Errorf("q%d/%s: nothing attributed", q.Num, mode)
+			}
 		}
-		if att := lc.Attributed(); sum > att+slack {
-			t.Errorf("%s: Σstates %v > attributed %v (settle missed debt)", lc.ID, sum, att)
+	}
+	db.DisableFusion = false
+
+	// A permanent fault on every lineitem read fails the offload unit and
+	// then the host resume; each stage's region is still ended.
+	for _, staged := range []bool{false, true} {
+		db.DisableFusion = staged
+		inj := faults.New(faults.Config{})
+		inj.Hook = func(file string, _ int64, _ flash.Requester, _ int) (faults.Kind, bool) {
+			return faults.Permanent, strings.HasPrefix(file, "lineitem/")
 		}
+		db.WithFaults(inj)
+		run(fmt.Sprintf("q6/faulted/staged=%v", staged), Request{TPCH: 6}, true)
+
+		// Cancelled mid-scan, on the 20th in-storage page read.
+		ctx, cancel := context.WithCancel(context.Background())
+		var reads atomic.Int64
+		inj = faults.New(faults.Config{})
+		inj.Hook = func(_ string, _ int64, who flash.Requester, attempt int) (faults.Kind, bool) {
+			if who == flash.Aquoman && attempt == 0 && reads.Add(1) == 20 {
+				cancel()
+			}
+			return 0, false
+		}
+		db.WithFaults(inj)
+		lc := NewLifecycle("q1/cancelled")
+		if _, err := db.Do(WithLifecycle(ctx, lc), Request{TPCH: 1}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("q1 cancelled mid-scan (staged=%v): err = %v", staged, err)
+		}
+		lc.Finish()
+		requireExact(t, fmt.Sprintf("q1/cancelled/staged=%v", staged), lc)
+		db.WithFaults(nil)
+	}
+
+	// Scattered: the coordinator waits and merges; the shards' work is in
+	// the forks, one per shard attempt.
+	c := distrib.NewCluster(2)
+	c.HeapScale = db.HeapScale
+	if err := c.Partition(db.Store); err != nil {
+		t.Fatal(err)
+	}
+	scattered := 0
+	for _, q := range tpch.Queries() {
+		label := fmt.Sprintf("q%d/scattered", q.Num)
+		lc := NewLifecycle(label)
+		_, _, err := c.RunQueryCtx(WithLifecycle(context.Background(), lc), q.Build)
+		lc.Finish()
+		requireExact(t, label, lc)
+		if errors.Is(err, distrib.ErrNotDistributable) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		scattered++
+		states := lc.Breakdown()
+		if states["scatter_wait"] <= 0 || len(lc.Forks()) == 0 {
+			t.Errorf("%s: scatter_wait %d ns, %d forks", label, states["scatter_wait"], len(lc.Forks()))
+		}
+		for _, shardOnly := range []string{"compile", "rowsel", "read", "systolic", "swissknife", "sorter", "device_read"} {
+			if states[shardOnly] != 0 {
+				t.Errorf("%s: coordinator %s = %d ns: a shard's time is in the parent's states", label, shardOnly, states[shardOnly])
+			}
+		}
+		var forked time.Duration
+		for _, f := range lc.Forks() {
+			forked += f.Attributed()
+		}
+		if forked <= 0 {
+			t.Errorf("%s: the forks attributed nothing", label)
+		}
+	}
+	if scattered < 10 {
+		t.Fatalf("only %d of 22 queries scattered", scattered)
 	}
 }
 

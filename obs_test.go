@@ -9,43 +9,48 @@ import (
 	"aquoman/internal/obs"
 )
 
-// TestObservabilityEndToEnd runs TPC-H q6 on an observed DB and checks
-// that every pipeline stage produced at least one span and that the
-// report's metrics delta carries the per-requester flash counters.
+// TestObservabilityEndToEnd runs TPC-H q6 on an observed DB with
+// Request.Trace and checks that every pipeline stage produced at least one
+// span — in the query's own recorder, nowhere else — and that the report's
+// metrics delta carries the per-requester flash counters.
 func TestObservabilityEndToEnd(t *testing.T) {
 	db := Open()
 	db.HeapScale = 100000 // model a big deployment so q6 offloads fully
 	if err := db.LoadTPCH(0.001, 7); err != nil {
 		t.Fatal(err)
 	}
-	o := db.EnableObservability()
+	db.EnableObservability()
 
-	res, err := db.RunTPCH(6)
+	db.DisableFusion = true // the staged path names every stage's span
+	res, err := db.Do(nil, Request{TPCH: 6, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Spans: one per pipeline stage the query exercises.
-	spans := o.Tracer.Spans()
-	byStage := make(map[string]int)
-	for _, s := range spans {
-		byStage[s.Stage]++
+	// Spans: one per pipeline stage the query exercises, structural ones
+	// (query, unit, task) charged to host.
+	byName := make(map[string]obs.State)
+	for _, s := range res.Trace.Spans() {
+		byName[strings.SplitN(s.Name, " ", 2)[0]] = s.State
 		if s.Dur < 0 {
 			t.Fatalf("span %q negative duration", s.Name)
 		}
 	}
-	for _, stage := range []string{
-		obs.StageQuery, obs.StageCompile, obs.StageUnit, obs.StageTask,
-		obs.StageRowSel, obs.StageFlash, obs.StageTransform,
-		obs.StageSwissknife, obs.StageHost,
+	for name, state := range map[string]obs.State{
+		"query": obs.StateHost, "compile": obs.StateCompile, "unit": obs.StateHost,
+		"task": obs.StateHost, "row-select": obs.StateRowSel, "table-read": obs.StateRead,
+		"transform": obs.StateSystolic, "swissknife": obs.StateSwissknife, "host-plan": obs.StateHost,
 	} {
-		if byStage[stage] == 0 {
-			t.Fatalf("no span for stage %q (got %v)", stage, byStage)
+		if got, ok := byName[name]; !ok || got != state {
+			t.Fatalf("span %q: state %v (present %v), want %v (got %v)", name, got, ok, state, byName)
 		}
+	}
+	if tree := res.Trace.Tree(); !strings.Contains(tree, "rows_in=") || !strings.Contains(tree, "pages_read=") {
+		t.Fatalf("tree lacks the task's attributes:\n%s", tree)
 	}
 
 	// The Chrome export of those spans must be valid JSON.
-	if out := o.Tracer.ChromeTrace(); !json.Valid(out) {
+	if out := res.Trace.ChromeTrace(); !json.Valid(out) {
 		t.Fatalf("ChromeTrace invalid JSON:\n%s", out)
 	}
 
@@ -72,7 +77,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal("prometheus rendering lacks per-requester flash counter")
 	}
 
-	// A second query must see only its own delta.
+	// A second query must see only its own delta, and — not asked to
+	// trace — keeps no spans.
 	res2, err := db.RunTPCH(6)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +87,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if p2.Value != 1 {
 		t.Fatalf("second query's delta counts %d queries, want 1", p2.Value)
 	}
+	if res2.Trace != nil {
+		t.Fatal("an untraced query returned a trace")
+	}
 }
 
-// TestTraceFacade checks Request.Trace: a one-shot tracer independent of
-// the installed observer.
+// TestTraceFacade checks Request.Trace with no observer installed: the
+// query's own recorder comes back with its spans.
 func TestTraceFacade(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.001, 7); err != nil {
@@ -106,7 +115,7 @@ func TestTraceFacade(t *testing.T) {
 		t.Fatal("no spans recorded")
 	}
 	tree := tr.Tree()
-	if !strings.Contains(tree, "[query]") {
+	if !strings.HasPrefix(tree, "query [host]") || !strings.Contains(tree, "fused-scan [host]") {
 		t.Fatalf("tree lacks query span:\n%s", tree)
 	}
 }

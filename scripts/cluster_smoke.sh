@@ -8,7 +8,9 @@
 # real sockets), then asserts:
 #   1. all three /healthz endpoints go ready,
 #   2. a cluster query returns a complete NDJSON stream produced by the
-#      merge-aggregate scatter path,
+#      merge-aggregate scatter path, and the coordinator's slow-query line
+#      for it spends its time in scatter_wait + merge, with one child per
+#      shard whose time is not in the coordinator's own states,
 #   3. POST /dml is refused with 403 on the coordinator and on a worker
 #      (the cluster does not distribute writes; one applied to a single
 #      member would make scattered and local queries disagree),
@@ -28,7 +30,7 @@ W1="127.0.0.1:$((BASE_PORT + 2))"
 SF=0.002
 SEED=11
 BIN="$(mktemp -d)/aquoman-serve"
-CLOG="$(mktemp)"; W0LOG="$(mktemp)"; W1LOG="$(mktemp)"
+CLOG="$(mktemp)"; W0LOG="$(mktemp)"; W1LOG="$(mktemp)"; CSLOW="$(mktemp)"
 
 echo "== building aquoman-serve"
 go build -o "$BIN" ./cmd/aquoman-serve
@@ -46,7 +48,8 @@ W0_PID=$!
 "$BIN" -listen "$W1" -sf "$SF" -seed "$SEED" -partition 1/2 -pagelat 1500ms >"$W1LOG" 2>&1 &
 W1_PID=$!
 "$BIN" -listen "$COORD" -sf "$SF" -seed "$SEED" \
-    -coordinator -workers "http://$W0,http://$W1" >"$CLOG" 2>&1 &
+    -coordinator -workers "http://$W0,http://$W1" \
+    -slow-query 1ns -slow-query-log "$CSLOW" >"$CLOG" 2>&1 &
 COORD_PID=$!
 cleanup() {
     kill "$COORD_PID" "$W0_PID" "$W1_PID" 2>/dev/null || true
@@ -81,6 +84,24 @@ echo "$HEALTHY" | grep -q '"degraded_nodes"' \
 # next write, and with it the pipeline.)
 grep -q '^cluster_scatter_total' <<<"$(curl -fsS "http://$COORD/metrics")" \
     || { echo "coordinator /metrics missing cluster_scatter_total"; exit 1; }
+
+echo "== the coordinator's slow-query line: scatter_wait + merge, shards as children"
+python3 - "$CSLOW" <<'PY'
+import json, sys
+line = json.loads(open(sys.argv[1]).readline())
+states, kids = line["states_ms"], line.get("children", [])
+waited = states.get("scatter_wait", 0) + states.get("merge", 0)
+if states.get("merge", 0) <= 0 or waited < 0.9 * line["wall_ms"] or sum(states.values()) > line["wall_ms"] + 0.001:
+    sys.exit("coordinator line is not scatter_wait + merge: %r" % line)
+if sorted(k["name"] for k in kids) != ["shard 0", "shard 1"]:
+    sys.exit("want one child per shard: %r" % line)
+# Each shard ran for about as long as the coordinator waited; had their
+# time been added to the parent's states those would be near 3x wall.
+if any(k["wall_ms"] > line["wall_ms"] or k["wall_ms"] < 0.5 * waited for k in kids):
+    sys.exit("children do not span the scatter: %r" % line)
+print("wall %.0f ms = scatter_wait %.0f + merge %.2f (+ glue); children %s" % (
+    line["wall_ms"], states["scatter_wait"], states["merge"], [round(k["wall_ms"]) for k in kids]))
+PY
 
 echo "== /dml is refused on every cluster member"
 for MEMBER in "$COORD coordinator" "$W0 partition"; do

@@ -20,13 +20,18 @@
 #   6. the write path over HTTP: POST /dml INSERT is visible to the
 #      next query (HTAP read through the un-merged delta), compile
 #      errors are 400 and stale ?ifepoch= preconditions 409,
-#   7. SIGTERM drains and exits cleanly.
+#   7. SIGTERM drains and exits cleanly,
+#   8. the slow-query log (every query, -slow-query 1ns) checks the front
+#      door's own arithmetic: each line names its query and breaks its
+#      wall time into the fifteen lifecycle states, never more than wall,
+#      and at least 90% of it on the queries that succeeded.
 set -euo pipefail
 
 ADDR="127.0.0.1:${SMOKE_PORT:-18080}"
 URL="http://$ADDR"
 BIN="$(mktemp -d)/aquoman-serve"
 LOG="$(mktemp)"
+SLOWLOG="$(mktemp)"
 
 echo "== building aquoman-serve"
 go build -o "$BIN" ./cmd/aquoman-serve
@@ -43,7 +48,8 @@ echo "== starting on $ADDR (SF 0.01, 500ms simulated NAND read latency, tenants 
 # share. Untenanted requests run as the "default" tenant, so the generic
 # assertions below are unaffected by the tenant flags.
 "$BIN" -listen "$ADDR" -sf 0.01 -jobs 1 -queue 4 -pagelat 500ms \
-    -tenants alpha:1,beta -tenant-weights beta=4 -result-cache 16 >"$LOG" 2>&1 &
+    -tenants alpha:1,beta -tenant-weights beta=4 -result-cache 16 \
+    -slow-query 1ns -slow-query-log "$SLOWLOG" >"$LOG" 2>&1 &
 SERVER_PID=$!
 cleanup() {
     kill "$SERVER_PID" 2>/dev/null || true
@@ -185,5 +191,32 @@ RC=$?
 trap - EXIT
 [ "$RC" = 0 ] || { echo "server exited with $RC"; cat "$LOG"; exit 1; }
 grep -q "aquoman-serve stopped" "$LOG" || { echo "missing clean-shutdown log line"; cat "$LOG"; exit 1; }
+
+echo "== slow-query log: every line's states add up"
+python3 - "$SLOWLOG" <<'PY'
+import json, sys
+STATES = {"queue_wait", "compile", "rowsel", "read", "systolic", "swissknife", "sorter", "host",
+          "device_read", "cache_hit", "coalesce_wait", "emit", "scatter_wait", "merge", "result_cache_hit"}
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+if len(lines) < 8:
+    sys.exit("only %d slow-query lines: the log missed queries" % len(lines))
+failed = 0
+for l in lines:
+    states = l.get("states_ms") or {}
+    if not l.get("id") or "wall_ms" not in l or not states:
+        sys.exit("line lacks id, wall_ms or states_ms: %r" % l)
+    if set(states) - STATES:
+        sys.exit("unknown states %s in %r" % (sorted(set(states) - STATES), l))
+    # wall_ms is printed to the microsecond; the states are not rounded.
+    if sum(states.values()) > l["wall_ms"] + 0.001:
+        sys.exit("states add up to %.3f ms, past wall: %r" % (sum(states.values()), l))
+    if "error" in l:
+        failed += 1
+    elif l["coverage"] < 0.9:
+        sys.exit("coverage %.2f on a query that succeeded: %r" % (l["coverage"], l))
+if failed == 0:
+    sys.exit("no line carries the mid-flight cancel's error")
+print("%d slow-query lines, %d with an error, all within wall" % (len(lines), failed))
+PY
 
 echo "== smoke test passed"
