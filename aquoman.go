@@ -342,11 +342,6 @@ func (db *DB) ConfigureScheduler(cfg SchedulerConfig) {
 }
 
 func (db *DB) newSchedulerLocked(cfg SchedulerConfig) {
-	if cfg.AdmitHook == nil {
-		// Stamp every admitted query with the catalog epoch so its
-		// whole execution reads one MVCC snapshot (see DB.Exec).
-		cfg.AdmitHook = db.admitHook
-	}
 	db.sched = sched.NewScheduler(cfg)
 	if db.Obs != nil {
 		db.sched.Observe(db.Obs.Reg)
@@ -513,8 +508,8 @@ type Request struct {
 
 	// Admit, when set, sends the query through the scheduler: it waits
 	// for an in-flight slot beside the DB's other concurrent queries and
-	// runs on a worker goroutine against the catalog snapshot taken at
-	// admission. Its result carries no per-query flash traffic or metrics
+	// runs on a worker goroutine against the catalog snapshot taken as it
+	// takes the slot. Its result carries no per-query flash traffic or metrics
 	// delta: the device is shared, so attribution would be wrong — use
 	// FlashStats and CacheStats for whole-device accounting. When nil the
 	// query runs at once on the caller's goroutine and Report.Flash,
@@ -851,17 +846,18 @@ func (db *DB) ResetFlashStats() { db.Flash.ResetStats() }
 
 // Save persists the store (catalog plus all column and heap files) to a
 // directory; OpenDir loads it back. A write-path catalog, if one exists,
-// saves its epoch sidecar alongside. Un-merged deltas are NOT persisted
-// — call Merge first to fold them into base pages.
+// saves its epoch sidecar alongside. Only base pages are persisted, so
+// Save refuses with ErrUnmergedDelta while acknowledged writes still sit
+// in a delta — call Merge first to fold them into base pages.
 func (db *DB) Save(dir string) error {
-	if err := col.SaveStore(db.Store, dir); err != nil {
-		return err
-	}
 	db.mu.Lock()
 	cat := db.cat
 	db.mu.Unlock()
-	if cat == nil {
-		return nil
+	if cat != nil && cat.Dirty() {
+		return ErrUnmergedDelta
+	}
+	if err := col.SaveStore(db.Store, dir); err != nil || cat == nil {
+		return err
 	}
 	return cat.SaveMeta(dir)
 }

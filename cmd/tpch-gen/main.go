@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"aquoman/internal/catalog"
-	"aquoman/internal/col"
-	"aquoman/internal/flash"
-	"aquoman/internal/tpch"
+	"aquoman"
 )
 
 func main() {
@@ -23,22 +20,17 @@ func main() {
 	)
 	flag.Parse()
 
-	dev := flash.NewDevice()
-	store := col.NewStore(dev)
-	if err := tpch.Gen(store, tpch.Config{SF: *sf, Seed: *seed}); err != nil {
+	db := aquoman.Open()
+	if err := db.LoadTPCH(*sf, *seed); err != nil {
 		log.Fatal(err)
 	}
-	// Adopt the generated tables into a write-path catalog so the store
-	// is DML-ready: the schema's FK graph comes straight from
-	// tpch.FKEdges (the same registry Gen materialized join indices
-	// from), and the composite partsupp index re-derives on merge.
-	cat := catalog.New(store)
-	for _, e := range tpch.FKEdges {
-		cat.RegisterFK(catalog.FKEdge{Fact: e.Fact, FKCol: e.FKCol, Dim: e.Dim, PKCol: e.PKCol})
-	}
-	cat.RegisterMergeHook(tpch.RefreshPartSuppIndex)
+	// The write-path catalog adopts the generated tables, so the store is
+	// DML-ready: DB.Catalog registers the schema's FK graph (tpch.FKEdges,
+	// the registry Gen materialized join indices from) and the composite
+	// partsupp index re-derivation, and DB.Save persists its epoch sidecar.
+	dev, store := db.Flash, db.Store
 	fmt.Printf("TPC-H SF %g generated (%.1f MB on flash), catalog epoch %d\n\n", *sf,
-		float64(dev.TotalBytes())/1e6, cat.Epoch())
+		float64(dev.TotalBytes())/1e6, db.Catalog().Epoch())
 	fmt.Printf("%-10s %10s %8s %10s\n", "table", "rows", "cols", "MB")
 	for _, name := range store.Tables() {
 		t := store.MustTable(name)
@@ -46,10 +38,7 @@ func main() {
 			float64(t.BytesOnFlash())/1e6)
 	}
 	if *out != "" {
-		if err := col.SaveStore(store, *out); err != nil {
-			log.Fatal(err)
-		}
-		if err := cat.SaveMeta(*out); err != nil {
+		if err := db.Save(*out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nstore persisted to %s (load with aquoman-run -data %s)\n", *out, *out)

@@ -19,6 +19,7 @@ import (
 	"aquoman/internal/col"
 	"aquoman/internal/flash"
 	"aquoman/internal/plan"
+	"aquoman/internal/sql"
 	"aquoman/internal/tpch"
 )
 
@@ -418,5 +419,102 @@ func TestCacheCoherenceUnderWrites(t *testing.T) {
 	st := db.ResultCacheStats()
 	if st.Hits == 0 {
 		t.Fatal("result cache never hit — the coherence checks above tested nothing")
+	}
+}
+
+// TestSaveRefusesUnmergedDelta: Save persists base pages only, so while an
+// acknowledged write still sits in a delta it must refuse (it used to drop
+// the write silently); after Merge the row and the epoch survive the round
+// trip through OpenDir. Mutation: dropping the Dirty check in Save makes
+// the first Save succeed.
+func TestSaveRefusesUnmergedDelta(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.002, 7); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := db.Exec(ctx, "INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (9, 'ASIA', 'saved row')"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := db.Save(dir); !errors.Is(err, ErrUnmergedDelta) {
+		t.Fatalf("Save with an un-merged INSERT: err = %v, want ErrUnmergedDelta", err)
+	}
+	if err := db.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	epoch := db.Catalog().Epoch()
+	if err := db.Save(dir); err != nil {
+		t.Fatalf("Save after Merge: %v", err)
+	}
+	back, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := back.Query("select count(*) as n from region where r_regionkey = 9 and r_comment = 'saved row'")
+	if err != nil || res.Batch.Cols[0][0] != 1 {
+		t.Fatalf("reopened store has %v saved rows (%v), want 1", res, err)
+	}
+	if got := back.Catalog().Epoch(); got != epoch || epoch == 0 {
+		t.Fatalf("epoch %d did not survive Save/OpenDir: got %d", epoch, got)
+	}
+}
+
+// TestVictimScanNeverSwapsItsSnapshot: a write's victim scan is pinned to
+// the snapshot its commit will compare-and-swap against. A merge between
+// the snapshot and the scan is ErrStaleSnapshot — the pinned scan never
+// falls back to a fresh snapshot the way an unpinned read does — and a
+// merge (or write) between the scan and the commit is ErrConflict from the
+// epoch CAS, which Exec retries. Mutation: attachOverlays falling back for
+// a pinned snapshot too makes the first scan answer with post-merge rowids.
+func TestVictimScanNeverSwapsItsSnapshot(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.002, 7); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	insert := func(key int) {
+		t.Helper()
+		stmt := fmt.Sprintf("INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (%d, 'ASIA', 'x')", key)
+		if _, err := db.Exec(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(9)
+	del, err := sql.CompileExec("DELETE FROM region WHERE r_regionkey = 9", db.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := func(snap catalog.Snapshot) (*Result, error) {
+		return db.Do(catalog.WithSnapshot(ctx, snap), Request{Plan: del.Delete.Plan, HostOnly: true})
+	}
+
+	// Merge between snapshot and scan.
+	snap := db.Catalog().Snapshot()
+	if err := db.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := victims(snap); !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("victim scan at a pre-merge snapshot: %v, err = %v, want ErrStaleSnapshot", res, err)
+	}
+
+	// Merge between scan and commit: the rowids are pre-merge, the CAS
+	// refuses them.
+	insert(10)
+	snap = db.Catalog().Snapshot()
+	res, err := victims(snap)
+	if err != nil || res.NumRows() != 1 {
+		t.Fatalf("victim scan: %v rows, err = %v, want 1", res, err)
+	}
+	if err := db.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	rowids, _ := res.Batch.Col(plan.RowIDCol)
+	if _, err := db.Catalog().Delete("region", rowids, snap.Epoch); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit of pre-merge victims: err = %v, want ErrConflict", err)
+	}
+	// The statement itself, after both merges, still finds its row.
+	if r, err := db.Exec(ctx, "DELETE FROM region WHERE r_regionkey = 9"); err != nil || r.Rows != 1 {
+		t.Fatalf("DELETE after the merges: %+v, err = %v, want 1 row", r, err)
 	}
 }

@@ -4,15 +4,15 @@ import "context"
 
 type snapKey struct{}
 
-// WithSnapshot attaches a query's admission-epoch snapshot to its
-// context; the scheduler's admit hook calls this so every query scans
-// the world as of the moment it was admitted, however long it queues or
-// runs afterwards.
+// WithSnapshot pins a snapshot on a context: the run under it scans the
+// world as of that epoch and never swaps it for a fresher one. A write's
+// victim scan is pinned to the snapshot its commit compares-and-swaps
+// against; a query without one takes its own as it starts to run.
 func WithSnapshot(ctx context.Context, s Snapshot) context.Context {
 	return context.WithValue(ctx, snapKey{}, s)
 }
 
-// SnapshotFrom extracts the admission snapshot, if one was attached.
+// SnapshotFrom extracts the pinned snapshot, if one was attached.
 func SnapshotFrom(ctx context.Context) (Snapshot, bool) {
 	if ctx == nil {
 		return Snapshot{}, false

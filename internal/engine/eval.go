@@ -82,7 +82,10 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 		wide.Cols = append(wide.Cols, vals)
 		return full
 	}
-	textField := func(name string) (*col.ColumnInfo, []int64, error) {
+	// textField loads a Text column's heap — under the query's context, so
+	// the read is cancellable and its device time is the query's — and
+	// returns it with the column's heap offsets.
+	textField := func(name string) (*col.HeapReader, []int64, error) {
 		f, err := wide.Schema.Field(name)
 		if err != nil {
 			return nil, nil, err
@@ -94,7 +97,8 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 		if err != nil {
 			return nil, nil, err
 		}
-		return f.Src, vals, nil
+		heap, err := f.Src.NewHeapReaderCtx(e.ctx, hostRequester)
+		return heap, vals, err
 	}
 
 	var rewrite func(plan.Expr) (plan.Expr, error)
@@ -108,11 +112,7 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			if f.Typ == col.Dict {
 				return x, nil // dictionary LIKE lowers directly
 			}
-			src, offs, err := textField(n.Col)
-			if err != nil {
-				return nil, err
-			}
-			heap, err := src.NewHeapReader(hostRequester)
+			heap, offs, err := textField(n.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -127,11 +127,7 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			})
 			return plan.C(addCol(n.Col, vals)), nil
 		case plan.SubstrCode:
-			src, offs, err := textField(n.Col)
-			if err != nil {
-				return nil, err
-			}
-			heap, err := src.NewHeapReader(hostRequester)
+			heap, offs, err := textField(n.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -153,11 +149,7 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			if c, okc := n.L.(plan.Col); okc {
 				if f, err := wide.Schema.Field(c.Name); err == nil && f.Typ == col.Text {
 					if s, oks := n.R.(plan.Str); oks {
-						src, offs, err := textField(c.Name)
-						if err != nil {
-							return nil, err
-						}
-						heap, err := src.NewHeapReader(hostRequester)
+						heap, offs, err := textField(c.Name)
 						if err != nil {
 							return nil, err
 						}

@@ -96,7 +96,9 @@ type Lifecycle struct {
 
 // NewLifecycle starts a recorder; wall time is measured from this call.
 func NewLifecycle(id string) *Lifecycle {
-	return &Lifecycle{ID: id, start: time.Now(), cur: unattributed}
+	lc := &Lifecycle{ID: id, cur: unattributed}
+	lc.start = time.Now() // after the allocation: a GC it triggers is not the query's time
+	return lc
 }
 
 // Registry returns the recorder's registry (nil for a nil recorder).

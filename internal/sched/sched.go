@@ -37,12 +37,6 @@ type Config struct {
 	// DefaultTenant configures tenants absent from Tenants. The zero
 	// value means weight 1 with no quotas.
 	DefaultTenant TenantConfig
-
-	// AdmitHook, when set, runs as a job leaves the queue for an
-	// in-flight slot and may derive the context its work receives. The
-	// write path uses it to stamp every query with the catalog epoch at
-	// admission, pinning the snapshot the whole execution reads.
-	AdmitHook func(ctx context.Context) context.Context
 }
 
 func (c Config) withDefaults() Config {
@@ -269,14 +263,5 @@ func (s *Scheduler) run(sub *submission) {
 			sub.ticket.err = fmt.Errorf("sched: query panicked: %v", r)
 		}
 	}()
-	// Admission stamp: the hook sees the context exactly once, as the
-	// job takes its in-flight slot.
-	if s.cfg.AdmitHook != nil {
-		ctx := sub.ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		sub.ctx = s.cfg.AdmitHook(ctx)
-	}
 	sub.ticket.result, sub.ticket.err = sub.job(sub.ctx)
 }

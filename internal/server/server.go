@@ -9,7 +9,8 @@
 //
 //	/            index (JSON listing of the mounted endpoints)
 //	/query       GET ?q=<sql> or POST {"sql": ..., "timeout_ms": ...}
-//	/dml         POST {"sql": ...} — INSERT/UPDATE/DELETE/CREATE TABLE
+//	/dml         POST {"sql": ...} — INSERT/UPDATE/DELETE/CREATE TABLE; the
+//	             same request path as /query, answered with one JSON object
 //	/tpch        GET ?q=1..22 — the Table-Task offload path
 //	/healthz     liveness (503 while draining)
 //	/metrics     Prometheus text (when the DB has an observer)
@@ -49,7 +50,6 @@ import (
 	"aquoman/internal/engine"
 	"aquoman/internal/obs"
 	"aquoman/internal/plan"
-	"aquoman/internal/sql"
 )
 
 // Config parameterizes a Server.
@@ -201,9 +201,14 @@ func (s *Server) instrument(endpoint string, gated bool, h http.HandlerFunc) htt
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// writeJSON answers with one JSON object.
+func writeJSON(w http.ResponseWriter, code int, body interface{}) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	_ = json.NewEncoder(w).Encode(body)
 }
 
 // queryRun is the part of a query request that depends on how the server
@@ -217,6 +222,9 @@ type queryRun struct {
 	// rawStrategy, when non-empty, streams the batch as unrendered int64s
 	// in the cluster wire format (streamRaw) instead of display values.
 	rawStrategy string
+	// object, when non-nil, is the whole answer (a write's): exec fills it
+	// and it is emitted as one JSON object instead of an NDJSON stream.
+	object interface{}
 }
 
 // execFunc runs a query under its request's deadline and lifecycle; only a
@@ -256,13 +264,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(map[string]interface{}{
+	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"service": "aquoman-serve",
 		"version": aquoman.Version,
 		"endpoints": []string{
 			"/query?q=<sql> (GET) or POST {\"sql\": ..., \"timeout_ms\": ...}",
-			"/dml (POST {\"sql\": ...}, optional ?ifepoch=)",
+			"/dml (POST {\"sql\": ...}, optional ?ifepoch= and ?timeout_ms=)",
 			"/tpch?q=1..22",
 			"/tpch?q=1..22&partial=1 (cluster worker: raw per-shard partials)",
 			"/healthz",
@@ -275,13 +282,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // queryRequest is the POST /query body.
@@ -344,26 +349,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // dmlRequest is the POST /dml body.
 type dmlRequest struct {
 	SQL string `json:"sql"`
-	// IfEpoch, when non-zero, is an optimistic precondition: the write
-	// only runs if the catalog epoch still equals it (409 otherwise).
+	// IfEpoch, when non-zero, is an optimistic pre-check: the write only
+	// starts if the catalog epoch equals it (409 otherwise).
 	IfEpoch uint64 `json:"if_epoch"`
 }
 
-// dmlResponse is the POST /dml success body.
-type dmlResponse struct {
-	Op           string `json:"op"`
-	Table        string `json:"table"`
-	RowsAffected int    `json:"rows_affected"`
-	Epoch        uint64 `json:"epoch"`
-}
-
 // handleDML executes one write statement (INSERT, UPDATE, DELETE,
-// CREATE TABLE) against the DB's write path. Compile failures are the
-// client's fault (400); an optimistic conflict that survives the DB's
-// internal retries — or a failed ?ifepoch= precondition — is 409 with
-// the current epoch, so the client can re-read and retry. A cluster
-// coordinator or partition worker refuses every write with 403: the
-// cluster does not distribute writes (*aquoman.ReadOnlyError).
+// CREATE TABLE) against the DB's write path. It is a query request like
+// any other — runAndStream gives it an X-Query-ID, the deadline, a
+// recorder and the one error→status table (classify) — whose answer is one
+// JSON object. if_epoch is a pre-check, not an atomic precondition: the
+// epoch is compared and then the statement executes.
 func (s *Server) handleDML(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -383,42 +379,28 @@ func (s *Server) handleDML(w http.ResponseWriter, r *http.Request) {
 		}
 		req.IfEpoch = e
 	}
+	ms, err := timeoutMS(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if req.SQL == "" {
 		writeError(w, http.StatusBadRequest, "missing \"sql\" field")
 		return
 	}
-	cat := s.cfg.DB.Catalog()
-	if req.IfEpoch != 0 {
-		if cur := cat.Epoch(); cur != req.IfEpoch {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.WriteHeader(http.StatusConflict)
-			_ = json.NewEncoder(w).Encode(map[string]interface{}{
-				"error": "epoch precondition failed", "epoch": cur})
-			return
-		}
-	}
-	res, err := s.cfg.DB.Exec(r.Context(), req.SQL)
-	if err != nil {
-		var ce *sql.CompileError
-		var ro *aquoman.ReadOnlyError
-		switch {
-		case errors.As(err, &ce):
-			writeError(w, http.StatusBadRequest, "compile: "+ce.Error())
-		case errors.As(err, &ro):
-			writeError(w, http.StatusForbidden, err.Error())
-		case errors.Is(err, aquoman.ErrConflict):
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.WriteHeader(http.StatusConflict)
-			_ = json.NewEncoder(w).Encode(map[string]interface{}{
-				"error": err.Error(), "epoch": cat.Epoch()})
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(dmlResponse{
-		Op: res.Op, Table: res.Table, RowsAffected: res.Rows, Epoch: res.Epoch,
+	var out aquoman.ExecResult // the success body: {op, table, rows_affected, epoch}
+	s.runAndStream(w, r, time.Duration(ms)*time.Millisecond, queryRun{
+		label: req.SQL, tenant: tenantOf(r), object: &out,
+		exec: func(ctx context.Context) (*aquoman.Result, *distrib.Report, error) {
+			if req.IfEpoch != 0 && s.cfg.DB.Catalog().Epoch() != req.IfEpoch {
+				return nil, nil, fmt.Errorf("epoch precondition failed: %w", aquoman.ErrConflict)
+			}
+			res, err := s.cfg.DB.Exec(ctx, req.SQL)
+			if err == nil {
+				out = *res
+			}
+			return nil, nil, err
+		},
 	})
 }
 
@@ -497,9 +479,11 @@ type failure struct {
 	code       int    // 0: the client is gone, there is nobody to answer
 	msg        string // the JSON error body
 	retryAfter bool   // backpressure: tell the client when to come back
+	epoch      bool   // a write conflict: the body carries the current epoch
 	// neverRan marks a request turned away before it executed (bad
-	// statement, admission reject): it stays out of the latency histograms
-	// and the slow-query log (server_requests_total already counts it).
+	// statement, admission reject, a write to a cluster member): it stays
+	// out of the latency histograms and the slow-query log
+	// (server_requests_total already counts it).
 	neverRan bool
 }
 
@@ -507,13 +491,21 @@ type failure struct {
 // to compile is the client's fault (400); a tenant over its own quota
 // gets 429 so clients can tell "slow down" from "server overloaded"
 // (503); a dead deadline is 504; a cluster node lost past every failover
-// tier is 502; any other execution failure is the server's (500).
+// tier is 502; a write that lost its optimistic race (or failed its
+// if_epoch pre-check) is 409 with the current epoch, so the client can
+// re-read and retry; a write to a cluster member is 403 (the cluster does
+// not distribute writes); any other execution failure is the server's (500).
 func classify(err error) failure {
 	var ce *aquoman.CompileError
 	var se *distrib.ShardError
+	var ro *aquoman.ReadOnlyError
 	switch {
 	case errors.As(err, &ce):
 		return failure{code: http.StatusBadRequest, msg: "compile: " + ce.Error(), neverRan: true}
+	case errors.As(err, &ro):
+		return failure{code: http.StatusForbidden, msg: err.Error(), neverRan: true}
+	case errors.Is(err, aquoman.ErrConflict):
+		return failure{code: http.StatusConflict, msg: err.Error(), epoch: true}
 	case errors.Is(err, aquoman.ErrTenantQuota):
 		return failure{code: http.StatusTooManyRequests, msg: err.Error(), retryAfter: true, neverRan: true}
 	case errors.Is(err, aquoman.ErrQueueFull):
@@ -561,6 +553,9 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 	}
 	lc := obs.NewLifecycle(id)
 	lc.Reg = s.cfg.DB.Obs.Registry()
+	// The front door's own glue — headers, the hand-offs around exec and
+	// emit, a write's pre-check — is host-side work no inner region claims.
+	glue := lc.Begin(obs.StateHost)
 	ctx = obs.WithLifecycle(ctx, lc)
 	w.Header().Set("X-Query-ID", lc.ID)
 
@@ -572,6 +567,7 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 	}
 	if !fail.neverRan {
 		defer func() {
+			glue.End()
 			lc.Finish()
 			if lc.Reg != nil {
 				tenant := q.tenant
@@ -589,14 +585,21 @@ func (s *Server) runAndStream(w http.ResponseWriter, r *http.Request, asked time
 			w.Header().Set("Retry-After", "1")
 		}
 		if fail.code != 0 {
-			writeError(w, fail.code, fail.msg)
+			body := map[string]interface{}{"error": fail.msg}
+			if fail.epoch {
+				body["epoch"] = s.cfg.DB.Catalog().Epoch()
+			}
+			writeJSON(w, fail.code, body)
 		}
 		return
 	}
 	emit := lc.Begin(obs.StateEmit)
-	if q.rawStrategy != "" {
+	switch {
+	case q.object != nil:
+		writeJSON(w, http.StatusOK, q.object)
+	case q.rawStrategy != "":
 		s.streamRaw(ctx, w, res.Batch, lc.ID, q.rawStrategy)
-	} else {
+	default:
 		s.stream(ctx, w, res.Batch, lc.ID, time.Since(start), rep)
 	}
 	emit.End()
@@ -762,9 +765,4 @@ func jsonValue(f plan.Field, v int64) interface{} {
 	default:
 		return engine.RenderValue(f, v)
 	}
-}
-
-// String implements fmt.Stringer for debugging.
-func (s *Server) String() string {
-	return fmt.Sprintf("server.Server{draining: %v}", s.draining.Load())
 }

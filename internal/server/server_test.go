@@ -18,6 +18,7 @@ import (
 	"aquoman/internal/cluster"
 	"aquoman/internal/faults"
 	"aquoman/internal/flash"
+	"aquoman/internal/obs"
 )
 
 var (
@@ -729,12 +730,15 @@ func awaitIdle(t *testing.T, o *aquoman.Observer) {
 	}
 }
 
-// TestQueryModesShareFailureTable drives the three ways the server
-// answers a query — on its own DB, as a cluster worker's partial, as a
-// coordinator — through one table of failures, each in every mode where
-// it can occur. Whatever the mode: the status is the same, a request
-// turned away before it ran stays out of query_latency_ns and the
-// slow-query log, and one that ran lands in both exactly once.
+// TestQueryModesShareFailureTable drives the ways the server answers a
+// statement — a query on its own DB, as a cluster worker's partial, as a
+// coordinator; a write through /dml — through one table of failures, each
+// in every mode where it can occur. Whatever the front door: the status is
+// the same, a request turned away before it ran stays out of
+// query_latency_ns and the slow-query log, and one that ran lands in both
+// exactly once, under the X-Query-ID its response carried. Mutation: any
+// /dml row fails with handleDML answering outside runAndStream (no
+// X-Query-ID, no 504, no slow-query line).
 func TestQueryModesShareFailureTable(t *testing.T) {
 	db := aquoman.Open()
 	if err := db.LoadTPCH(0.005, 1); err != nil {
@@ -777,6 +781,7 @@ func TestQueryModesShareFailureTable(t *testing.T) {
 	clustered := New(cfg)
 	cfg.Coordinator = coordinator(gone.URL)
 	severed := New(cfg)
+	member := New(Config{DB: wdb, SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &slow}) // wdb is a partition
 
 	// mode is one way of answering /tpch?q=6: which server, which URL, and
 	// whose device the scan reads (where a gate holds the query mid-scan).
@@ -796,6 +801,21 @@ func TestQueryModesShareFailureTable(t *testing.T) {
 		srv.ServeHTTP(rec, req)
 		return rec
 	}
+	// dml is a POST /dml of one statement; conflict409 checks that a 409
+	// carries the catalog's current epoch.
+	dml := func(stmt, query string) *http.Request {
+		body, _ := json.Marshal(map[string]string{"sql": stmt})
+		return httptest.NewRequest(http.MethodPost, "/dml"+query, strings.NewReader(string(body)))
+	}
+	conflict409 := func(t *testing.T, rec *httptest.ResponseRecorder) {
+		var body struct {
+			Epoch *uint64 `json:"epoch"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Epoch == nil || *body.Epoch != db.Catalog().Epoch() {
+			t.Errorf("409 body %s (%v) does not carry the current epoch %d", rec.Body.String(), err, db.Catalog().Epoch())
+		}
+	}
+	const patch = "UPDATE region SET r_comment = 'patched' WHERE r_regionkey = 2"
 	// occupy parks one query of tenant on db's only slot and queues n more
 	// behind it; the returned func lets them all go and waits them out.
 	occupy := func(t *testing.T, tenant string, n int) func() {
@@ -882,6 +902,65 @@ func TestQueryModesShareFailureTable(t *testing.T) {
 			func(t *testing.T, m mode) *httptest.ResponseRecorder {
 				return serve(m.srv, httptest.NewRequest(http.MethodGet, "/query?q=selectt+nonsense", nil))
 			}},
+		{"dml compile error", "local", http.StatusBadRequest, false, false,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				return serve(m.srv, dml("INSERT INTO nosuch VALUES (1)", ""))
+			}},
+		{"dml cluster member", "local", http.StatusForbidden, false, false,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				return serve(member, dml(patch, ""))
+			}},
+		{"dml failed if_epoch", "local", http.StatusConflict, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				rec := serve(m.srv, dml("DELETE FROM region", "?ifepoch=999999"))
+				conflict409(t, rec)
+				return rec
+			}},
+		{"dml conflict", "local", http.StatusConflict, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				// Every device read of the victim scan waits for another
+				// write to commit: each attempt's epoch CAS loses.
+				parked, resume := make(chan struct{}), make(chan struct{})
+				inj := faults.New(faults.Config{})
+				inj.Hook = func(string, int64, flash.Requester, int) (faults.Kind, bool) {
+					parked <- struct{}{}
+					<-resume
+					return 0, false
+				}
+				db.WithFaults(inj)
+				defer db.WithFaults(nil)
+				done := make(chan *httptest.ResponseRecorder)
+				go func() { done <- serve(m.srv, dml(patch, "")) }()
+				for {
+					select {
+					case <-parked:
+						if _, err := db.Exec(context.Background(), "INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (9, 'ASIA', 'racer')"); err != nil {
+							t.Error(err)
+						}
+						resume <- struct{}{}
+					case rec := <-done:
+						conflict409(t, rec)
+						return rec
+					}
+				}
+			}},
+		{"dml deadline", "local", http.StatusGatewayTimeout, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				parkReadsFor(t, db, 50*time.Millisecond) // ten deadlines
+				return serve(m.srv, dml(patch, "?timeout_ms=5"))
+			}},
+		{"dml client gone", "local", 0, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				gate := parkReads(t, db)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				done := make(chan *httptest.ResponseRecorder)
+				go func() { done <- serve(m.srv, dml(patch, "").WithContext(ctx)) }()
+				awaitParked(t, gate)
+				cancel()
+				gate.Release()
+				return <-done
+			}},
 	}
 	for _, tc := range cases {
 		for _, m := range modes {
@@ -917,6 +996,14 @@ func TestQueryModesShareFailureTable(t *testing.T) {
 				}
 				if tc.ran && !strings.Contains(slow.String(), `"id":"`+rec.Header().Get("X-Query-ID")+`"`) {
 					t.Fatalf("slow-query line does not carry X-Query-ID %q:\n%s", rec.Header().Get("X-Query-ID"), slow.String())
+				}
+				if strings.HasPrefix(tc.name, "dml") {
+					if rec.Header().Get("X-Query-ID") == "" {
+						t.Fatal("a /dml answer without X-Query-ID")
+					}
+					if res, err := db.Query("select count(*) as n from region where r_comment = 'patched'"); err != nil || res.Batch.Cols[0][0] != 0 {
+						t.Fatalf("a failed write committed: %v patched rows (%v)", res, err)
+					}
 				}
 				// The next case starts from idle schedulers and ungated devices.
 				awaitIdle(t, o)
@@ -994,6 +1081,91 @@ func TestDMLRefusedOnClusterMembers(t *testing.T) {
 		if err != nil || res.Batch.Cols[0][0] != 5 {
 			t.Fatalf("%s: region has %v rows after the refused DELETE (%v), want 5", mode, res.Batch.Cols[0], err)
 		}
+	}
+}
+
+// TestDMLAnswerMatchesCommit: a write answers for what the catalog did. An
+// UPDATE held on its victim scan past its deadline answers 504 and has
+// committed nothing (epoch and rows unchanged); the same UPDATE let through
+// commits, answers 200 with the success body, and — a query like any other
+// — carries an X-Query-ID, lands once in query_latency_ns and writes one
+// slow-query line whose states are lifecycle states, add up within wall and
+// cover it. Mutation: running the victim scan under context.Background()
+// in DB.execRetry commits the timed-out UPDATE (200, epoch moves).
+func TestDMLAnswerMatchesCommit(t *testing.T) {
+	db := aquoman.Open()
+	if err := db.LoadTPCH(0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	o := db.EnableObservability()
+	defer db.Close()
+	var slow syncBuffer
+	srv := New(Config{DB: db, SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &slow})
+	post := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/dml"+query,
+			strings.NewReader(`{"sql": "UPDATE region SET r_comment = 'patched' WHERE r_regionkey = 2"}`)))
+		return rec
+	}
+	patched := func() int64 {
+		t.Helper()
+		res, err := db.Query("select count(*) as n from region where r_comment = 'patched'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Batch.Cols[0][0]
+	}
+	epoch := db.Catalog().Epoch()
+
+	parkReadsFor(t, db, 50*time.Millisecond) // ten deadlines
+	if rec := post("?timeout_ms=5"); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("UPDATE held past its deadline: %d %s, want 504", rec.Code, rec.Body.String())
+	}
+	if got := db.Catalog().Epoch(); got != epoch || patched() != 0 {
+		t.Fatalf("a 504 committed: epoch %d -> %d, %d patched rows", epoch, got, patched())
+	}
+
+	slow.Reset()
+	before := latencyCount(o)
+	rec := post("")
+	var body map[string]interface{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("UPDATE: %d %s (%v)", rec.Code, rec.Body.String(), err)
+	}
+	if body["op"] != "update" || body["table"] != "region" || body["rows_affected"] != 1.0 || body["epoch"] != float64(db.Catalog().Epoch()) || len(body) != 4 {
+		t.Fatalf("success body %v, want {op, table, rows_affected, epoch}", body)
+	}
+	if got := db.Catalog().Epoch(); got != epoch+1 || patched() != 1 {
+		t.Fatalf("a 200 did not commit exactly once: epoch %d -> %d, %d patched rows", epoch, got, patched())
+	}
+	if got := latencyCount(o) - before; got != 1 {
+		t.Fatalf("query_latency_ns grew by %d observations for one write, want 1", got)
+	}
+	var line slowQueryLine
+	if err := json.Unmarshal([]byte(slow.String()), &line); err != nil { // exactly one line
+		t.Fatalf("slow-query log %q: %v", slow.String(), err)
+	}
+	if id := rec.Header().Get("X-Query-ID"); id == "" || line.ID != id {
+		t.Fatalf("slow-query line id %q, X-Query-ID %q", line.ID, id)
+	}
+	var sum float64
+	for name, ms := range line.StatesMS {
+		known := false
+		for st := aquoman.LifecycleState(0); st < obs.NumStates; st++ {
+			known = known || st.String() == name
+		}
+		if !known {
+			t.Errorf("state %q is not a lifecycle state", name)
+		}
+		sum += ms
+	}
+	for _, want := range []string{"compile", "host", "device_read", "emit"} {
+		if line.StatesMS[want] <= 0 {
+			t.Errorf("the write's line has no %s time: %v", want, line.StatesMS)
+		}
+	}
+	if sum > line.WallMS+0.001 || line.Coverage < 0.9 {
+		t.Fatalf("states add up to %.3f of %.3f ms wall, coverage %.2f: %v", sum, line.WallMS, line.Coverage, line.StatesMS)
 	}
 }
 

@@ -6,10 +6,9 @@ package sql
 // expression appears: UPDATE ... SET and WHERE clauses compile through
 // the same planner expression translator as query predicates, so every
 // literal convention (DATE 'yyyy-mm-dd', ×100 decimals, dictionary
-// strings) means the same thing on both sides of the engine. The
-// compiled forms below are storage-neutral descriptions — the façade
-// executes them against the catalog, keeping this package free of any
-// catalog dependency.
+// strings) means the same thing on both sides of the engine. Statements
+// enter through parseStatement and Compile like SELECTs do; the compiled
+// forms below are the write fields of Statement.
 
 import (
 	"fmt"
@@ -97,93 +96,7 @@ type CompiledUpdate struct {
 	TextSets map[string]string
 }
 
-// Exec is the compiled form of one write statement; exactly one field
-// is set.
-type Exec struct {
-	Create *CompiledCreate
-	Insert *CompiledInsert
-	Update *CompiledUpdate
-	Delete *CompiledDelete
-}
-
-// CompileExec parses and compiles one DML/DDL statement. SELECTs are
-// rejected — queries go through Plan and the read path.
-func CompileExec(src string, store *col.Store) (*Exec, error) {
-	ex, err := compileExec(src, store)
-	if err != nil {
-		return nil, &CompileError{Src: src, Err: err}
-	}
-	return ex, nil
-}
-
-func compileExec(src string, store *col.Store) (*Exec, error) {
-	st, err := parseDML(src)
-	if err != nil {
-		return nil, err
-	}
-	switch n := st.(type) {
-	case *createStmt:
-		c, err := compileCreate(n)
-		if err != nil {
-			return nil, err
-		}
-		return &Exec{Create: c}, nil
-	case *insertStmt:
-		c, err := compileInsert(n, store)
-		if err != nil {
-			return nil, err
-		}
-		return &Exec{Insert: c}, nil
-	case *updateStmt:
-		c, err := compileUpdate(n, store)
-		if err != nil {
-			return nil, err
-		}
-		return &Exec{Update: c}, nil
-	case *deleteStmt:
-		c, err := compileDelete(n, store)
-		if err != nil {
-			return nil, err
-		}
-		return &Exec{Delete: c}, nil
-	default:
-		return nil, fmt.Errorf("sql: internal: unknown statement %T", st)
-	}
-}
-
 // ---- parsing ----
-
-// parseDML parses one non-SELECT statement.
-func parseDML(src string) (any, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	var st any
-	switch {
-	case p.at(tokKeyword, "CREATE"):
-		st, err = p.parseCreate()
-	case p.at(tokKeyword, "INSERT"):
-		st, err = p.parseInsert()
-	case p.at(tokKeyword, "UPDATE"):
-		st, err = p.parseUpdate()
-	case p.at(tokKeyword, "DELETE"):
-		st, err = p.parseDelete()
-	case p.at(tokKeyword, "SELECT"):
-		return nil, p.errf("SELECT is a query, not a write — use the query path")
-	default:
-		return nil, p.errf("expected CREATE, INSERT, UPDATE or DELETE")
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.accept(tokSymbol, ";")
-	if !p.at(tokEOF, "") {
-		return nil, p.errf("trailing input")
-	}
-	return st, nil
-}
 
 func (p *parser) ident(what string) (string, error) {
 	if !p.at(tokIdent, "") {

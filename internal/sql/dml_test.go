@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"aquoman/internal/plan"
 )
 
-func compileOK(t *testing.T, src string) *Exec {
+func compileOK(t *testing.T, src string) *Statement {
 	t.Helper()
 	ex, err := CompileExec(src, testStore(t))
 	if err != nil {
@@ -147,16 +148,76 @@ func TestCompileUpdatePlan(t *testing.T) {
 
 func TestParseDMLErrors(t *testing.T) {
 	for _, src := range []string{
-		"SELECT 1 FROM region",
 		"DROP TABLE region",
 		"INSERT region VALUES (1)",
 		"UPDATE nation WHERE n_nationkey = 1",
 		"DELETE FROM region WHERE",
 		"INSERT INTO region VALUES (1,)",
 		"CREATE TABLE t ()",
+		"DELETE FROM region; DELETE FROM nation",
 	} {
-		if _, err := CompileExec(src, testStore(t)); err == nil {
+		if _, err := Compile(src, testStore(t)); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+}
+
+// checkStatementKind holds the three properties that make Plan and
+// CompileExec safe as wrappers over the one Compile: exactly one field of
+// a Statement is set, Plan accepts iff it is the SELECT, CompileExec iff it
+// is a write — and every rejection is a *CompileError.
+func checkStatementKind(t *testing.T, src string, store *col.Store) {
+	t.Helper()
+	st, err := Compile(src, store)
+	p, perr := Plan(src, store)
+	ex, xerr := CompileExec(src, store)
+	var ce *CompileError
+	for _, e := range []error{err, perr, xerr} {
+		if e != nil && !errors.As(e, &ce) {
+			t.Fatalf("%q: %v is not a *CompileError", src, e)
+		}
+	}
+	if err != nil {
+		if perr == nil || xerr == nil {
+			t.Fatalf("%q: Compile rejects (%v) but Plan err = %v, CompileExec err = %v", src, err, perr, xerr)
+		}
+		return
+	}
+	set := 0
+	for _, is := range []bool{st.Select != nil, st.Create != nil, st.Insert != nil, st.Update != nil, st.Delete != nil} {
+		if is {
+			set++
+		}
+	}
+	if set != 1 {
+		t.Fatalf("%q: %d fields of Statement set, want exactly 1: %+v", src, set, st)
+	}
+	if query := st.Select != nil; (perr == nil) != query || (p != nil) != query {
+		t.Fatalf("%q: SELECT = %v but Plan = %v, %v", src, query, p, perr)
+	}
+	if write := st.Select == nil; (xerr == nil) != write || (ex != nil) != write {
+		t.Fatalf("%q: write = %v but CompileExec = %v, %v", src, write, ex, xerr)
+	}
+	if xerr != nil && !strings.Contains(xerr.Error(), "is a query, not a write") {
+		t.Fatalf("%q: CompileExec on a SELECT says %q", src, xerr)
+	}
+	if perr != nil && !strings.Contains(perr.Error(), "is a write, not a query") {
+		t.Fatalf("%q: Plan on a write says %q", src, perr)
+	}
+}
+
+func TestStatementKinds(t *testing.T) {
+	for _, src := range []string{
+		"SELECT r_name FROM region WHERE r_regionkey = 1",
+		"SELECT count(*) AS n FROM region;",
+		"CREATE TABLE events (e_id bigint)",
+		"INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (7, 'ASIA', 'x')",
+		"UPDATE nation SET n_regionkey = 1 WHERE n_nationkey = 2",
+		"DELETE FROM region WHERE r_regionkey = 0",
+		"SELECT 1 FROM nosuch",
+		"DROP TABLE region",
+		"",
+	} {
+		checkStatementKind(t, src, testStore(t))
 	}
 }

@@ -91,14 +91,30 @@ type parser struct {
 	pos  int
 }
 
-// Parse parses one SELECT statement.
-func Parse(src string) (*stmt, error) {
+// parseStatement parses one statement of any kind — *stmt (SELECT),
+// *createStmt, *insertStmt, *updateStmt or *deleteStmt. It holds the one
+// lex call and the one optional-';' / trailing-input rule.
+func parseStatement(src string) (any, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	st, err := p.parseSelect()
+	var st any
+	switch {
+	case p.at(tokKeyword, "SELECT"):
+		st, err = p.parseSelect()
+	case p.at(tokKeyword, "CREATE"):
+		st, err = p.parseCreate()
+	case p.at(tokKeyword, "INSERT"):
+		st, err = p.parseInsert()
+	case p.at(tokKeyword, "UPDATE"):
+		st, err = p.parseUpdate()
+	case p.at(tokKeyword, "DELETE"):
+		st, err = p.parseDelete()
+	default:
+		err = p.errf("expected SELECT, CREATE, INSERT, UPDATE or DELETE")
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,23 +27,78 @@ func (e *CompileError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *CompileError) Unwrap() error { return e.Err }
 
-// Plan compiles a SQL statement against the store's catalog into a bound
-// plan tree ready for the engine or the AQUOMAN offload path. All
-// failures are reported as *CompileError.
+// Statement is one compiled SQL statement; exactly one field is set: the
+// bound plan of a SELECT, or the storage-neutral form of one write (the
+// façade executes those against the catalog, keeping this package free
+// of any catalog dependency).
+type Statement struct {
+	Select plan.Node
+	Create *CompiledCreate
+	Insert *CompiledInsert
+	Update *CompiledUpdate
+	Delete *CompiledDelete
+}
+
+// Compile is the one SQL pipeline: it parses src and compiles it against
+// the store's catalog, whatever kind of statement it is. All failures are
+// reported as *CompileError.
+func Compile(src string, store *col.Store) (*Statement, error) {
+	st, err := compile(src, store)
+	if err != nil {
+		return nil, &CompileError{Src: src, Err: err}
+	}
+	return st, nil
+}
+
+func compile(src string, store *col.Store) (*Statement, error) {
+	ast, err := parseStatement(src)
+	if err != nil {
+		return nil, err
+	}
+	out := &Statement{}
+	switch n := ast.(type) {
+	case *stmt:
+		if out.Select, err = (&planner{store: store, st: n}).plan(); err == nil {
+			err = plan.Bind(out.Select, store)
+		}
+	case *createStmt:
+		out.Create, err = compileCreate(n)
+	case *insertStmt:
+		out.Insert, err = compileInsert(n, store)
+	case *updateStmt:
+		out.Update, err = compileUpdate(n, store)
+	case *deleteStmt:
+		out.Delete, err = compileDelete(n, store)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Plan is Compile for the read path: a bound plan tree ready for the
+// engine or the AQUOMAN offload path; a write is rejected.
 func Plan(src string, store *col.Store) (plan.Node, error) {
-	st, err := Parse(src)
+	st, err := Compile(src, store)
 	if err != nil {
-		return nil, &CompileError{Src: src, Err: err}
+		return nil, err
 	}
-	pl := &planner{store: store, st: st}
-	root, err := pl.plan()
+	if st.Select == nil {
+		return nil, &CompileError{Src: src, Err: errors.New("sql: statement is a write, not a query — use the write path")}
+	}
+	return st.Select, nil
+}
+
+// CompileExec is Compile for the write path: a SELECT is rejected.
+func CompileExec(src string, store *col.Store) (*Statement, error) {
+	st, err := Compile(src, store)
 	if err != nil {
-		return nil, &CompileError{Src: src, Err: err}
+		return nil, err
 	}
-	if err := plan.Bind(root, store); err != nil {
-		return nil, &CompileError{Src: src, Err: err}
+	if st.Select != nil {
+		return nil, &CompileError{Src: src, Err: errors.New("sql: SELECT is a query, not a write — use the query path")}
 	}
-	return root, nil
+	return st, nil
 }
 
 // binding is one FROM entry resolved against the catalog.

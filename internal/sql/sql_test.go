@@ -146,7 +146,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t extra garbage at end $$",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
+		if _, err := Compile(src, testStore(t)); err == nil {
 			t.Errorf("parsed: %q", src)
 		}
 	}

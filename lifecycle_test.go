@@ -291,6 +291,58 @@ func TestAttributionExactOnEveryPath(t *testing.T) {
 	if scattered < 10 {
 		t.Fatalf("only %d of 22 queries scattered", scattered)
 	}
+
+	// A write rides the same recorder: an INSERT (compile, commit), an
+	// UPDATE whose victim scan is an ordinary host-only run, and a DELETE
+	// that loses its optimistic race on every attempt — each device read of
+	// its victim scan waits for another INSERT to commit.
+	exec := func(label, stmt string) (*Lifecycle, error) {
+		t.Helper()
+		lc := NewLifecycle(label)
+		_, err := db.Exec(WithLifecycle(context.Background(), lc), stmt)
+		lc.Finish()
+		requireExact(t, label, lc)
+		if states := lc.Breakdown(); states["compile"] <= 0 || states["host"] <= 0 {
+			t.Errorf("%s: compile %d ns, host %d ns: the write recorded nothing", label, states["compile"], states["host"])
+		}
+		return lc, err
+	}
+	const insert = "INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (9, 'ASIA', 'attributed')"
+	if _, err := exec("insert", insert); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := exec("update", "UPDATE region SET r_comment = 'patched' WHERE r_regionkey = 9")
+	if err != nil || lc.Breakdown()["device_read"] <= 0 {
+		t.Fatalf("update: err = %v, device_read %d ns: the victim scan is not under the statement's recorder", err, lc.Breakdown()["device_read"])
+	}
+	parked, resume := make(chan struct{}), make(chan struct{})
+	inj := faults.New(faults.Config{})
+	inj.Hook = func(string, int64, flash.Requester, int) (faults.Kind, bool) {
+		parked <- struct{}{}
+		<-resume
+		return 0, false
+	}
+	db.WithFaults(inj)
+	defer db.WithFaults(nil)
+	done := make(chan error)
+	go func() {
+		_, err := exec("delete/conflicted", "DELETE FROM region WHERE r_regionkey = 9")
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case <-parked:
+			if _, ierr := db.Exec(context.Background(), insert); ierr != nil {
+				t.Error(ierr)
+			}
+			resume <- struct{}{}
+		case err = <-done:
+			running = false
+		}
+	}
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("delete racing an insert on every attempt: err = %v, want ErrConflict", err)
+	}
 }
 
 func checkQueueTelemetry(t *testing.T, db *DB, queries int) {

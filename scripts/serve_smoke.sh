@@ -19,12 +19,16 @@
 #      per-tenant scheduler/latency series show up on /metrics,
 #   6. the write path over HTTP: POST /dml INSERT is visible to the
 #      next query (HTAP read through the un-merged delta), compile
-#      errors are 400 and stale ?ifepoch= preconditions 409,
+#      errors are 400 and stale ?ifepoch= pre-checks 409, and every /dml
+#      answer names its statement in X-Query-ID,
 #   7. SIGTERM drains and exits cleanly,
 #   8. the slow-query log (every query, -slow-query 1ns) checks the front
 #      door's own arithmetic: each line names its query and breaks its
 #      wall time into the fifteen lifecycle states, never more than wall,
-#      and at least 90% of it on the queries that succeeded.
+#      and at least 90% of it on the queries that succeeded — the writes
+#      included: the INSERT and the 409 each left the one line that carries
+#      their X-Query-ID, the 400 (turned away before it ran, like a bad
+#      /query) left none.
 set -euo pipefail
 
 ADDR="127.0.0.1:${SMOKE_PORT:-18080}"
@@ -164,20 +168,34 @@ wait "$ALPHA1" "$ALPHA2" 2>/dev/null || true
 
 echo "== DML over HTTP: INSERT is visible to the next query"
 BEFORE=$(curl -fsS "$URL/query?q=select+count(*)+as+n+from+region" | sed -n 's/^\[\([0-9]*\)\]$/\1/p')
-DML=$(curl -fsS -X POST -d '{"sql": "INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (9, '\''ASIA'\'', '\''smoke row'\'')"}' "$URL/dml")
-echo "$DML"
-echo "$DML" | grep -q '"op":"insert"' || { echo "bad /dml response"; exit 1; }
-echo "$DML" | grep -q '"rows_affected":1' || { echo "insert did not affect 1 row"; exit 1; }
+# dml POSTs one statement; the body lands in $DML_BODY, the status in
+# $DML_CODE and the response's X-Query-ID in $DML_ID.
+DML_HDRS=$(mktemp)
+dml() { # sql [query-string]
+    DML_BODY=$(mktemp)
+    DML_CODE=$(curl -s -D "$DML_HDRS" -o "$DML_BODY" -w '%{http_code}' -X POST -d "{\"sql\": \"$1\"}" "$URL/dml${2:-}")
+    DML_ID=$(tr -d '\r' <"$DML_HDRS" | awk 'tolower($1) == "x-query-id:" {print $2}')
+    [ -n "$DML_ID" ] || { echo "/dml answered $DML_CODE without X-Query-ID"; cat "$DML_HDRS"; exit 1; }
+}
+dml "INSERT INTO region (r_regionkey, r_name, r_comment) VALUES (9, 'ASIA', 'smoke row')"
+cat "$DML_BODY"
+[ "$DML_CODE" = 200 ] || { echo "INSERT returned $DML_CODE, want 200"; exit 1; }
+grep -q '"op":"insert"' "$DML_BODY" || { echo "bad /dml response"; exit 1; }
+grep -q '"rows_affected":1' "$DML_BODY" || { echo "insert did not affect 1 row"; exit 1; }
+INSERT_ID=$DML_ID
 AFTER=$(curl -fsS "$URL/query?q=select+count(*)+as+n+from+region" | sed -n 's/^\[\([0-9]*\)\]$/\1/p')
 [ "$AFTER" = "$((BEFORE + 1))" ] || { echo "count went $BEFORE -> $AFTER, want +1 (stale snapshot?)"; exit 1; }
 echo "region count $BEFORE -> $AFTER through the un-merged delta"
 
-echo "== DML compile error is a 400, stale epoch precondition a 409"
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"sql": "INSERT INTO nosuch VALUES (1)"}' "$URL/dml")
-[ "$CODE" = 400 ] || { echo "bad DML returned $CODE, want 400"; exit 1; }
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"sql": "DELETE FROM region"}' "$URL/dml?ifepoch=999999")
-[ "$CODE" = 409 ] || { echo "stale ifepoch returned $CODE, want 409"; exit 1; }
-echo "error surface ok (400 compile, 409 stale epoch)"
+echo "== DML compile error is a 400, stale epoch pre-check a 409"
+dml "INSERT INTO nosuch VALUES (1)"
+[ "$DML_CODE" = 400 ] || { echo "bad DML returned $DML_CODE, want 400"; exit 1; }
+BAD_ID=$DML_ID
+dml "DELETE FROM region" "?ifepoch=999999"
+[ "$DML_CODE" = 409 ] || { echo "stale ifepoch returned $DML_CODE, want 409"; exit 1; }
+grep -q '"epoch":' "$DML_BODY" || { echo "409 without the current epoch"; cat "$DML_BODY"; exit 1; }
+CONFLICT_ID=$DML_ID
+echo "error surface ok (400 compile, 409 stale epoch), ids $INSERT_ID $BAD_ID $CONFLICT_ID"
 
 echo "== SIGTERM drains and exits cleanly (with the fresh write still queryable)"
 kill -TERM "$SERVER_PID"
@@ -193,13 +211,24 @@ trap - EXIT
 grep -q "aquoman-serve stopped" "$LOG" || { echo "missing clean-shutdown log line"; cat "$LOG"; exit 1; }
 
 echo "== slow-query log: every line's states add up"
-python3 - "$SLOWLOG" <<'PY'
+python3 - "$SLOWLOG" "$INSERT_ID" "$BAD_ID" "$CONFLICT_ID" <<'PY'
 import json, sys
 STATES = {"queue_wait", "compile", "rowsel", "read", "systolic", "swissknife", "sorter", "host",
           "device_read", "cache_hit", "coalesce_wait", "emit", "scatter_wait", "merge", "result_cache_hit"}
 lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-if len(lines) < 8:
+if len(lines) < 10:
     sys.exit("only %d slow-query lines: the log missed queries" % len(lines))
+# A write is a query: the INSERT and the 409 each left exactly one line
+# under the X-Query-ID their /dml response carried; the 400 never ran.
+insert_id, bad_id, conflict_id = sys.argv[2:5]
+by_id = {}
+for l in lines:
+    by_id.setdefault(l.get("id"), []).append(l)
+for what, qid, want in (("INSERT", insert_id, 1), ("400", bad_id, 0), ("409", conflict_id, 1)):
+    if len(by_id.get(qid, [])) != want:
+        sys.exit("the /dml %s (id %s) left %d slow-query lines, want %d" % (what, qid, len(by_id.get(qid, [])), want))
+if "error" in by_id[insert_id][0] or "error" not in by_id[conflict_id][0]:
+    sys.exit("the INSERT's line carries an error or the 409's does not: %r %r" % (by_id[insert_id][0], by_id[conflict_id][0]))
 failed = 0
 for l in lines:
     states = l.get("states_ms") or {}

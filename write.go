@@ -11,8 +11,8 @@ import (
 	"aquoman/internal/catalog"
 	"aquoman/internal/col"
 	"aquoman/internal/core"
-	"aquoman/internal/engine"
 	"aquoman/internal/flash"
+	"aquoman/internal/obs"
 	"aquoman/internal/plan"
 	"aquoman/internal/sql"
 	"aquoman/internal/tpch"
@@ -26,6 +26,9 @@ var (
 	ErrConflict = catalog.ErrConflict
 	// ErrStaleSnapshot marks a snapshot taken before the last merge.
 	ErrStaleSnapshot = catalog.ErrStaleSnapshot
+	// ErrUnmergedDelta is Save's refusal to persist a store whose catalog
+	// holds un-merged writes: they would be silently dropped.
+	ErrUnmergedDelta = errors.New("aquoman: un-merged delta: Merge before Save")
 )
 
 // ReadOnlyError is Exec's refusal to write to a DB that is one part of a
@@ -74,26 +77,13 @@ func (db *DB) catalogLocked() *catalog.Catalog {
 	return db.cat
 }
 
-// admitHook stamps a query's context with the current catalog epoch as
-// the scheduler grants it an in-flight slot: however long the query
-// runs, every scan resolves against that snapshot. Before any write
-// activity (no catalog yet) the hook is a no-op.
-func (db *DB) admitHook(ctx context.Context) context.Context {
-	db.mu.Lock()
-	cat := db.cat
-	db.mu.Unlock()
-	if cat == nil {
-		return ctx
-	}
-	return catalog.WithSnapshot(ctx, cat.Snapshot())
-}
-
-// attachOverlays resolves the MVCC overlays a plan execution must see:
-// the admission snapshot from the context if the scheduler stamped one,
-// else a fresh snapshot. A snapshot invalidated by a merge mid-queue
-// falls back to a fresh one — the merged base pages contain everything
-// the stale epoch could see (the window degrades to read-committed, it
-// never loses writes).
+// attachOverlays resolves the MVCC overlays a plan execution must see, as
+// the first thing an admitted query does: the snapshot pinned on its
+// context when there is one (a write's victim scan, see Exec), else a fresh
+// one. A pinned snapshot is never swapped — one invalidated by a merge
+// fails with ErrStaleSnapshot; only the unpinned read retries when a merge
+// slips between taking its snapshot and resolving it (the merged base pages
+// contain everything the stale epoch could see).
 func (db *DB) attachOverlays(p Plan, cfg *core.Config) error {
 	db.mu.Lock()
 	cat := db.cat
@@ -101,32 +91,30 @@ func (db *DB) attachOverlays(p Plan, cfg *core.Config) error {
 	if cat == nil {
 		return nil
 	}
-	snap, ok := catalog.SnapshotFrom(cfg.Ctx)
-	if !ok {
+	snap, pinned := catalog.SnapshotFrom(cfg.Ctx)
+	if !pinned {
 		snap = cat.Snapshot()
 	}
 	tables := plan.BaseTables(p)
 	ovs, err := snap.Overlays(tables)
-	if errors.Is(err, catalog.ErrStaleSnapshot) {
+	if !pinned && errors.Is(err, catalog.ErrStaleSnapshot) {
 		ovs, err = cat.Snapshot().Overlays(tables)
 	}
-	if err != nil {
-		return err
-	}
 	cfg.Overlays = ovs
-	return nil
+	return err
 }
 
-// ExecResult describes one executed write statement.
+// ExecResult describes one executed write statement; its JSON form is the
+// /dml success body.
 type ExecResult struct {
 	// Op is the statement kind: "create", "insert", "update", "delete".
-	Op string
+	Op string `json:"op"`
 	// Table is the target table.
-	Table string
+	Table string `json:"table"`
 	// Rows is the number of rows affected.
-	Rows int
+	Rows int `json:"rows_affected"`
 	// Epoch is the commit epoch (0 for a no-op delete/update).
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 }
 
 // execRetries bounds the optimistic-conflict retry loop in Exec.
@@ -135,13 +123,19 @@ const execRetries = 3
 // Exec parses and executes one write statement: CREATE TABLE, INSERT,
 // UPDATE or DELETE. Writes commit to the in-memory delta tail and the
 // on-flash WAL immediately; analytic scans fold the deltas in via their
-// admission snapshot until Merge compacts them into base pages.
+// snapshot until Merge compacts them into base pages.
 //
-// UPDATE and DELETE pick their victims at a snapshot and commit with a
-// compare-and-swap on the catalog epoch; a concurrent write in between
-// re-runs the statement (up to execRetries times) before surfacing
-// ErrConflict. A DB that NewCoordinator or ExtractPartition made part of
-// a cluster refuses every statement with *ReadOnlyError.
+// A write is a query with a different last step: it compiles through the
+// same SQL pipeline as Do, an UPDATE or DELETE picks its victims with an
+// ordinary host-only run of the compiled WHERE plan — pinned to the
+// attempt's snapshot, so the WHERE clause reads its own DB's earlier
+// writes — and records into ctx's Lifecycle (compile, the scan's states,
+// the catalog commit as host time). The commit is a compare-and-swap on
+// the catalog epoch; a concurrent write (or merge) in between re-runs the
+// statement (up to execRetries times) before surfacing ErrConflict. A
+// statement whose ctx dies before its commit commits nothing. A DB that
+// NewCoordinator or ExtractPartition made part of a cluster refuses every
+// statement with *ReadOnlyError.
 func (db *DB) Exec(ctx context.Context, src string) (*ExecResult, error) {
 	db.mu.Lock()
 	role := db.clusterRole
@@ -149,88 +143,80 @@ func (db *DB) Exec(ctx context.Context, src string) (*ExecResult, error) {
 	if role != "" {
 		return nil, &ReadOnlyError{Mode: role}
 	}
+	ctx, lc := obs.Ensure(ctx, db.Obs.Registry())
 	cat := db.Catalog()
-	ex, err := sql.CompileExec(src, db.Store)
+	compile := lc.Begin(obs.StateCompile, "compile")
+	st, err := sql.CompileExec(src, db.Store)
+	compile.End()
 	if err != nil {
 		return nil, err
 	}
 	switch {
-	case ex.Create != nil:
-		if _, err := cat.CreateTable(ex.Create.Schema); err != nil {
-			return nil, err
-		}
-		return &ExecResult{Op: "create", Table: ex.Create.Schema.Name, Epoch: cat.Epoch()}, nil
-	case ex.Insert != nil:
-		res, err := cat.Insert(ex.Insert.Table, ex.Insert.N, ex.Insert.Ints, ex.Insert.Strs)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Op: "insert", Table: ex.Insert.Table, Rows: res.Rows, Epoch: res.Epoch}, nil
-	case ex.Delete != nil:
-		return db.execRetry(ctx, cat, "delete", ex.Delete.Table, func(snap catalog.Snapshot) (*catalog.Result, error) {
-			b, err := db.runVictims(ctx, snap, ex.Delete.Plan)
-			if err != nil {
-				return nil, err
-			}
-			rowids, _ := b.Col(plan.RowIDCol)
-			if len(rowids) == 0 {
-				return &catalog.Result{}, nil
-			}
-			return cat.Delete(ex.Delete.Table, rowids, snap.Epoch)
+	case st.Create != nil:
+		return commit(ctx, "create", st.Create.Schema.Name, func() (*catalog.Result, error) {
+			_, err := cat.CreateTable(st.Create.Schema)
+			return &catalog.Result{Epoch: cat.Epoch()}, err
 		})
-	case ex.Update != nil:
-		return db.execRetry(ctx, cat, "update", ex.Update.Table, func(snap catalog.Snapshot) (*catalog.Result, error) {
-			b, err := db.runVictims(ctx, snap, ex.Update.Plan)
+	case st.Insert != nil:
+		ins := st.Insert
+		return commit(ctx, "insert", ins.Table, func() (*catalog.Result, error) {
+			return cat.Insert(ins.Table, ins.N, ins.Ints, ins.Strs)
+		})
+	case st.Delete != nil:
+		del := st.Delete
+		return db.execRetry(ctx, cat, "delete", del.Table, del.Plan, func(_ *Batch, rowids []int64, expect uint64) (*catalog.Result, error) {
+			return cat.Delete(del.Table, rowids, expect)
+		})
+	default:
+		up := st.Update
+		return db.execRetry(ctx, cat, "update", up.Table, up.Plan, func(b *Batch, rowids []int64, expect uint64) (*catalog.Result, error) {
+			ints, strs, err := db.updateValues(up, b)
 			if err != nil {
 				return nil, err
 			}
-			rowids, _ := b.Col(plan.RowIDCol)
-			if len(rowids) == 0 {
-				return &catalog.Result{}, nil
-			}
-			ints, strs, err := db.updateValues(ex.Update, b)
-			if err != nil {
-				return nil, err
-			}
-			return cat.Update(ex.Update.Table, rowids, len(rowids), ints, strs, snap.Epoch)
+			return cat.Update(up.Table, rowids, len(rowids), ints, strs, expect)
 		})
 	}
-	return nil, fmt.Errorf("aquoman: empty statement")
 }
 
-// execRetry drives one snapshot→commit attempt, retrying on optimistic
-// conflicts with a fresh snapshot.
-func (db *DB) execRetry(ctx context.Context, cat *catalog.Catalog, op, table string,
-	attempt func(catalog.Snapshot) (*catalog.Result, error)) (*ExecResult, error) {
-	var err error
-	for try := 0; try <= execRetries; try++ {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var res *catalog.Result
-		res, err = attempt(cat.Snapshot())
-		if err == nil {
-			return &ExecResult{Op: op, Table: table, Rows: res.Rows, Epoch: res.Epoch}, nil
-		}
-		if !errors.Is(err, catalog.ErrConflict) {
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-// runVictims executes a compiled victim-selection plan on the host
-// engine at the given snapshot (read-your-writes: uncommitted-to-base
-// tail rows and deletes are visible to the WHERE clause).
-func (db *DB) runVictims(ctx context.Context, snap catalog.Snapshot, p Plan) (*Batch, error) {
-	ovs, err := snap.Overlays(plan.BaseTables(p))
+// commit runs one catalog mutation, as host time of the statement's
+// recorder.
+func commit(ctx context.Context, op, table string, mutate func() (*catalog.Result, error)) (*ExecResult, error) {
+	defer obs.LifecycleFrom(ctx).Begin(obs.StateHost, "commit").End()
+	res, err := mutate()
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(db.Store)
-	eng.SetContext(ctx)
-	eng.SetOverlays(ovs)
-	return eng.Run(p)
+	return &ExecResult{Op: op, Table: table, Rows: res.Rows, Epoch: res.Epoch}, nil
+}
+
+// execRetry drives snapshot→victim scan→commit attempts, retrying on an
+// optimistic conflict with a fresh snapshot. The scan is an ordinary
+// host-only run pinned to the attempt's snapshot (read-your-writes:
+// un-merged tail rows and deletes are visible to the WHERE clause); apply
+// commits against the scanned victims with the snapshot's epoch as its CAS.
+func (db *DB) execRetry(ctx context.Context, cat *catalog.Catalog, op, table string, victims Plan,
+	apply func(b *Batch, rowids []int64, expect uint64) (*catalog.Result, error)) (*ExecResult, error) {
+	for try := 0; ; try++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		snap := cat.Snapshot()
+		scan, err := db.run(catalog.WithSnapshot(ctx, snap), &Request{Plan: victims, HostOnly: true}, true)
+		if err != nil {
+			return nil, err
+		}
+		res, err := commit(ctx, op, table, func() (*catalog.Result, error) {
+			rowids, _ := scan.Batch.Col(plan.RowIDCol)
+			if len(rowids) == 0 {
+				return &catalog.Result{}, nil
+			}
+			return apply(scan.Batch, rowids, snap.Epoch)
+		})
+		if try == execRetries || !errors.Is(err, catalog.ErrConflict) {
+			return res, err
+		}
+	}
 }
 
 // updateValues converts an update plan's output batch into the
