@@ -302,12 +302,6 @@ func (db *DB) EnableObservability() *obs.Observer {
 	return o
 }
 
-// DisableObservability detaches the observer.
-func (db *DB) DisableObservability() {
-	db.Obs = nil
-	db.Flash.Observe(nil)
-}
-
 // WithFaults installs a fault injector on the DB's flash device and
 // returns it for scripting (AddRule, KillDevice, Hook). When an observer
 // is attached the injector's per-kind counters are mirrored into the same
@@ -395,13 +389,6 @@ func (db *DB) DisableCache() {
 	db.Flash.SetPageCache(nil)
 }
 
-// Cache returns the installed page cache, or nil.
-func (db *DB) Cache() *PageCache {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.cache
-}
-
 // CacheStats snapshots the page cache's hit/miss/eviction counters (zero
 // value when no cache is installed).
 func (db *DB) CacheStats() CacheStats {
@@ -431,13 +418,6 @@ func (db *DB) EnableResultCache(maxBytes, perTenantBytes int64) *ResultCache {
 	}
 	db.mu.Unlock()
 	return c
-}
-
-// DisableResultCache detaches the result cache.
-func (db *DB) DisableResultCache() {
-	db.mu.Lock()
-	db.rcache = nil
-	db.mu.Unlock()
 }
 
 // ResultCacheHandle returns the installed result cache, or nil.

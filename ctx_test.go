@@ -164,75 +164,89 @@ func TestQueryCtxCompileError(t *testing.T) {
 	}
 }
 
-// TestHostTextReadHonoursContext: a host LIKE over a Text column loads the
-// column's whole string heap, and that read belongs to the query — it stops
-// at the next chunk once the context dies, and the time the device takes is
-// device_read, not host. Mutation: engine.materializeText loading the heap
-// with NewHeapReader (a nil context) reads every heap page after the cancel
-// and leaves the heap's device trip in host.
+// TestHostTextReadHonoursContext: a host LIKE over a Text column, and a
+// host ORDER BY on one, load the column's whole string heap, and that read
+// belongs to the query — it stops at the next chunk once the context dies,
+// and the time the device takes is device_read, not host. Mutations:
+// engine.materializeText loading the heap with NewHeapReader (a nil
+// context), or execOrderBy resolving its keys with ColumnInfo.Str per
+// comparison, reads every heap page after the cancel and leaves the heap's
+// device trip in host.
 func TestHostTextReadHonoursContext(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.01, 42); err != nil {
 		t.Fatal(err)
 	}
-	like := Request{SQL: "select count(*) as n from lineitem where l_comment like '%quick%'", HostOnly: true}
-	db.ResetFlashStats()
-	if _, err := db.Do(context.Background(), like); err != nil {
-		t.Fatal(err)
-	}
-	total := db.FlashStats().PagesRead[flash.Host]
+	for _, tc := range []struct{ name, big, small string }{
+		{"like",
+			"select count(*) as n from lineitem where l_comment like '%quick%'",
+			"select count(*) as n from region where r_comment like '%a%'"},
+		{"order-by",
+			"select l_comment from lineitem order by l_comment limit 3",
+			"select r_comment from region order by r_comment"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			big := Request{SQL: tc.big, HostOnly: true}
+			db.ResetFlashStats()
+			if _, err := db.Do(context.Background(), big); err != nil {
+				t.Fatal(err)
+			}
+			total := db.FlashStats().PagesRead[flash.Host]
 
-	// Park the query on its first heap page, cancel it there, let the read
-	// in flight complete: at most one chunk of the heap may follow.
-	gate := faults.NewGate()
-	inj := faults.New(faults.Config{})
-	inj.Hook = func(file string, page int64, who flash.Requester, attempt int) (faults.Kind, bool) {
-		if strings.HasSuffix(file, ".heap") {
-			return gate.Hook(file, page, who, attempt)
-		}
-		return 0, false
-	}
-	db.WithFaults(inj)
-	db.ResetFlashStats()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := db.Do(ctx, like)
-		errc <- err
-	}()
-	select {
-	case <-gate.Entered():
-	case <-time.After(10 * time.Second):
-		t.Fatal("the query never reached its string heap")
-	}
-	cancel()
-	gate.Release()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled on the heap read: err = %v, want context.Canceled", err)
-	}
-	read := db.FlashStats().PagesRead[flash.Host]
-	if read >= total {
-		t.Fatalf("read all %d of the query's %d host pages: the heap read ignored the cancel", read, total)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if again := db.FlashStats().PagesRead[flash.Host]; again != read {
-		t.Fatalf("flash traffic still growing after the query returned: %d -> %d pages", read, again)
-	}
-	db.WithFaults(nil)
+			// Park the query on its first heap page, cancel it there, let the
+			// read in flight complete: at most one chunk of the heap may follow.
+			gate := faults.NewGate()
+			inj := faults.New(faults.Config{})
+			inj.Hook = func(file string, page int64, who flash.Requester, attempt int) (faults.Kind, bool) {
+				if strings.HasSuffix(file, ".heap") {
+					return gate.Hook(file, page, who, attempt)
+				}
+				return 0, false
+			}
+			db.WithFaults(inj)
+			defer db.WithFaults(nil)
+			db.ResetFlashStats()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := db.Do(ctx, big)
+				errc <- err
+			}()
+			select {
+			case <-gate.Entered():
+			case <-time.After(10 * time.Second):
+				t.Fatal("the query never reached its string heap")
+			}
+			cancel()
+			gate.Release()
+			if err := <-errc; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled on the heap read: err = %v, want context.Canceled", err)
+			}
+			read := db.FlashStats().PagesRead[flash.Host]
+			if read >= total {
+				t.Fatalf("read all %d of the query's %d host pages: the heap read ignored the cancel", read, total)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if again := db.FlashStats().PagesRead[flash.Host]; again != read {
+				t.Fatalf("flash traffic still growing after the query returned: %d -> %d pages", read, again)
+			}
+			db.WithFaults(nil)
 
-	// Two device trips, tR each: region's one page of r_comment offsets and
-	// its one-page heap. Both are device_read.
-	const tR = 20 * time.Millisecond
-	db.Flash.SetReadLatency(tR)
-	lc := NewLifecycle("text")
-	if _, err := db.Do(WithLifecycle(context.Background(), lc),
-		Request{SQL: "select count(*) as n from region where r_comment like '%a%'", HostOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	lc.Finish()
-	if got := time.Duration(lc.Breakdown()["device_read"]); got < 2*tR*9/10 {
-		t.Fatalf("device_read = %v for two %v trips (host = %v): the heap's trip is not device time",
-			got, tR, time.Duration(lc.Breakdown()["host"]))
+			// Two device trips, tR each: region's one page of r_comment
+			// offsets and its one-page heap. Both are device_read.
+			const tR = 20 * time.Millisecond
+			db.Flash.SetReadLatency(tR)
+			defer db.Flash.SetReadLatency(0)
+			lc := NewLifecycle("text")
+			if _, err := db.Do(WithLifecycle(context.Background(), lc), Request{SQL: tc.small, HostOnly: true}); err != nil {
+				t.Fatal(err)
+			}
+			lc.Finish()
+			if got := time.Duration(lc.Breakdown()["device_read"]); got < 2*tR*9/10 {
+				t.Fatalf("device_read = %v for two %v trips (host = %v): the heap's trip is not device time",
+					got, tR, time.Duration(lc.Breakdown()["host"]))
+			}
+		})
 	}
 }

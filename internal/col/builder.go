@@ -23,10 +23,9 @@ type TableBuilder struct {
 	intIdx []int      // schema index -> ints index (or -1)
 	// dictSeeds pre-interns dictionary values (SeedDictionary).
 	dictSeeds map[string][]string
-	// encSel is the table-wide encoding selection (seeded from the
-	// store's default); colEnc holds per-column overrides.
+	// encSel is the table-wide encoding selection (the store's default
+	// when the build started).
 	encSel enc.Selection
-	colEnc map[string]enc.Selection
 	done   bool
 }
 
@@ -111,19 +110,6 @@ func (b *TableBuilder) AppendColumnStrings(name string, vals []string) {
 // SetNumRows fixes the row count after bulk appends.
 func (b *TableBuilder) SetNumRows(n int) { b.num = n }
 
-// SetEncoding overrides the store-default encoding selection for every
-// column of this table.
-func (b *TableBuilder) SetEncoding(sel enc.Selection) { b.encSel = sel }
-
-// SetColumnEncoding overrides the encoding selection for one column.
-func (b *TableBuilder) SetColumnEncoding(name string, sel enc.Selection) {
-	b.colIndex(name) // validate
-	if b.colEnc == nil {
-		b.colEnc = make(map[string]enc.Selection)
-	}
-	b.colEnc[name] = sel
-}
-
 // SeedDictionary pre-interns values into a Dict column's dictionary so
 // that stores holding different subsets of a domain (e.g. horizontal
 // partitions) still assign identical codes. The final dictionary is the
@@ -190,11 +176,7 @@ func (b *TableBuilder) Finalize() (*Table, error) {
 			}
 		}
 		ci.Sorted, ci.Unique = orderFlags(vals)
-		sel := b.encSel
-		if o, ok := b.colEnc[def.Name]; ok {
-			sel = o
-		}
-		if err := writeColumnData(ci, vals, sel); err != nil {
+		if err := writeColumnData(ci, vals, b.encSel); err != nil {
 			return nil, fmt.Errorf("col: table %s column %s: %w", b.schema.Name, def.Name, err)
 		}
 		t.cols[def.Name] = ci

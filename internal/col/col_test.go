@@ -183,7 +183,7 @@ func TestGather(t *testing.T) {
 	s := testStore()
 	tab := buildSample(t, s)
 	id := tab.MustColumn("id")
-	got, _ := id.Gather([]Value{5, 50, 99, 0}, flash.Aquoman)
+	got, _ := id.Gather(nil, []Value{5, 50, 99, 0}, flash.Aquoman)
 	want := []Value{5, 50, 99, 0}
 	for i := range want {
 		if got[i] != want[i] {

@@ -73,7 +73,7 @@ func TestConcurrentReadersSharedCache(t *testing.T) {
 					rowids = append(rowids, int64((i*2654435761+g)%rows))
 				}
 				for rep := 0; rep < 20; rep++ {
-					got, err := ci.Gather(rowids, flash.Aquoman)
+					got, err := ci.Gather(nil, rowids, flash.Aquoman)
 					if err != nil {
 						t.Error(err)
 						return

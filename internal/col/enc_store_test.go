@@ -80,8 +80,8 @@ func TestEncodedReadEquality(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(rng.Intn(len(vals) + 100))
 			}
-			g1, err1 := ci.Gather(ids, flash.Host)
-			g2, err2 := raw.Gather(ids, flash.Host)
+			g1, err1 := ci.Gather(nil, ids, flash.Host)
+			g2, err2 := raw.Gather(nil, ids, flash.Host)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("Gather: %v / %v", err1, err2)
 			}

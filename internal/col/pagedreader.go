@@ -159,13 +159,7 @@ func (r *PagedReader) MarkPruned(pi int) {
 }
 
 // vecPage maps a Row Vector to its flash page index.
-func (r *PagedReader) vecPage(vec int) int64 {
-	start := vec * bitvec.VecSize
-	if r.ci.Enc != nil {
-		return int64(r.ci.Enc.PageFor(start))
-	}
-	return int64(start) * int64(r.ci.Def.Typ.Width()) / flash.PageSize
-}
+func (r *PagedReader) vecPage(vec int) int64 { return r.ci.rowPage(vec * bitvec.VecSize) }
 
 // pageVecs returns the Row Vectors [lo, hi) that flash page pi holds.
 func (r *PagedReader) pageVecs(pi int64) (lo, hi int) {

@@ -169,7 +169,7 @@ func TestGatherPageBuffered(t *testing.T) {
 	for i := range rowids {
 		rowids[i] = Value(i)
 	}
-	got, _ := ci.Gather(rowids, flash.Aquoman)
+	got, _ := ci.Gather(nil, rowids, flash.Aquoman)
 	for i := range rowids {
 		if got[i] != rowids[i] {
 			t.Fatalf("gather[%d] = %d", i, got[i])
@@ -181,7 +181,7 @@ func TestGatherPageBuffered(t *testing.T) {
 	// Strided rowids hit a new page each time.
 	s.Dev.ResetStats()
 	stride := Value(flash.PageSize / 4)
-	ci.Gather([]Value{0, stride, 2 * stride, 3 * stride}, flash.Aquoman)
+	ci.Gather(nil, []Value{0, stride, 2 * stride, 3 * stride}, flash.Aquoman)
 	if pages := s.Dev.Stats().PagesRead[flash.Aquoman]; pages != 4 {
 		t.Fatalf("strided pages = %d, want 4", pages)
 	}

@@ -314,6 +314,9 @@ func (c *ColumnInfo) ReadRangeCtx(ctx context.Context, start, count int, who fla
 	if start+count > c.numRows {
 		count = c.numRows - start
 	}
+	if count <= 0 {
+		return 0, nil
+	}
 	if c.Enc != nil {
 		return c.readRangeEnc(ctx, start, count, who, out)
 	}
@@ -358,99 +361,117 @@ func (c *ColumnInfo) MustReadAll(who flash.Requester) []Value {
 	return out
 }
 
-// readRangeEnc serves ReadRange over an encoded column: every page
-// overlapping [start, start+count) is read and decoded once, and the
-// requested rows are copied out of the materialized values. count is
-// already clamped to the column's row range.
+// decodePage materializes the values of encoded page pi from its flash
+// image.
+func (c *ColumnInfo) decodePage(pi int, buf []byte) ([]Value, error) {
+	p, err := enc.DecodePage(buf, c.Enc.Dict)
+	if err != nil {
+		return nil, fmt.Errorf("col: column %s page %d: %w", c.Def.Name, pi, err)
+	}
+	return p.Values(), nil
+}
+
+// readRangeEnc serves ReadRange over an encoded column: the pages
+// overlapping [start, start+count) are fetched a device batch (at most
+// flash.QueueDepth pages) at a time, each decoded once, and the requested
+// rows copied out of the materialized values. count is positive and already
+// clamped to the column's row range.
 func (c *ColumnInfo) readRangeEnc(ctx context.Context, start, count int, who flash.Requester, out []Value) (int, error) {
 	end := start + count
-	total := 0
-	for pi := c.Enc.PageFor(start); pi < len(c.Enc.Pages); pi++ {
-		pm := c.Enc.Pages[pi]
-		if pm.StartRow >= end {
-			break
+	var b flash.Batch
+	for lo, last := c.Enc.PageFor(start), c.Enc.PageFor(end-1); lo <= last; lo += flash.QueueDepth {
+		b.Reset(nil)
+		for pi := lo; pi <= min(lo+flash.QueueDepth-1, last); pi++ {
+			b.Add(c.File, int64(pi))
 		}
-		buf, err := c.File.ReadPageCtx(ctx, int64(pi), who)
-		if err != nil {
+		if err := b.Read(ctx, who); err != nil {
 			return 0, err
 		}
-		p, err := enc.DecodePage(buf, c.Enc.Dict)
-		if err != nil {
-			return 0, fmt.Errorf("col: column %s page %d: %w", c.Def.Name, pi, err)
+		for k := 0; k < b.Len(); k++ {
+			vals, err := c.decodePage(lo+k, b.Page(k))
+			if err != nil {
+				return 0, err
+			}
+			pm := c.Enc.Pages[lo+k]
+			from, to := max(start, pm.StartRow), min(end, pm.StartRow+pm.Count)
+			copy(out[from-start:to-start], vals[from-pm.StartRow:to-pm.StartRow])
 		}
-		vals := p.Values()
-		lo, hi := start, end
-		if pm.StartRow > lo {
-			lo = pm.StartRow
-		}
-		if pe := pm.StartRow + pm.Count; pe < hi {
-			hi = pe
-		}
-		copy(out[lo-start:hi-start], vals[lo-pm.StartRow:hi-pm.StartRow])
-		total = hi - start
 	}
-	return total, nil
+	return count, nil
 }
 
-// Gather reads the values at the given row ids through a one-page buffer:
+// rowPage maps a row to the flash page holding it.
+func (c *ColumnInfo) rowPage(row int) int64 {
+	if c.Enc != nil {
+		return int64(c.Enc.PageFor(row))
+	}
+	return int64(row) * int64(c.Def.Typ.Width()) / flash.PageSize
+}
+
+// Gather reads the values at the given row ids (0 for a row id out of
+// range). The walk over rowids is the one a one-page buffer would make —
 // consecutive rowids on the same flash page cost a single page read, so
 // clustered gathers (sorted RowID columns) approach sequential cost while
-// scattered ones pay a page per element.
-func (c *ColumnInfo) Gather(rowids []Value, who flash.Requester) ([]Value, error) {
-	if c.Enc != nil {
-		return c.gatherEnc(rowids, who)
-	}
+// scattered ones pay a page per element — but the pages it calls for go to
+// the device a batch (at most flash.QueueDepth) at a time, under the
+// query's ctx (nil = never cancelled). Raw and encoded columns differ only
+// in how a fetched page yields a value.
+func (c *ColumnInfo) Gather(ctx context.Context, rowids []Value, who flash.Requester) ([]Value, error) {
 	out := make([]Value, len(rowids))
-	w := int64(c.Def.Typ.Width())
-	curPage := int64(-1)
-	var page []byte
-	for i, r := range rowids {
-		off := r * w
-		p := off / flash.PageSize
-		if p != curPage {
-			var err error
-			page, err = c.File.ReadPage(p, who)
-			if err != nil {
-				return nil, err
+	inRange := func(r Value) bool { return r >= 0 && r < Value(c.numRows) }
+	w := c.Def.Typ.Width()
+	var b flash.Batch
+	for lo := 0; lo < len(rowids); {
+		// Plan the batch: one page per change of page along rowids[lo:hi].
+		b.Reset(nil)
+		cur, hi := int64(-1), lo
+		for ; hi < len(rowids); hi++ {
+			if !inRange(rowids[hi]) {
+				continue
 			}
-			curPage = p
-		}
-		rel := off - p*flash.PageSize
-		if int(rel+w) > len(page) {
-			out[i] = 0
-			continue
-		}
-		out[i] = decodeOne(c.Def.Typ, page[rel:rel+w])
-	}
-	return out, nil
-}
-
-// gatherEnc is Gather over an encoded column: the page directory maps
-// each rowid to its page, and the last decoded page is kept so clustered
-// gathers still cost one read+decode per page.
-func (c *ColumnInfo) gatherEnc(rowids []Value, who flash.Requester) ([]Value, error) {
-	out := make([]Value, len(rowids))
-	curIdx := -1
-	var vals []Value
-	for i, r := range rowids {
-		if r < 0 || int(r) >= c.numRows {
-			out[i] = 0
-			continue
-		}
-		pi := c.Enc.PageFor(int(r))
-		if pi != curIdx {
-			buf, err := c.File.ReadPage(int64(pi), who)
-			if err != nil {
-				return nil, err
+			if p := c.rowPage(int(rowids[hi])); p != cur {
+				if b.Len() == flash.QueueDepth {
+					break
+				}
+				b.Add(c.File, p)
+				cur = p
 			}
-			p, err := enc.DecodePage(buf, c.Enc.Dict)
-			if err != nil {
-				return nil, fmt.Errorf("col: column %s page %d: %w", c.Def.Name, pi, err)
-			}
-			vals = p.Values()
-			curIdx = pi
 		}
-		out[i] = vals[int(r)-c.Enc.Pages[pi].StartRow]
+		if err := b.Read(ctx, who); err != nil {
+			return nil, err
+		}
+		// Walk the same rowids again, now with their pages in hand.
+		var (
+			k    = -1
+			raw  []byte  // page k of a raw column
+			vals []Value // page k of an encoded one, decoded
+			base int     // its first row
+		)
+		cur = -1
+		for i := lo; i < hi; i++ {
+			r := int(rowids[i])
+			if !inRange(rowids[i]) {
+				continue
+			}
+			if p := c.rowPage(r); p != cur {
+				k, cur = k+1, p
+				if c.Enc == nil {
+					raw, base = b.Page(k), int(p)*flash.PageSize/w
+				} else {
+					var err error
+					if vals, err = c.decodePage(int(p), b.Page(k)); err != nil {
+						return nil, err
+					}
+					base = c.Enc.Pages[p].StartRow
+				}
+			}
+			if c.Enc == nil {
+				out[i] = decodeOne(c.Def.Typ, raw[(r-base)*w:])
+			} else {
+				out[i] = vals[r-base]
+			}
+		}
+		lo = hi
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -50,8 +51,9 @@ type Unit struct {
 	Replaced    plan.Node
 	Placeholder *plan.Materialized
 	// Finalize converts the last task's host result into the
-	// placeholder's columns (AVG division, slot reordering).
-	Finalize func(*tabletask.Result) ([][]int64, error)
+	// placeholder's columns (AVG division, slot reordering, the TOPK
+	// gather — a device read under the query's context).
+	Finalize func(context.Context, *tabletask.Result) ([][]int64, error)
 	// DRAMObjects lists intermediates to garbage-collect after the query.
 	DRAMObjects []string
 	FactTable   string
@@ -425,7 +427,7 @@ func (c *compileCtx) buildTopKUnit(lim *plan.Limit) (*Unit, error) {
 
 	fact := s.fact.tab
 	u.unit.Placeholder = &plan.Materialized{S: schema, Label: u.unit.Label}
-	u.unit.Finalize = func(res *tabletask.Result) ([][]int64, error) {
+	u.unit.Finalize = func(ctx context.Context, res *tabletask.Result) ([][]int64, error) {
 		if len(res.Cols) != 2 {
 			return nil, fmt.Errorf("compiler: TOPK returned %d columns", len(res.Cols))
 		}
@@ -436,7 +438,7 @@ func (c *compileCtx) buildTopKUnit(lim *plan.Limit) (*Unit, error) {
 			if err != nil {
 				return nil, err
 			}
-			vals, err := ci.Gather(rowids, flash.Host)
+			vals, err := ci.Gather(ctx, rowids, flash.Host)
 			if err != nil {
 				return nil, err
 			}
@@ -566,7 +568,7 @@ func (c *compileCtx) buildGroupByUnit(s *star, g *plan.GroupBy) (*Unit, error) {
 	// Finalize: map slots back to the plan's aggregate columns.
 	nk := len(keys)
 	u.unit.Placeholder = &plan.Materialized{S: g.Schema(), Label: u.unit.Label}
-	u.unit.Finalize = func(res *tabletask.Result) ([][]int64, error) {
+	u.unit.Finalize = func(_ context.Context, res *tabletask.Result) ([][]int64, error) {
 		nRows := res.NumRows()
 		cols := make([][]int64, len(g.Schema()))
 		for i := 0; i < nk; i++ {
@@ -602,7 +604,7 @@ func (c *compileCtx) buildRowUnit(s *star, replaced plan.Node, outs []output) (*
 		return nil, err
 	}
 	u.unit.Placeholder = &plan.Materialized{S: replaced.Schema(), Label: u.unit.Label}
-	u.unit.Finalize = func(res *tabletask.Result) ([][]int64, error) {
+	u.unit.Finalize = func(_ context.Context, res *tabletask.Result) ([][]int64, error) {
 		if len(res.Cols) != len(replaced.Schema()) {
 			return nil, fmt.Errorf("compiler: unit returned %d columns, schema has %d",
 				len(res.Cols), len(replaced.Schema()))

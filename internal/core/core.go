@@ -309,7 +309,7 @@ func (d *Device) runUnit(exec *tabletask.Executor, u *compiler.Unit) error {
 		}
 		last = res
 	}
-	cols, err := u.Finalize(last)
+	cols, err := u.Finalize(d.cfg.Ctx, last)
 	if err != nil {
 		return fmt.Errorf("unit %s finalize: %w", u.Label, err)
 	}

@@ -64,9 +64,6 @@ func (t *Table) BaseRows() int {
 	return t.baseRows
 }
 
-// ColNames returns the column order tail rows are stored in.
-func (t *Table) ColNames() []string { return t.colNames }
-
 // TailRows returns the number of tail rows (including tail rows that
 // were deleted again before any merge).
 func (t *Table) TailRows() int {
@@ -90,7 +87,7 @@ func (t *Table) Dirty() bool {
 }
 
 // Insert appends rows committed at the given epoch. cols is parallel to
-// ColNames (column-major; all slices the same length). It returns the
+// the table's column order (column-major; all slices the same length). It returns the
 // rowids assigned to the new rows.
 func (t *Table) Insert(epoch uint64, cols [][]int64) ([]int64, error) {
 	t.mu.Lock()

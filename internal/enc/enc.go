@@ -192,11 +192,6 @@ func (m *ColumnMeta) NumRows() int {
 	return last.StartRow + last.Count
 }
 
-// EncodedBytes returns the column's on-flash footprint.
-func (m *ColumnMeta) EncodedBytes() int64 {
-	return int64(len(m.Pages)) * flash.PageSize
-}
-
 // PageFor returns the index of the page containing row (clamped to the
 // directory bounds for out-of-range rows).
 func (m *ColumnMeta) PageFor(row int) int {

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"aquoman/internal/col"
@@ -61,17 +63,6 @@ func (s *Stats) free(b *Batch) {
 	s.mu.Lock()
 	s.CurBytes -= b.Bytes()
 	s.mu.Unlock()
-}
-
-// TotalWork sums all work counters.
-func (s *Stats) TotalWork() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t int64
-	for _, v := range s.Work {
-		t += v
-	}
-	return t
 }
 
 // Each visits every work counter under the lock.
@@ -401,58 +392,42 @@ func (e *Engine) execOrderBy(t *plan.OrderBy) (*Batch, error) {
 	for i := range idx {
 		idx[i] = i
 	}
+	// A Text key is resolved to its strings once per input row, through the
+	// heap read every host string predicate uses (cancellable, device time
+	// the query's); the comparator then touches memory only.
 	type keyInfo struct {
 		col  []int64
+		strs []string // set for a Text key
 		desc bool
-		text *col.ColumnInfo
 	}
 	keys := make([]keyInfo, len(t.Keys))
 	for i, k := range t.Keys {
 		ci := in.Schema.Index(k.Name)
-		f := in.Schema[ci]
 		keys[i] = keyInfo{col: in.Cols[ci], desc: k.Desc}
-		if f.Typ == col.Text && f.Src != nil {
-			keys[i].text = f.Src
+		if f := in.Schema[ci]; f.Typ == col.Text && f.Src != nil {
+			heap, err := f.Src.NewHeapReaderCtx(e.ctx, hostRequester)
+			if err != nil {
+				return nil, err
+			}
+			keys[i].strs = make([]string, n)
+			for r, off := range keys[i].col {
+				keys[i].strs[r] = heap.Str(off)
+			}
 		}
 	}
-	// Text keys resolve through flash per comparison; the sort comparator
-	// cannot fail, so the first read error is latched and reported after.
-	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
 		ra, rb := idx[a], idx[b]
 		for _, k := range keys {
-			va, vb := k.col[ra], k.col[rb]
-			if k.text != nil {
-				sa, errA := k.text.Str(va, hostRequester)
-				sb, errB := k.text.Str(vb, hostRequester)
-				if sortErr == nil {
-					if errA != nil {
-						sortErr = errA
-					} else if errB != nil {
-						sortErr = errB
-					}
-				}
-				if sa == sb {
-					continue
-				}
-				if k.desc {
-					return sa > sb
-				}
-				return sa < sb
+			c := cmp.Compare(k.col[ra], k.col[rb])
+			if k.strs != nil {
+				c = strings.Compare(k.strs[ra], k.strs[rb])
 			}
-			if va == vb {
-				continue
+			if c != 0 {
+				return (c < 0) != k.desc
 			}
-			if k.desc {
-				return va > vb
-			}
-			return va < vb
 		}
 		return false
 	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
 	logN := int64(1)
 	for m := n; m > 1; m >>= 1 {
 		logN++

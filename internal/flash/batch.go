@@ -39,6 +39,7 @@ type Batch struct {
 	ids     []PageID
 	data    [][]byte
 	scratch []byte
+	errs    []error // fill's per-page fault results when the caller keeps none
 
 	// Set for the duration of one Read; FillPages needs them.
 	ctx context.Context
@@ -47,8 +48,9 @@ type Batch struct {
 
 // Reset empties the batch. scratch is where an uncached device delivers
 // the pages (page i of the batch at scratch[i*PageSize:]); it must stay
-// untouched until the caller is done with Page. A batch that outgrows its
-// scratch, or has none, allocates.
+// untouched until the caller is done with Page. A page that does not fit
+// in what is left of the scratch — or any page, when there is none — gets
+// an allocation of its own.
 func (b *Batch) Reset(scratch []byte) {
 	b.files = b.files[:0]
 	b.ids = b.ids[:0]
@@ -56,9 +58,9 @@ func (b *Batch) Reset(scratch []byte) {
 	b.scratch = scratch
 }
 
-// Add appends one page of f to the batch. Pages of one file must be added
-// in ascending order, which keeps the device's sequential-stream
-// accounting identical to reading them one by one.
+// Add appends one page of f to the batch. The device's sequential-stream
+// accounting runs page by page in Add order, so a batch counts the seeks
+// that reading its pages one by one would; a scan adds them ascending.
 func (b *Batch) Add(f *File, page int64) {
 	b.files = append(b.files, f)
 	b.ids = append(b.ids, PageID{File: f.name, Page: page})
@@ -74,7 +76,9 @@ func (b *Batch) Len() int { return len(b.ids) }
 // until the next Reset.
 func (b *Batch) Page(i int) []byte { return b.data[i] }
 
-// Read fetches every page of the batch. A page that cannot be read (fault
+// Read fetches every page of the batch, and is the only way to the device:
+// whether a page is served by the installed cache or read from the file is
+// decided here and nowhere else. A page that cannot be read (fault
 // injection, retry budget exhausted) fails the batch with the error of the
 // first such page in Add order, wrapping the injector's typed error; its
 // neighbours are still read, and behind a cache still cached. ctx (nil =
@@ -117,71 +121,73 @@ func (b *Batch) FillPages(miss []int, data [][]byte, errs []error) {
 	_ = b.fill(miss, data, errs) // every page's error is in errs
 }
 
-// fill is the one device read path for page sets: for each page, the
-// fault check (with the retry loop), the copy and the sequential-stream
-// accounting a single-page read would do, then one pass of all the pages
-// that could be read through the command queue. miss selects pages of the
-// batch (nil = all of them); the k-th selected page lands in data[k] — a
-// slot of the scratch when all are read, a private copy for a cache to
-// keep when miss is set — and its error, if errs is non-nil, in errs[k].
-// fill returns the first page error, else the error of an interrupted wait.
+// fill is the one place file bytes are copied for a read, and so the one
+// place reads are accounted: every selected page goes through the fault
+// check (with the retry loop), then each run of pages of one file is
+// copied, and its sequential-stream accounting done, under one hold of the
+// file lock — never across a fault check, where an injector may park — and
+// at the end all the pages that could be read make one pass through the
+// command queue. miss selects pages of the batch (nil = all of them); the
+// k-th selected page lands in data[k] — a slot of the scratch when all are
+// read, a private copy for a cache to keep when miss is set — and its
+// error, if errs is non-nil, in errs[k]. fill returns the first page error,
+// else the error of an interrupted wait.
 func (b *Batch) fill(miss []int, data [][]byte, errs []error) error {
 	d := b.files[0].dev
-	inj, pol := d.readPolicy()
-
-	n := len(miss)
-	if miss == nil {
-		n = len(b.ids)
+	n := len(b.ids)
+	at := func(k int) int { return k }
+	if miss != nil {
+		n, at = len(miss), func(k int) int { return miss[k] }
 	}
-	var (
-		firstErr      error
-		run           *File // traffic is accounted once per run of pages of one file
-		pages, random int64
-		good          int
-	)
-	flush := func() {
-		if pages > 0 {
-			d.account(run.name, b.who, pages, random, 0, 0)
+	if errs == nil {
+		if cap(b.errs) < n {
+			b.errs = make([]error, n)
 		}
-		pages, random = 0, 0
+		errs = b.errs[:n]
+		clear(errs)
 	}
-	for k := 0; k < n; k++ {
-		i := k
-		if miss != nil {
-			i = miss[k]
-		}
-		f, page := b.files[i], b.ids[i].Page
-		if f != run {
-			flush()
-			run = f
-		}
-		if err := d.checkRead(inj, pol, f.name, page, page, b.who); err != nil {
-			if errs != nil {
-				errs[k] = err
-			}
+	var firstErr error
+	if inj, pol := d.readPolicy(); inj != nil {
+		for k := range errs {
+			id := b.ids[at(k)]
+			errs[k] = d.checkRead(inj, pol, id.File, id.Page, b.who)
 			if firstErr == nil {
-				firstErr = err
+				firstErr = errs[k]
 			}
-			continue
 		}
-		var dst []byte
-		if miss == nil && (k+1)*PageSize <= len(b.scratch) {
-			dst = b.scratch[k*PageSize : k*PageSize : (k+1)*PageSize]
-		}
-		f.mu.Lock()
-		if lo := page * PageSize; lo < int64(len(f.data)) {
-			hi := min(lo+PageSize, int64(len(f.data)))
-			data[k] = append(dst, f.data[lo:hi]...)
-		}
-		if f.lastRead[b.who] >= 0 && (page > f.lastRead[b.who] || page < f.lastRead[b.who]-1) {
-			random++
-		}
-		f.lastRead[b.who] = page + 1
-		f.mu.Unlock()
-		pages++
-		good++
 	}
-	flush()
+	good := 0
+	for k := 0; k < n; {
+		f := b.files[at(k)]
+		var pages, random int64
+		f.mu.Lock()
+		for ; k < n && b.files[at(k)] == f; k++ {
+			if errs[k] != nil {
+				continue
+			}
+			page := b.ids[at(k)].Page
+			var dst []byte
+			if miss == nil && k*PageSize < len(b.scratch) {
+				dst = b.scratch[k*PageSize : k*PageSize : min((k+1)*PageSize, len(b.scratch))]
+			}
+			if lo := page * PageSize; lo < int64(len(f.data)) {
+				hi := min(lo+PageSize, int64(len(f.data)))
+				data[k] = append(dst, f.data[lo:hi]...)
+			}
+			// Re-touching the page the stream last ended on stays
+			// sequential; any other jump, forward or back, is one seek.
+			if last := f.lastRead[b.who]; last >= 0 && (page > last || page < last-1) {
+				random++
+			}
+			f.lastRead[b.who] = page + 1
+			pages++
+		}
+		f.mu.Unlock()
+		if pages > 0 {
+			d.account(f.name, b.who, pages, random, 0, 0)
+		}
+		good += int(pages)
+	}
 	err := d.readPages(b.ctx, good)
 	if firstErr != nil {
 		return firstErr
@@ -189,40 +195,54 @@ func (b *Batch) fill(miss []int, data [][]byte, errs []error) error {
 	return err
 }
 
-// readCached serves the byte range [off, off+len(p)) of f through the
-// installed cache, one batch of at most QueueDepth pages at a time: hits
-// cost no device I/O and each batch's missing pages are one device submit.
-// ctx (nil = never cancelled) is checked between batches, so a cancelled
-// reader stops issuing page reads within one queue's worth of pages.
-func (f *File) readCached(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
-	f.mu.Lock()
-	size := int64(len(f.data))
-	f.mu.Unlock()
-	if off >= size {
+// ReadAtCtx fills p from offset off of the file, accounting every touched
+// page to who, and returns the number of bytes read; reading past EOF
+// returns the available prefix. It is the one byte-range read: the range
+// goes to the device as batches of at most QueueDepth pages (1 MB), so a
+// bulk read overlaps tR across each batch and a cancelled reader (ctx nil
+// = never cancelled) stops consuming flash bandwidth within that many
+// pages. A page that cannot be read fails the read with a wrapped
+// faults-typed error; bytes of earlier batches stay delivered.
+func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
+	end := min(off+int64(len(p)), f.Size())
+	if off < 0 || off >= end {
 		return 0, nil
 	}
-	end := min(off+int64(len(p)), size)
 	var b Batch
 	total := 0
 	for first := off / PageSize; first*PageSize < end; first += QueueDepth {
-		b.Reset(nil)
+		// A page-aligned destination is the batch's scratch: an uncached
+		// device then delivers straight into p.
+		var scratch []byte
+		if off%PageSize == 0 {
+			scratch = p[first*PageSize-off:]
+		}
+		b.Reset(scratch)
 		for page := first; page < first+QueueDepth && page*PageSize < end; page++ {
 			b.Add(f, page)
 		}
 		if err := b.Read(ctx, who); err != nil {
 			return total, err
 		}
-		for i := range b.ids {
+		for i, data := range b.data {
 			pageStart := (first + int64(i)) * PageSize
-			data := b.data[i]
 			lo := max(off-pageStart, 0)
 			hi := min(end-pageStart, int64(len(data)))
-			if hi > lo {
-				total += copy(p[pageStart+lo-off:], data[lo:hi])
+			if hi <= lo {
+				continue
 			}
+			if dst := p[pageStart+lo-off:]; &dst[0] != &data[lo] { // not already delivered in place
+				copy(dst, data[lo:hi])
+			}
+			total += int(hi - lo)
 		}
 	}
 	return total, nil
+}
+
+// ReadAt is ReadAtCtx for callers with no query to answer to.
+func (f *File) ReadAt(p []byte, off int64, who Requester) (int, error) {
+	return f.ReadAtCtx(nil, p, off, who)
 }
 
 // readPolicy returns the fault injector (nil when fault-free) and retry
@@ -233,32 +253,23 @@ func (d *Device) readPolicy() (FaultInjector, RetryPolicy) {
 	return d.faults, d.retry
 }
 
-// checkRead passes every page of [first, last] through the fault injector,
-// absorbing transient failures with the retry policy. It returns nil when
-// all pages are readable; the returned error wraps the injector's typed
-// fault error.
-func (d *Device) checkRead(inj FaultInjector, pol RetryPolicy, file string, first, last int64, who Requester) error {
-	if inj == nil {
-		return nil
-	}
-	for page := first; page <= last; page++ {
-		attempt := 0
-		for {
-			stall, err := inj.ReadFault(file, page, who, attempt)
-			if stall > 0 {
-				d.accountFault(file, who, evSlow, stall)
-			}
-			if err == nil {
-				break
-			}
-			d.accountFault(file, who, evFault, 0)
-			if !isTransient(err) || attempt >= pol.Budget {
-				d.accountFault(file, who, evFailed, 0)
-				return fmt.Errorf("flash: read %s page %d (attempt %d): %w", file, page, attempt+1, err)
-			}
-			d.accountFault(file, who, evRetry, pol.backoff(attempt))
-			attempt++
+// checkRead passes one page through the fault injector, absorbing transient
+// failures with the retry policy. It returns nil when the page is readable;
+// the returned error wraps the injector's typed fault error.
+func (d *Device) checkRead(inj FaultInjector, pol RetryPolicy, file string, page int64, who Requester) error {
+	for attempt := 0; ; attempt++ {
+		stall, err := inj.ReadFault(file, page, who, attempt)
+		if stall > 0 {
+			d.accountFault(file, who, evSlow, stall)
 		}
+		if err == nil {
+			return nil
+		}
+		d.accountFault(file, who, evFault, 0)
+		if !isTransient(err) || attempt >= pol.Budget {
+			d.accountFault(file, who, evFailed, 0)
+			return fmt.Errorf("flash: read %s page %d (attempt %d): %w", file, page, attempt+1, err)
+		}
+		d.accountFault(file, who, evRetry, pol.backoff(attempt))
 	}
-	return nil
 }

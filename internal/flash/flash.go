@@ -18,13 +18,17 @@
 // surfacing an error to the read path. Backoff time is accounted (Stats
 // StallNanos), not slept, so fault schedules replay deterministically.
 //
-// Wall-clock time is modelled only on request (SetReadLatency): every read
-// path then submits its page reads to one shared command queue — QueueDepth
-// slots, tR per command, one bus at ReadBandwidth (queue.go) — and sleeps
-// once, until its last command completes. A reader that hands the device a
-// batch of pages (Batch, or any multi-page ReadAt) overlaps their tR;
-// concurrent readers contend for the one bus. Write bandwidth and erases
-// are accounted but never slept.
+// There is one way to the device: a Batch of pages (batch.go). A byte-range
+// read (File.ReadAtCtx) is a sequence of batches, at most QueueDepth pages
+// each; Batch.Read decides cache or device, and Batch.fill is the one place
+// file bytes are copied, faults are checked and traffic is accounted.
+//
+// Wall-clock time is modelled only on request (SetReadLatency): a batch's
+// device pages are then one submit to the shared command queue — QueueDepth
+// slots, tR per command, one bus at ReadBandwidth (queue.go) — and the
+// reader sleeps once, until its last command completes. The pages of a
+// batch overlap their tR; concurrent readers contend for the one bus. Write
+// bandwidth and erases are accounted but never slept.
 package flash
 
 import (
@@ -92,7 +96,7 @@ type FaultInjector interface {
 
 // PageCacher is the seam where a shared page cache (internal/sched's
 // LRU PageCache) plugs in front of the device. When one is installed via
-// SetPageCache, every File read is served page-wise through it: a cached
+// SetPageCache, every Batch is served page-wise through it: a cached
 // page costs no device I/O — no traffic accounting, no fault-injector
 // consultation, no read latency — while the missing pages of a batch are
 // handed to one fill call, which performs exactly one real device read per
@@ -209,15 +213,6 @@ func (s Stats) TotalPagesRead() int64 {
 	return t
 }
 
-// TotalReadFaults returns injected read failures summed over requesters.
-func (s Stats) TotalReadFaults() int64 {
-	var t int64
-	for _, v := range s.ReadFaults {
-		t += v
-	}
-	return t
-}
-
 // TotalReadRetries returns retry attempts summed over requesters.
 func (s Stats) TotalReadRetries() int64 {
 	var t int64
@@ -311,13 +306,6 @@ func (d *Device) SetFaults(fi FaultInjector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.faults = fi
-}
-
-// Faults returns the installed fault injector (nil when fault-free).
-func (d *Device) Faults() FaultInjector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.faults
 }
 
 // SetPageCache installs a page cache in front of the device's read path
@@ -739,85 +727,6 @@ func (f *File) WriteAt(p []byte, off int64, who Requester) {
 	f.mu.Unlock()
 	f.dev.account(f.name, who, 0, 0, pages, random)
 	f.invalidateWritten(off, int64(len(p)))
-}
-
-// ReadAt fills p from offset off, accounting every touched page to who.
-// It returns the number of bytes read; reading past EOF returns the
-// available prefix. When a fault injector is installed, every touched page
-// is checked first (with transient failures retried under the device's
-// retry policy); a failed page fails the whole read with a wrapped
-// faults-typed error and no bytes are delivered.
-func (f *File) ReadAt(p []byte, off int64, who Requester) (int, error) {
-	if len(p) == 0 || off < 0 {
-		return 0, nil
-	}
-	if f.dev.PageCache() != nil {
-		return f.readCached(nil, p, off, who)
-	}
-	return f.readDirect(nil, p, off, who)
-}
-
-// readDirect performs an uncached read of a byte range: all its pages are
-// one submit to the command queue. A non-nil cancellable ctx makes the
-// wait for the device interruptible; the read itself (and its accounting)
-// is already committed by then, so a cut-short wait returns the bytes read
-// alongside the context error.
-func (f *File) readDirect(ctx context.Context, p []byte, off int64, who Requester) (int, error) {
-	// Uncached reads hit the device directly: fault check, copy, and
-	// simulated NAND latency are all device-read time. A Region is a value,
-	// so the hot read path stays allocation-free.
-	defer obs.LifecycleFrom(ctx).Begin(obs.StateDeviceRead).End()
-	f.mu.Lock()
-	size := int64(len(f.data))
-	f.mu.Unlock()
-	if off < size {
-		n := int64(len(p))
-		if n > size-off {
-			n = size - off
-		}
-		inj, pol := f.dev.readPolicy()
-		if err := f.dev.checkRead(inj, pol, f.name, off/PageSize, (off+n-1)/PageSize, who); err != nil {
-			return 0, err
-		}
-	}
-	f.mu.Lock()
-	n := 0
-	if off < int64(len(f.data)) {
-		n = copy(p, f.data[off:])
-	}
-	var pages, random int64
-	if n > 0 {
-		first, last := off/PageSize, (off+int64(n)-1)/PageSize
-		pages = last - first + 1
-		if f.lastRead[who] >= 0 && first > f.lastRead[who] {
-			// Jumped forward past the sequential stream: one seek.
-			random = 1
-		} else if f.lastRead[who] >= 0 && first < f.lastRead[who]-1 {
-			// Jumped backward: one seek.
-			random = 1
-		}
-		f.lastRead[who] = last + 1
-	}
-	f.mu.Unlock()
-	if n > 0 {
-		f.dev.account(f.name, who, pages, random, 0, 0)
-		if err := f.dev.readPages(ctx, int(pages)); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadPage reads one whole page (the last page may be short). It is the
-// primitive AQUOMAN's Table Reader uses; page skipping simply avoids the
-// call.
-func (f *File) ReadPage(page int64, who Requester) ([]byte, error) {
-	buf := make([]byte, PageSize)
-	n, err := f.ReadAt(buf, page*PageSize, who)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:n], nil
 }
 
 // PagesSpanned reports how many pages the byte range [off, off+n) touches.

@@ -10,6 +10,14 @@ import (
 	"aquoman/internal/obs"
 )
 
+// readPage reads one whole page of f: a one-page batch.
+func readPage(f *File, page int64, who Requester) ([]byte, error) {
+	var b Batch
+	b.Add(f, page)
+	err := b.Read(nil, who)
+	return b.Page(0), err
+}
+
 func TestCreateOpenRemove(t *testing.T) {
 	d := NewDevice()
 	f := d.Create("tbl/col0")
@@ -89,7 +97,7 @@ func TestPageAccounting(t *testing.T) {
 	}
 
 	// Re-reading page 0 after finishing is a backward seek.
-	f.ReadPage(0, Aquoman)
+	readPage(f, 0, Aquoman)
 	s = d.Stats()
 	if s.PagesReadRandom[Aquoman] != 1 {
 		t.Fatalf("PagesReadRandom = %d, want 1", s.PagesReadRandom[Aquoman])
@@ -97,7 +105,7 @@ func TestPageAccounting(t *testing.T) {
 
 	// Page-skipping forward (the Table Reader skipping masked pages) is a
 	// seek too.
-	f.ReadPage(2, Aquoman)
+	readPage(f, 2, Aquoman)
 	s = d.Stats()
 	if s.PagesReadRandom[Aquoman] != 2 {
 		t.Fatalf("PagesReadRandom = %d, want 2", s.PagesReadRandom[Aquoman])
@@ -113,7 +121,7 @@ func TestSequentialPageReadsNotRandom(t *testing.T) {
 	f.Append(make([]byte, 10*PageSize), Host)
 	d.ResetStats()
 	for p := int64(0); p < 10; p++ {
-		f.ReadPage(p, Aquoman)
+		readPage(f, p, Aquoman)
 	}
 	s := d.Stats()
 	if s.PagesRead[Aquoman] != 10 || s.PagesReadRandom[Aquoman] != 0 {
@@ -139,7 +147,7 @@ func TestStatsSub(t *testing.T) {
 	f := d.Create("a")
 	f.Append(make([]byte, PageSize), Host)
 	before := d.Stats()
-	f.ReadPage(0, Aquoman)
+	readPage(f, 0, Aquoman)
 	diff := d.Stats().Sub(before)
 	if diff.PagesRead[Aquoman] != 1 || diff.PagesWritten[Host] != 0 {
 		t.Fatalf("diff = %+v", diff)

@@ -49,11 +49,6 @@ var (
 	SystemSAq16 = System{Name: "S-AQUOMAN16", Host: HostS, Aquoman: Aq16}
 )
 
-// Fig16Systems is the system set of Fig. 16(a).
-func Fig16Systems() []System {
-	return []System{SystemS, SystemL, SystemSAq, SystemLAq, SystemSAq16}
-}
-
 // Rates calibrate the model. Flash and accelerator numbers come from the
 // paper (Sec. VII); host per-thread rates are calibrated so the baseline
 // matches MonetDB's published behaviour in shape (vectorized scans fast,

@@ -128,45 +128,24 @@ func simulateTask(p Params, ld TaskLoad, start int64, busy map[string]int64) (in
 	if maskPages < 1 {
 		maskPages = 1
 	}
-	qd := int64(p.QueueDepth)
-
-	// Rolling windows for the finite resources.
-	window := maskPages
-	if qd > window {
-		window = qd
-	}
-	issue := make([]int64, window)  // page issue times (ring)
-	doneSK := make([]int64, window) // swissknife completion (ring)
-	var busFree, selFree, trFree, skFree int64
-	busFree, selFree, trFree, skFree = start, start, start, start
+	// The flash command queue and its transfer bus are the served device's
+	// model, counted in cycles; the Swissknife completions are a ring the
+	// Row-Mask buffer looks back into.
+	queue := flash.NewQueue(p.QueueDepth)
+	doneSK := make([]int64, maskPages)
+	selFree, trFree, skFree := start, start, start
 
 	var n int64
 	for n = 0; n < ld.Pages; n++ {
 		t := start
-		// Flash queue: at most QueueDepth commands in flight (issued but
-		// not yet transferred).
-		if n >= qd {
-			prev := issue[(n-qd)%window]
-			done := prev + p.FlashPageLatencyCycles + transfer
-			if done > t {
-				t = done
-			}
-		}
 		// Row-Mask buffer backpressure: the page MaskSlots back must have
 		// drained through the Swissknife before this page may issue.
 		if n >= maskPages {
-			if d := doneSK[(n-maskPages)%window]; d > t {
-				t = d
-			}
+			t = max(t, doneSK[n%maskPages])
 		}
-		issue[n%window] = t
-		// NAND latency, then the shared transfer bus serializes pages.
-		ready := t + p.FlashPageLatencyCycles
-		if busFree > ready {
-			ready = busFree
-		}
-		ready += transfer
-		busFree = ready
+		// At most QueueDepth commands in flight; NAND latency, then the
+		// shared transfer bus serializes pages.
+		ready := queue.Submit(t, p.FlashPageLatencyCycles, transfer)
 		busy["flash-bus"] += transfer
 		// Selector.
 		if selFree > ready {
@@ -193,7 +172,7 @@ func simulateTask(p Params, ld TaskLoad, start int64, busy map[string]int64) (in
 		ready += skSvc
 		skFree = ready
 		busy["swissknife"] += skSvc
-		doneSK[n%window] = ready
+		doneSK[n%maskPages] = ready
 	}
 	end := skFree
 	// Sorter DRAM merge passes extend the task (line-rate DDR4 at 36 GB/s

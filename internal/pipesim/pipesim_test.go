@@ -1,8 +1,11 @@
 package pipesim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"aquoman/internal/flash"
 )
 
 func load(pages int64) TaskLoad {
@@ -147,5 +150,35 @@ func TestQuickMonotoneAndBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// With the stages at infinite rate and the mask buffer out of the way, what
+// is left of a task is its flash term — and that is the served device's
+// queue model (flash.Queue), not a copy of it: the makespan equals the
+// completion of the same pages submitted to a queue of the same depth,
+// latency and transfer time, slot-bound (depths 1, 8) and bus-bound (128).
+func TestPipesimFlashTermIsTheDeviceQueue(t *testing.T) {
+	const pages = 1000
+	for _, depth := range []int{1, 8, 128} {
+		p := Default()
+		p.QueueDepth = depth
+		p.MaskSlots = pages * 64 // every page fits: no backpressure
+		p.SelectorVecsPerCycle = math.Inf(1)
+		p.TransformerVecsPerCycle = math.Inf(1)
+		p.SwissknifeVecsPerCycle = math.Inf(1)
+		res, err := Simulate(p, []TaskLoad{{Pages: pages, VecsPerPage: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transfer := int64(float64(flash.PageSize)/p.FlashBusBytesPerCycle + 0.5)
+		q := flash.NewQueue(depth)
+		var want int64
+		for i := 0; i < pages; i++ {
+			want = q.Submit(0, p.FlashPageLatencyCycles, transfer)
+		}
+		if res.Cycles != want {
+			t.Errorf("depth %d: pipesim makespan %d cycles, the device queue completes at %d", depth, res.Cycles, want)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func (r readFunc) FillPages(_ []int, data [][]byte, errs []error) { data[0], err
 // (for the default partition ""); per-device views come from Partition.
 //
 // Correctness properties (asserted by cache_test.go):
-//   - resident bytes never exceed MaxBytes;
+//   - resident bytes never exceed the byte budget;
 //   - a faulted read never populates the cache (and the error is returned
 //     to every waiter of that flight);
 //   - a write or invalidation that races with an in-flight read wins: the
@@ -144,13 +144,6 @@ func (c *PageCache) Stats() CacheStats {
 		Bytes:     c.bytes,
 		Entries:   int64(len(c.entries)),
 	}
-}
-
-// MaxBytes reports the configured byte budget.
-func (c *PageCache) MaxBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
 }
 
 // GetPage implements flash.PageCacher for the default partition. The

@@ -66,33 +66,47 @@ func TestSingleFlightDeviceStats(t *testing.T) {
 // keeps the cache coherent.
 func TestCachedDeviceReadEquivalence(t *testing.T) {
 	dev := flash.NewDevice()
-	shadow := fillFile(t, dev, "tab/c.dat", 10*flash.PageSize+123)
+	shadow := fillFile(t, dev, "tab/c.dat", 140*flash.PageSize+123)
 	dev.SetPageCache(sched.NewPageCache(4 * flash.PageSize))
 	f, err := dev.Open("tab/c.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shapes a byte-range read has to get right whatever the cache
+	// holds — unaligned, straddling EOF, more than a command queue's worth
+	// of pages — and then random traffic over the first ten pages.
+	const hot = 10*flash.PageSize + 123
+	shapes := [][2]int{
+		{123, 3*flash.PageSize + 7},
+		{len(shadow) - 100, 5000},
+		{flash.PageSize / 2, (flash.QueueDepth + 2) * flash.PageSize},
+	}
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 3000; i++ {
-		off := int64(rng.Intn(len(shadow)))
-		n := 1 + rng.Intn(3*flash.PageSize)
-		if off+int64(n) > int64(len(shadow)) {
-			n = len(shadow) - int(off)
-		}
-		if rng.Intn(8) == 0 {
-			patch := make([]byte, n)
-			rng.Read(patch)
-			f.WriteAt(patch, off, flash.Host)
-			copy(shadow[off:], patch)
-			continue
+	for i := 0; i < len(shapes)+3000; i++ {
+		var off int64
+		var n int
+		if i < len(shapes) {
+			off, n = int64(shapes[i][0]), shapes[i][1]
+		} else {
+			off, n = int64(rng.Intn(hot)), 1+rng.Intn(3*flash.PageSize)
+			if off+int64(n) > hot {
+				n = hot - int(off)
+			}
+			if rng.Intn(8) == 0 {
+				patch := make([]byte, n)
+				rng.Read(patch)
+				f.WriteAt(patch, off, flash.Host)
+				copy(shadow[off:], patch)
+				continue
+			}
 		}
 		buf := make([]byte, n)
 		got, err := f.ReadAt(buf, off, flash.Host)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != n || !bytes.Equal(buf[:got], shadow[off:off+int64(got)]) {
-			t.Fatalf("op %d: read [%d,+%d) diverged from shadow", i, off, n)
+		if want := min(n, len(shadow)-int(off)); got != want || !bytes.Equal(buf[:got], shadow[off:off+int64(got)]) {
+			t.Fatalf("op %d: read [%d,+%d) returned %d bytes, want %d; or they diverged from shadow", i, off, n, got, want)
 		}
 	}
 }

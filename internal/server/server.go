@@ -102,15 +102,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/tpch", s.instrument("tpch", true, s.handleTPCH))
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
 	if obs := cfg.DB.Obs; obs != nil && obs.Reg != nil {
-		reg := obs.Reg
-		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_, _ = w.Write([]byte(reg.Snapshot().Prometheus()))
-		})
-		s.mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_, _ = w.Write([]byte(reg.Snapshot().Expvar()))
-		})
+		h := obs.Reg.Handler()
+		s.mux.Handle("/metrics", h)
+		s.mux.Handle("/debug/vars", h)
 	}
 	// Runtime profiling rides on the same mux: /debug/pprof/ serves the
 	// index plus the named profiles (heap, goroutine, mutex, ...), and
