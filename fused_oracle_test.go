@@ -2,6 +2,7 @@ package aquoman
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +183,36 @@ func TestFusedPathComposesWithFaultsAndHostResume(t *testing.T) {
 	}
 	if resume.Counts().TotalInjected() == 0 {
 		t.Fatal("resume schedule injected no faults")
+	}
+}
+
+// A single-column predicate the PE ISA cannot express (a constant
+// dividend) fails the Row Selector's setup, and the offload unit suspends
+// to the host exactly as an unmappable transform does: the answer is the
+// host-only one, on the fused and the staged path alike.
+func TestUnmappablePredicateSuspendsToHost(t *testing.T) {
+	const stmt = "select count(l_quantity) as n from lineitem where 100 / l_quantity > 3"
+	for _, staged := range []bool{false, true} {
+		db := Open()
+		db.DisableFusion = staged
+		if err := db.LoadTPCH(0.005, 42); err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryHostOnly(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Query(stmt)
+		if err != nil {
+			t.Fatalf("staged=%v: %v", staged, err)
+		}
+		if !reflect.DeepEqual(got.Batch.Cols, want.Batch.Cols) || got.Batch.Cols[0][0] == 0 {
+			t.Fatalf("staged=%v: got %v, host-only %v", staged, got.Batch.Cols, want.Batch.Cols)
+		}
+		if !got.Report.Suspended || !strings.Contains(got.Report.SuspendReason, "not mappable") {
+			t.Fatalf("staged=%v: suspended=%v reason %q, want a \"not mappable\" suspension",
+				staged, got.Report.Suspended, got.Report.SuspendReason)
+		}
 	}
 }
 

@@ -152,6 +152,14 @@ func (m *Mask) VecBits(vec int) uint32 {
 	return v
 }
 
+// AndVecBits clears every row of Row Vector vec whose bit in keep is zero
+// (bit j stands for row vec*32+j), the whole vector in one word operation.
+// No other vector's rows change, nor any bit past Len(): those stay clear.
+func (m *Mask) AndVecBits(vec int, keep uint32) {
+	lo := vec * VecSize
+	m.words[lo/64] &^= uint64(^keep) << uint(lo%64)
+}
+
 // ForEach calls fn for every selected row in ascending order.
 func (m *Mask) ForEach(fn func(row int)) {
 	for wi, w := range m.words {

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -126,6 +127,31 @@ func FuzzBitvec(f *testing.F) {
 			}
 			if ma.VecAllZero(v) != allZero {
 				t.Fatalf("VecAllZero(%d) = %v, want %v", v, ma.VecAllZero(v), allZero)
+			}
+		}
+
+		// AndVecBits against a per-row Clear model: every vector, odd ones
+		// (the upper half of a word) and the trailing partial one included,
+		// gets a keep word from pb; only its own rows below Len() may clear.
+		for v := 0; v < ma.NumVecs(); v++ {
+			keep := uint32(0)
+			for j := 0; j < VecSize; j++ {
+				if refBit(pb, v*VecSize+j) {
+					keep |= 1 << uint(j)
+				}
+			}
+			got, want := ma.Clone(), ma.Clone()
+			got.AndVecBits(v, keep)
+			for j := 0; j < VecSize && v*VecSize+j < n; j++ {
+				if keep>>uint(j)&1 == 0 {
+					want.Clear(v*VecSize + j)
+				}
+			}
+			check(fmt.Sprintf("andvecbits(%d)", v), got, want.Get)
+			for i := range got.words {
+				if got.words[i] != want.words[i] {
+					t.Fatalf("andvecbits(%d) word %d = %#x, want %#x (a bit past Len changed)", v, i, got.words[i], want.words[i])
+				}
 			}
 		}
 

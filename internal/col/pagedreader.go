@@ -403,30 +403,6 @@ func (r *PagedReader) ReadVecCodes(vec int, out []int64) (n int, ok bool, err er
 	return count, true, nil
 }
 
-// ReadVecDeltas fills out with the vector's frame-of-reference deltas and
-// returns the page base. ok is false when the column is not FOR-encoded
-// or the page's domain is too wide for shifted-constant evaluation; the
-// caller falls back to ReadVec.
-func (r *PagedReader) ReadVecDeltas(vec int, out []int64) (n int, base int64, ok bool, err error) {
-	if r.ci.Enc == nil || r.ci.Enc.Codec != enc.FOR {
-		return 0, 0, false, nil
-	}
-	start := vec * bitvec.VecSize
-	if start >= r.ci.numRows {
-		return 0, 0, true, nil
-	}
-	pi, off, count := r.encVecSpan(vec)
-	p, err := r.loadEncPage(pi)
-	if err != nil {
-		return 0, 0, true, err
-	}
-	if !p.DeltaSafe() {
-		return 0, 0, false, nil
-	}
-	copy(out[:count], p.Native[off:off+count])
-	return count, p.Base, true, nil
-}
-
 // SkipVec notes that Row Vector vec was masked out. When every vector of
 // a page is skipped the whole page read is avoided (the Table Reader's
 // {RowVecID, MaskAllZero} path). Vectors of zone-map-pruned pages are

@@ -423,13 +423,6 @@ type Page struct {
 	valsBuf []int64
 }
 
-// DeltaSafe reports whether the page's FOR deltas are small enough to be
-// evaluated as signed integers (required by the shifted-domain predicate
-// path; a page spanning more than 2^62 is evaluated materialized).
-func (p *Page) DeltaSafe() bool {
-	return p.Codec == FOR && uint64(p.Max)-uint64(p.Min) < 1<<62
-}
-
 // Values materializes the page's decoded values (cached after the first
 // call). For RLE pages this is the native form already.
 func (p *Page) Values() []int64 {

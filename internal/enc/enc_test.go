@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"aquoman/internal/flash"
-	"aquoman/internal/systolic"
 )
 
 // decodeAll round-trips a full encoded column back to values.
@@ -201,67 +200,6 @@ func TestChoose(t *testing.T) {
 	}
 	if got := Choose(nil, 8); got != Raw {
 		t.Errorf("empty column chose %s, want raw", got)
-	}
-}
-
-// randExpr builds a random single-column predicate-shaped expression.
-func randExpr(rng *rand.Rand, depth int) systolic.Expr {
-	if depth <= 0 || rng.Intn(4) == 0 {
-		if rng.Intn(2) == 0 {
-			return systolic.In(0)
-		}
-		return systolic.C(rng.Int63n(2000) - 1000)
-	}
-	op := []systolic.AluOp{systolic.AluAdd, systolic.AluSub, systolic.AluMul,
-		systolic.AluDiv, systolic.AluEQ, systolic.AluLT, systolic.AluGT}[rng.Intn(7)]
-	return systolic.B(op, randExpr(rng, depth-1), randExpr(rng, depth-1))
-}
-
-func TestShiftToDeltaEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	rewritten := 0
-	for trial := 0; trial < 3000; trial++ {
-		e := randExpr(rng, 3)
-		base := rng.Int63n(1 << 40)
-		shifted, ok := ShiftToDelta(e, base)
-		if !ok {
-			continue
-		}
-		rewritten++
-		for k := 0; k < 20; k++ {
-			d := rng.Int63n(1 << 20)
-			want := systolic.EvalExpr(e, []int64{base + d})
-			got := systolic.EvalExpr(shifted, []int64{d})
-			if got != want {
-				t.Fatalf("expr %s base %d delta %d: shifted %s gave %d, want %d",
-					e, base, d, shifted, got, want)
-			}
-		}
-	}
-	if rewritten == 0 {
-		t.Fatal("no expression was ever rewritten — generator or rewriter broken")
-	}
-}
-
-func TestShiftToDeltaComparison(t *testing.T) {
-	// The canonical compiled shapes: range and IN-list predicates.
-	pred := systolic.B(systolic.AluMul,
-		systolic.GT(systolic.In(0), systolic.C(100)),
-		systolic.LT(systolic.In(0), systolic.C(500)))
-	shifted, ok := ShiftToDelta(pred, 200)
-	if !ok {
-		t.Fatal("range predicate should rewrite")
-	}
-	for _, d := range []int64{0, 1, 100, 299, 300, 1000} {
-		if got, want := systolic.EvalExpr(shifted, []int64{d}), systolic.EvalExpr(pred, []int64{200 + d}); got != want {
-			t.Fatalf("delta %d: got %d want %d", d, got, want)
-		}
-	}
-	if _, ok := ShiftToDelta(systolic.Mul(systolic.In(0), systolic.C(2)), 10); ok {
-		t.Fatal("scaled column must refuse the shift")
-	}
-	if _, ok := ShiftToDelta(systolic.LT(systolic.In(0), systolic.C(math.MinInt64)), 5); ok {
-		t.Fatal("overflowing constant shift must refuse")
 	}
 }
 

@@ -108,7 +108,9 @@ func (p *Program) RunCtx(ctx context.Context, tab *col.Table, in *bitvec.Mask, w
 		}
 		readers[i] = col.NewPagedReader(ci, who)
 		readers[i].SetContext(ctx)
-		evals[i].Init(cp.Expr, ci.Enc)
+		if err := evals[i].Init(cp.Expr, ci.Enc); err != nil {
+			return nil, st, err
+		}
 	}
 	defer func() {
 		for _, r := range readers {
@@ -180,17 +182,8 @@ func PruneByZoneMaps(expr systolic.Expr, r *col.PagedReader, mask *bitvec.Mask) 
 				continue
 			}
 			live = true
-			lo := vec * bitvec.VecSize
-			if lo < pm.StartRow {
-				lo = pm.StartRow
-			}
-			hi := lo + bitvec.VecSize
-			if hi > end {
-				hi = end
-			}
-			for row := lo; row < hi; row++ {
-				mask.Clear(row)
-			}
+			// A page holds whole vectors (enc pages a multiple of 32 rows).
+			mask.AndVecBits(vec, 0)
 		}
 		if live {
 			r.MarkPruned(pi)
@@ -198,119 +191,81 @@ func PruneByZoneMaps(expr systolic.Expr, r *col.PagedReader, mask *bitvec.Mask) 
 	}
 }
 
-// VecEvaluator evaluates one column predicate over Row Vectors, preferring
-// the column's encoded representation: dictionary codes index a memoized
-// truth table, frame-of-reference deltas evaluate a shifted-constant
-// rewrite of the expression, and run-length pages amortize via
-// repeated-value memoization. Raw and refused shapes materialize values.
+// VecEvaluator evaluates one column predicate over Row Vectors through the
+// lowered kernel the Row Transformer runs (systolic.Machine): a vector's
+// values — raw, or decoded from its FOR or RLE page — go through the kernel
+// 32 lanes at a time, and the result is ANDed into the mask as one keep
+// word. Dictionary pages stay in the code domain: Init runs the kernel over
+// the dictionary once, and each code looks its verdict up.
 //
 // It is exported so the fused scan path (internal/tabletask) can interleave
 // predicate evaluation with projection and aggregation vector by vector;
 // after Init, EvalVec performs no heap allocation. A VecEvaluator is
 // single-goroutine scratch.
 type VecEvaluator struct {
-	expr systolic.Expr
-	// truth memoizes the predicate per dictionary code (-1 = unknown).
-	truth []int8
-	dict  []int64
-	// shifted caches the delta-domain rewrite for the current FOR base.
-	shifted   systolic.Expr
-	shiftBase int64
-	shiftOK   bool
-	haveShift bool
+	m *systolic.Machine
+	// truth is the predicate's verdict per dictionary code (1 = keep); nil
+	// unless the column is dictionary-encoded.
+	truth []uint32
 
 	vals [bitvec.VecSize]int64
-	lane [1]int64
+	in   [1][]int64
 }
 
 // Init binds the evaluator to a predicate expression and the column's
-// encoding metadata (nil meta means a raw column).
-func (e *VecEvaluator) Init(expr systolic.Expr, meta *enc.ColumnMeta) {
-	e.expr = expr
+// encoding metadata (nil meta means a raw column). A predicate the PE ISA
+// cannot express is an error, on which the caller's offload unit suspends
+// to the host.
+func (e *VecEvaluator) Init(expr systolic.Expr, meta *enc.ColumnMeta) error {
+	mapped, err := systolic.Compile([]systolic.Expr{expr}, 1, systolic.DefaultConfig())
+	if err != nil {
+		return fmt.Errorf("rowsel: predicate %s: %w", expr, err)
+	}
+	e.m = systolic.NewMachine(mapped)
+	e.truth = nil
 	if meta != nil && meta.Codec == enc.Dict {
-		e.dict = meta.Dict
-		e.truth = make([]int8, len(meta.Dict))
-		for i := range e.truth {
-			e.truth[i] = -1
+		out, err := e.m.Transform([][]int64{meta.Dict})
+		if err != nil {
+			return fmt.Errorf("rowsel: predicate %s: %w", expr, err)
+		}
+		e.truth = make([]uint32, len(out[0]))
+		for c, v := range out[0] {
+			e.truth[c] = nonZero(v)
 		}
 	}
+	return nil
 }
 
 // EvalVec refines mask over the rows of one 32-row vector, clearing every
 // lane the predicate rejects. The reader must be positioned on the same
 // column the evaluator was initialized for.
 func (e *VecEvaluator) EvalVec(r *col.PagedReader, vec int, mask *bitvec.Mask) error {
-	base := vec * bitvec.VecSize
+	var keep uint32
 	if e.truth != nil {
-		n, ok, err := r.ReadVecCodes(vec, e.vals[:])
+		n, _, err := r.ReadVecCodes(vec, e.vals[:])
 		if err != nil {
 			return err
 		}
-		if ok {
-			for j := 0; j < n; j++ {
-				row := base + j
-				if !mask.Get(row) {
-					continue
-				}
-				c := e.vals[j]
-				t := e.truth[c]
-				if t < 0 {
-					e.lane[0] = e.dict[c]
-					t = 0
-					if systolic.EvalExpr(e.expr, e.lane[:]) != 0 {
-						t = 1
-					}
-					e.truth[c] = t
-				}
-				if t == 0 {
-					mask.Clear(row)
-				}
-			}
-			return nil
+		for j, c := range e.vals[:n] {
+			keep |= e.truth[c] << uint(j)
+		}
+	} else {
+		n, err := r.ReadVec(vec, e.vals[:])
+		if err != nil {
+			return err
+		}
+		e.in[0] = e.vals[:n]
+		out, err := e.m.RunVec(e.in[:])
+		if err != nil {
+			return err
+		}
+		for j, v := range out[0] {
+			keep |= nonZero(v) << uint(j)
 		}
 	}
-	if n, forBase, ok, err := r.ReadVecDeltas(vec, e.vals[:]); err != nil {
-		return err
-	} else if ok {
-		if !e.haveShift || forBase != e.shiftBase {
-			e.shifted, e.shiftOK = enc.ShiftToDelta(e.expr, forBase)
-			e.shiftBase = forBase
-			e.haveShift = true
-		}
-		if e.shiftOK {
-			for j := 0; j < n; j++ {
-				row := base + j
-				if !mask.Get(row) {
-					continue
-				}
-				e.lane[0] = e.vals[j]
-				if systolic.EvalExpr(e.shifted, e.lane[:]) == 0 {
-					mask.Clear(row)
-				}
-			}
-			return nil
-		}
-	}
-	n, err := r.ReadVec(vec, e.vals[:])
-	if err != nil {
-		return err
-	}
-	var lastVal, lastRes int64
-	haveLast := false
-	for j := 0; j < n; j++ {
-		row := base + j
-		if !mask.Get(row) {
-			continue
-		}
-		v := e.vals[j]
-		if !haveLast || v != lastVal {
-			e.lane[0] = v
-			lastRes = systolic.EvalExpr(e.expr, e.lane[:])
-			lastVal, haveLast = v, true
-		}
-		if lastRes == 0 {
-			mask.Clear(row)
-		}
-	}
+	mask.AndVecBits(vec, keep)
 	return nil
 }
+
+// nonZero is 1 when v != 0 and 0 otherwise, without a branch.
+func nonZero(v int64) uint32 { return uint32(uint64(v|-v) >> 63) }

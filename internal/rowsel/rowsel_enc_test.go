@@ -35,7 +35,7 @@ func buildEncTable(t testing.TB, n int, sel enc.Selection) (*col.Store, *col.Tab
 
 // Every encoding must produce the exact mask the raw scan produces, with
 // or without an incoming mask, across predicate shapes that exercise the
-// dictionary truth-table, the FOR shifted-domain path, and the fallback.
+// dictionary truth table and the kernel over decoded FOR and RLE values.
 func TestEncodedScanMaskEquality(t *testing.T) {
 	const n = 50000
 	_, rawTab := buildEncTable(t, n, enc.SelRaw)
@@ -53,7 +53,7 @@ func TestEncodedScanMaskEquality(t *testing.T) {
 			pred("b", systolic.GT(systolic.In(0), systolic.C(2)), 1),
 			pred("c", systolic.EQ(systolic.In(0), systolic.C(0)), 1),
 		}},
-		"nonaffine-a": {Preds: []ColPred{ // Div over the column refuses the shift
+		"nonaffine-a": {Preds: []ColPred{ // a quotient of the column
 			pred("a", systolic.EQ(systolic.Div(systolic.In(0), systolic.C(100)), systolic.C(7)), 1),
 		}},
 	}

@@ -109,6 +109,56 @@ func (a AluOp) Apply(x, y int64) int64 {
 	}
 }
 
+// applyLanes sets d[i] = a.Apply(x[i], y[i]) on every lane of d, with the
+// function chosen once outside the lane loop. x and y hold at least len(d)
+// lanes.
+func (a AluOp) applyLanes(d, x, y []int64) {
+	x, y = x[:len(d)], y[:len(d)]
+	switch a {
+	case AluAdd:
+		for i := range d {
+			d[i] = x[i] + y[i]
+		}
+	case AluSub:
+		for i := range d {
+			d[i] = x[i] - y[i]
+		}
+	case AluMul:
+		for i := range d {
+			d[i] = x[i] * y[i]
+		}
+	case AluDiv:
+		for i := range d {
+			q := int64(0)
+			if y[i] != 0 {
+				q = x[i] / y[i]
+			}
+			d[i] = q
+		}
+	case AluEQ:
+		for i := range d {
+			d[i] = b2i(x[i] == y[i])
+		}
+	case AluLT:
+		for i := range d {
+			d[i] = b2i(x[i] < y[i])
+		}
+	case AluGT:
+		for i := range d {
+			d[i] = b2i(x[i] > y[i])
+		}
+	default:
+		panic("systolic: bad AluOp")
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Instr is one decoded PE instruction.
 type Instr struct {
 	Op  Opcode

@@ -6,81 +6,147 @@ import (
 	"aquoman/internal/bitvec"
 )
 
-// Machine executes a compiled PE chain on row vectors. It models the
-// dataflow exactly: each PE runs its program once per row vector, popping
-// the upstream FIFO on rs==0 reads and pushing downstream on rd==0 writes,
-// with the opReg operand FIFO between Store/Copy producers and ALU
-// consumers.
+// Machine executes a compiled PE chain on row vectors. The chain is
+// branch-free and has no data memory, so the FIFO slot or register every
+// instruction touches is fixed by the programs alone: NewMachine walks them
+// once, symbolically, and lowers the chain to a straight-line kernel. A
+// Pass, Copy or Store moves no data — the vector keeps its lane buffer
+// under a new name — and every FIFO pop resolves to the buffer its
+// producer wrote. An immediate is a read-only buffer holding the constant
+// in every lane. What remains is one op per ALU instruction, each run as
+// one loop over the vector's lanes.
 //
-// A Machine carries reusable per-call scratch (register file, FIFOs,
-// result headers) sized once at construction, so RunVec performs no heap
-// allocation in steady state. That makes a Machine single-goroutine:
-// share a *Mapped across goroutines and give each its own Machine.
+// A defective program (a FIFO underflow, a read of a register its PE never
+// wrote, a bad opcode, the wrong number of pushed vectors) is found by the
+// walk; RunVec and Transform then return that error, which names the PE.
+//
+// A Machine owns its lane buffers, so RunVec performs no heap allocation,
+// and a Machine is single-goroutine: share a *Mapped across goroutines and
+// give each its own Machine.
 type Machine struct {
-	m *Mapped
+	m   *Mapped
+	err error // the lowering's verdict on a defective chain
 
-	regs   []vec // PE register file, sized to the widest program
-	fifoA  []vec // ping-pong inter-PE FIFOs
-	fifoB  []vec
-	opFifo []vec     // operand FIFO scratch
-	res    [][]int64 // result headers returned by RunVec
+	ops []op
+	// slots names every lane buffer an op reads or writes: the streamed
+	// inputs (set per call), then one buffer per ALU result and one per
+	// distinct immediate.
+	slots [][]int64
+	outs  []int     // slot of each output column, in push order
+	res   [][]int64 // result headers returned by RunVec
 }
 
-// NewMachine wraps a compiled transformation.
+// op is one lowered ALU instruction: slots[dst] = slots[src] alu slots[opnd].
+type op struct {
+	alu            AluOp
+	dst, src, opnd int
+}
+
+// NewMachine lowers a compiled transformation.
 func NewMachine(m *Mapped) *Machine {
-	maxReg := NumRegs
-	maxWide := m.NumInputs
-	if m.NumOutputs > maxWide {
-		maxWide = m.NumOutputs
-	}
-	maxOps := 0
-	for _, prog := range m.Programs {
-		pushes, ops := 0, 0
-		for _, ins := range prog {
-			if int(ins.Rd) > maxReg {
-				maxReg = int(ins.Rd)
-			}
-			if int(ins.Rs) > maxReg {
-				maxReg = int(ins.Rs)
-			}
-			if ins.Rd == StreamReg && ins.Op != OpStore {
-				pushes++
-			}
-			if ins.Op == OpStore || ins.Op == OpCopy {
-				ops++
-			}
-		}
-		if pushes > maxWide {
-			maxWide = pushes
-		}
-		if ops > maxOps {
-			maxOps = ops
-		}
-	}
-	return &Machine{
-		m:      m,
-		regs:   make([]vec, maxReg+1),
-		fifoA:  make([]vec, 0, maxWide),
-		fifoB:  make([]vec, 0, maxWide),
-		opFifo: make([]vec, 0, maxOps),
-		res:    make([][]int64, m.NumOutputs),
-	}
+	ma := &Machine{m: m, slots: make([][]int64, m.NumInputs), res: make([][]int64, m.NumOutputs)}
+	ma.err = ma.lower()
+	return ma
 }
 
-// Mapped returns the underlying compiled transformation.
-func (ma *Machine) Mapped() *Mapped { return ma.m }
+// lower walks the chain, tracking which slot every FIFO entry and register
+// holds, and emits the ALU ops in program order.
+func (ma *Machine) lower() error {
+	fifo := make([]int, ma.m.NumInputs) // the upstream FIFO of the next PE
+	for i := range fifo {
+		fifo[i] = i
+	}
+	imms := map[int64]int{}
+	for pi, prog := range ma.m.Programs {
+		regs := map[uint8]int{}
+		var out, operands []int
+		popped := 0
+		for _, ins := range prog {
+			fail := func(what string) error { return fmt.Errorf("systolic: PE %d: %s: %s", pi, ins, what) }
+			var src int
+			if ins.Rs == StreamReg {
+				if popped == len(fifo) {
+					return fail("input FIFO underflow")
+				}
+				src = fifo[popped]
+				popped++
+			} else if r, ok := regs[ins.Rs]; ok {
+				src = r
+			} else {
+				return fail("reads a register this PE never wrote")
+			}
+			dst := src
+			switch ins.Op {
+			case OpPass:
+			case OpCopy:
+				operands = append(operands, src)
+			case OpStore:
+				operands = append(operands, src)
+				continue
+			case OpAlu:
+				if ins.Alu > AluGT {
+					return fail("bad ALU function")
+				}
+				var opnd int
+				if ins.UseImm {
+					opnd = ma.immSlot(imms, ins.Imm)
+				} else if len(operands) > 0 {
+					opnd, operands = operands[0], operands[1:]
+				} else {
+					return fail("operand FIFO underflow")
+				}
+				dst = ma.newSlot()
+				ma.ops = append(ma.ops, op{ins.Alu, dst, src, opnd})
+			default:
+				return fail("bad opcode")
+			}
+			if ins.Rd == StreamReg {
+				out = append(out, dst)
+			} else {
+				regs[ins.Rd] = dst
+			}
+		}
+		if popped != len(fifo) {
+			return fmt.Errorf("systolic: PE %d: popped %d of the %d vectors pushed to it", pi, popped, len(fifo))
+		}
+		fifo = out
+	}
+	if len(fifo) != ma.m.NumOutputs {
+		return fmt.Errorf("systolic: PE %d: chain pushed %d vectors, want %d", len(ma.m.Programs)-1, len(fifo), ma.m.NumOutputs)
+	}
+	ma.outs = fifo
+	return nil
+}
 
-// lane buffers are full row vectors (up to 32 lanes wide).
-type vec struct {
-	lanes [bitvec.VecSize]int64
-	n     int
+// newSlot adds a machine-owned lane buffer and returns its slot.
+func (ma *Machine) newSlot() int {
+	ma.slots = append(ma.slots, make([]int64, bitvec.VecSize))
+	return len(ma.slots) - 1
+}
+
+// immSlot returns the read-only slot holding v in every lane, adding it on
+// first use.
+func (ma *Machine) immSlot(imms map[int64]int, v int64) int {
+	s, ok := imms[v]
+	if !ok {
+		s = ma.newSlot()
+		for i := range ma.slots[s] {
+			ma.slots[s][i] = v
+		}
+		imms[v] = s
+	}
+	return s
 }
 
 // RunVec transforms one row vector. inputs holds one slice per streamed
 // column (all the same length n ≤ 32); the result holds one slice per
-// output column. The same buffers are reused across calls of a single
-// Machine, so callers must copy if they retain results.
+// output column. An output may be one of the inputs and the rest are the
+// Machine's own buffers, reused across calls, so callers must copy if they
+// retain results.
 func (ma *Machine) RunVec(inputs [][]int64) ([][]int64, error) {
+	if ma.err != nil {
+		return nil, ma.err
+	}
 	if len(inputs) != ma.m.NumInputs {
 		return nil, fmt.Errorf("systolic: got %d input columns, want %d", len(inputs), ma.m.NumInputs)
 	}
@@ -93,106 +159,27 @@ func (ma *Machine) RunVec(inputs [][]int64) ([][]int64, error) {
 			}
 		}
 	}
-	// Upstream FIFO of the first PE: the streamed columns in order.
-	fifo := ma.fifoA[:0]
-	for _, c := range inputs {
-		var v vec
-		v.n = n
-		copy(v.lanes[:], c)
-		fifo = append(fifo, v)
+	if n > bitvec.VecSize {
+		return nil, fmt.Errorf("systolic: %d-row vector, the PE lanes hold %d", n, bitvec.VecSize)
 	}
-	spare := ma.fifoB
-	for pi, prog := range ma.m.Programs {
-		out, err := ma.runPE(prog, fifo, spare[:0], n)
-		if err != nil {
-			return nil, fmt.Errorf("systolic: PE %d: %w", pi, err)
-		}
-		fifo, spare = out, fifo
+	slots := ma.slots
+	copy(slots, inputs)
+	for _, o := range ma.ops {
+		o.alu.applyLanes(slots[o.dst][:n], slots[o.src], slots[o.opnd])
 	}
-	// Remember which backing array each ping-pong buffer ended up on so
-	// the next call starts from the same capacity.
-	ma.fifoA, ma.fifoB = fifo, spare
-	if len(fifo) != ma.m.NumOutputs {
-		return nil, fmt.Errorf("systolic: chain produced %d vectors, want %d", len(fifo), ma.m.NumOutputs)
+	for i, s := range ma.outs {
+		ma.res[i] = slots[s][:n]
 	}
-	res := ma.res
-	for i := range fifo {
-		res[i] = fifo[i].lanes[:n]
-	}
-	return res, nil
-}
-
-// runPE executes one PE program, popping vectors from in and appending
-// pushed vectors to out (returned re-sliced). Registers are NOT cleared
-// between calls: the compiler never emits a read of a register the same
-// program has not written first, so stale state is unreachable.
-func (ma *Machine) runPE(prog Program, in, out []vec, n int) ([]vec, error) {
-	regs := ma.regs
-	opFifo := ma.opFifo[:0]
-	opPos := 0 // pop by index so the backing array keeps its capacity
-	inPos := 0
-	for _, ins := range prog {
-		var src vec
-		if ins.Rs == StreamReg {
-			if inPos >= len(in) {
-				return nil, fmt.Errorf("%s: input FIFO underflow", ins)
-			}
-			src = in[inPos]
-			inPos++
-		} else {
-			src = regs[ins.Rs]
-		}
-		switch ins.Op {
-		case OpPass:
-			if ins.Rd == StreamReg {
-				out = append(out, src)
-			} else {
-				regs[ins.Rd] = src
-			}
-		case OpCopy:
-			if ins.Rd == StreamReg {
-				out = append(out, src)
-			} else {
-				regs[ins.Rd] = src
-			}
-			opFifo = append(opFifo, src)
-		case OpStore:
-			opFifo = append(opFifo, src)
-		case OpAlu:
-			var r vec
-			r.n = n
-			if ins.UseImm {
-				imm := ins.Imm
-				for i := 0; i < n; i++ {
-					r.lanes[i] = ins.Alu.Apply(src.lanes[i], imm)
-				}
-			} else {
-				if opPos >= len(opFifo) {
-					return nil, fmt.Errorf("%s: operand FIFO underflow", ins)
-				}
-				operand := &opFifo[opPos]
-				opPos++
-				for i := 0; i < n; i++ {
-					r.lanes[i] = ins.Alu.Apply(src.lanes[i], operand.lanes[i])
-				}
-			}
-			if ins.Rd == StreamReg {
-				out = append(out, r)
-			} else {
-				regs[ins.Rd] = r
-			}
-		default:
-			return nil, fmt.Errorf("bad opcode %d", ins.Op)
-		}
-	}
-	ma.opFifo = opFifo[:0]
-	return out, nil
+	return ma.res, nil
 }
 
 // Transform runs whole columns through the PE chain, vector by vector.
 // inputs[c][r] is row r of streamed column c; the result is indexed the
 // same way by output column.
 func (ma *Machine) Transform(inputs [][]int64) ([][]int64, error) {
+	if ma.err != nil {
+		return nil, ma.err
+	}
 	nRows := 0
 	if len(inputs) > 0 {
 		nRows = len(inputs[0])

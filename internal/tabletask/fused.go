@@ -171,7 +171,9 @@ func (fs *fusedScan) setup() error {
 		}
 		fs.predRd[i] = col.NewPagedReader(ci, flash.Aquoman)
 		fs.predRd[i].SetContext(fs.e.Ctx)
-		fs.evals[i].Init(cp.Expr, ci.Enc)
+		if err := fs.evals[i].Init(cp.Expr, ci.Enc); err != nil {
+			return fmt.Errorf("tabletask %q: %w", t.Name, err)
+		}
 	}
 	for i, cp := range sel.Preds {
 		rowsel.PruneByZoneMaps(cp.Expr, fs.predRd[i], fs.mask)
