@@ -2,7 +2,7 @@
 // HTTP/JSON front end over a TPC-H (or persisted) store, with the
 // concurrent scheduler admitting queries and request contexts threaded
 // end to end — a disconnecting client or an expired deadline cancels the
-// query at its next page-read/morsel checkpoint.
+// query at its next page-read/operator checkpoint.
 //
 //	aquoman-serve -listen :8080 -sf 0.01
 //	aquoman-serve -listen :8080 -store /data/tpch-sf1

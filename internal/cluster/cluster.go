@@ -17,7 +17,7 @@
 // Cancellation is end to end: the query context is threaded into every
 // worker HTTP request (killing in-flight scatter RPCs the moment the
 // client disconnects), into fallback/local execution's page-read and
-// morsel checkpoints, and into the merge.
+// operator checkpoints, and into the merge.
 package cluster
 
 import (

@@ -58,7 +58,7 @@ type Config struct {
 	Overlays map[string]*delta.Overlay
 
 	// Ctx (optional) cancels the query cooperatively: checkpoints at unit,
-	// stage, page-read and morsel boundaries stop the query — and its
+	// stage, page-read and host-operator boundaries stop the query — and its
 	// simulated flash traffic — shortly after Ctx is done. Cancellation is
 	// NOT a suspension: a context error propagates to the caller instead
 	// of triggering the host-resume fallback. Nil never cancels. The
@@ -288,10 +288,10 @@ func (d *Device) finishReport(rep *Report, reg *obs.Registry, before flash.Stats
 	}
 	d.DRAM.ResetPeak()
 	if reg != nil {
-		rep.HostStats.Each(func(kind string, n int64) {
+		for kind, n := range rep.HostStats.Work {
 			reg.Counter("engine_work_total", "kind", kind).Add(n)
-		})
-		reg.Gauge("engine_peak_bytes").SetMax(rep.HostStats.Peak())
+		}
+		reg.Gauge("engine_peak_bytes").SetMax(rep.HostStats.PeakBytes)
 		reg.Counter("core_queries_total").Inc()
 		if rep.Suspended {
 			reg.Counter("core_suspensions_total").Inc()

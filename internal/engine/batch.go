@@ -56,13 +56,6 @@ func (b *Batch) Col(name string) ([]int64, error) {
 	return b.Cols[i], nil
 }
 
-// Row copies row r into out (len(out) >= len(b.Cols)).
-func (b *Batch) Row(r int, out []int64) {
-	for c := range b.Cols {
-		out[c] = b.Cols[c][r]
-	}
-}
-
 // Render formats the batch for display, decoding dates, decimals and
 // dictionary strings. Text columns are decoded through their heap.
 func (b *Batch) Render(maxRows int) string {

@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"aquoman/internal/col"
 	"aquoman/internal/delta"
@@ -21,12 +21,9 @@ import (
 // hostRequester is the controller-switch identity for all engine I/O.
 const hostRequester = flash.Host
 
-// Stats aggregates the work counters the timing model consumes. All
-// mutators are internally synchronized, so worker goroutines spawned by
-// SetParallelism may account concurrently; readers inspect the fields
-// after the run.
+// Stats aggregates the work counters the timing model consumes. An engine
+// runs on one goroutine; readers inspect the fields after the run.
 type Stats struct {
-	mu sync.Mutex
 	// Work counts abstract row operations by kind: "scan", "filter",
 	// "project", "join_build", "join_probe", "agg", "sort" (n·log n
 	// units), "text" (string-heap reads), "output".
@@ -42,68 +39,39 @@ type Stats struct {
 // NewStats returns zeroed counters.
 func NewStats() *Stats { return &Stats{Work: make(map[string]int64)} }
 
-func (s *Stats) work(kind string, n int64) {
-	s.mu.Lock()
-	s.Work[kind] += n
-	s.mu.Unlock()
-}
+func (s *Stats) work(kind string, n int64) { s.Work[kind] += n }
 
 func (s *Stats) alloc(b *Batch) {
-	s.mu.Lock()
 	s.CurBytes += b.Bytes()
 	if s.CurBytes > s.PeakBytes {
 		s.PeakBytes = s.CurBytes
 	}
 	s.SumBytes += b.Bytes()
 	s.Batches++
-	s.mu.Unlock()
 }
 
-func (s *Stats) free(b *Batch) {
-	s.mu.Lock()
-	s.CurBytes -= b.Bytes()
-	s.mu.Unlock()
-}
-
-// Each visits every work counter under the lock.
-func (s *Stats) Each(fn func(kind string, n int64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, v := range s.Work {
-		fn(k, v)
-	}
-}
-
-// Peak returns the high-water intermediate footprint.
-func (s *Stats) Peak() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.PeakBytes
-}
+func (s *Stats) free(b *Batch) { s.CurBytes -= b.Bytes() }
 
 // Engine executes bound plans.
 type Engine struct {
 	Store *col.Store
 	Stats *Stats
-	// threads is the intra-query parallelism (see SetParallelism).
-	threads int
 
 	// overlays (optional, see SetOverlays) are per-table MVCC deltas
 	// applied at scan time.
 	overlays map[string]*delta.Overlay
 
 	// ctx (optional, see SetContext) cancels execution cooperatively: it
-	// is checked before every operator, at scan page-chunk boundaries, and
-	// at morsel boundaries of parallel sections. lc is the query recorder
-	// it carries, if any: every operator is one host region (exec recursion
-	// runs on one goroutine).
+	// is checked before and after every operator and at scan page-chunk
+	// boundaries. lc is the query recorder it carries, if any: every
+	// operator is one host region.
 	ctx context.Context
 	lc  *obs.Lifecycle
 }
 
 // New returns an engine over the store with fresh counters.
 func New(store *col.Store) *Engine {
-	return &Engine{Store: store, Stats: NewStats(), threads: 1}
+	return &Engine{Store: store, Stats: NewStats()}
 }
 
 // SetContext attaches a cancellation context: a cancelled query stops
@@ -175,7 +143,7 @@ func (e *Engine) exec(n plan.Node) (*Batch, error) {
 	r.End()
 	if err == nil {
 		// Re-check after the node: a cancellation that landed mid-operator
-		// (e.g. skipped parallel morsels) must not leak a truncated batch.
+		// ends the query here, not after the parent's work.
 		if cerr := e.ctxErr(); cerr != nil {
 			return nil, cerr
 		}
@@ -513,108 +481,152 @@ func (e *Engine) execJoin(t *plan.Join) (*Batch, error) {
 
 	// Lower the extra predicate over the concatenated schema once.
 	var extra systolic.Expr
-	combined := append(append(plan.Schema{}, left.Schema...), right.Schema...)
 	if t.Extra != nil {
+		combined := append(append(plan.Schema{}, left.Schema...), right.Schema...)
 		extra, err = plan.Lower(t.Extra, combined)
 		if err != nil {
 			return nil, fmt.Errorf("engine: join extra predicate: %w", err)
 		}
 	}
-	// Probe in parallel morsels; per-range pair lists are reassembled in
-	// range order, so the output matches sequential execution exactly.
-	type pair struct {
-		lr, rr  int
-		matched int64
-	}
-	n := left.NumRows()
-	nWorkers := e.threads
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	partPairs := make([][]pair, nWorkers+1)
-	workers := e.parallelRanges(n, func(w, lo, hi int) {
-		var kb []byte
-		row := make([]int64, len(combined))
-		match := func(lr, rr int) bool {
-			if extra == nil {
-				return true
-			}
-			for c := range left.Cols {
-				row[c] = left.Cols[c][lr]
-			}
-			for c := range right.Cols {
-				row[len(left.Cols)+c] = right.Cols[c][rr]
-			}
-			return systolic.EvalExpr(extra, row) != 0
-		}
-		var out []pair
-		for lr := lo; lr < hi; lr++ {
-			kb = packKey(kb, lIdx, lr, left.Cols)
-			cands := ht[string(kb)]
-			switch t.Kind {
-			case plan.InnerJoin:
-				for _, rr := range cands {
-					if match(lr, rr) {
-						out = append(out, pair{lr, rr, 1})
-					}
-				}
-			case plan.SemiJoin:
-				for _, rr := range cands {
-					if match(lr, rr) {
-						out = append(out, pair{lr, -1, 1})
-						break
-					}
-				}
-			case plan.AntiJoin:
-				found := false
-				for _, rr := range cands {
-					if match(lr, rr) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					out = append(out, pair{lr, -1, 0})
-				}
-			case plan.LeftMarkJoin:
-				any := false
-				for _, rr := range cands {
-					if match(lr, rr) {
-						out = append(out, pair{lr, rr, 1})
-						any = true
-					}
-				}
-				if !any {
-					out = append(out, pair{lr, -1, 0})
-				}
-			}
-		}
-		partPairs[w] = out
-	})
 	out := NewBatch(t.Schema())
-	for w := 0; w < workers; w++ {
-		for _, pr := range partPairs[w] {
-			c := 0
-			for ; c < len(left.Cols); c++ {
-				out.Cols[c] = append(out.Cols[c], left.Cols[c][pr.lr])
-			}
-			if t.Kind == plan.InnerJoin || t.Kind == plan.LeftMarkJoin {
-				for rc := range right.Cols {
-					var v int64
-					if pr.rr >= 0 {
-						v = right.Cols[rc][pr.rr]
-					}
-					out.Cols[c] = append(out.Cols[c], v)
-					c++
+	emit := func(lr, rr int, matched int64) {
+		c := 0
+		for ; c < len(left.Cols); c++ {
+			out.Cols[c] = append(out.Cols[c], left.Cols[c][lr])
+		}
+		if t.Kind == plan.InnerJoin || t.Kind == plan.LeftMarkJoin {
+			for rc := range right.Cols {
+				var v int64
+				if rr >= 0 {
+					v = right.Cols[rc][rr]
 				}
-			}
-			if t.Kind == plan.LeftMarkJoin {
-				out.Cols[c] = append(out.Cols[c], pr.matched)
+				out.Cols[c] = append(out.Cols[c], v)
+				c++
 			}
 		}
+		if t.Kind == plan.LeftMarkJoin {
+			out.Cols[c] = append(out.Cols[c], matched)
+		}
 	}
+	// decide applies the join kind to left row lr, whose hash candidates are
+	// cands; ok[i] is the extra predicate on cands[i] (nil: no predicate).
+	decide := func(lr int, cands []int, ok []int64) {
+		hit := false
+		for i, rr := range cands {
+			if ok != nil && ok[i] == 0 {
+				continue
+			}
+			hit = true
+			switch t.Kind {
+			case plan.InnerJoin, plan.LeftMarkJoin:
+				emit(lr, rr, 1)
+			case plan.SemiJoin:
+				emit(lr, -1, 1)
+				return
+			case plan.AntiJoin:
+				return
+			}
+		}
+		if !hit && (t.Kind == plan.AntiJoin || t.Kind == plan.LeftMarkJoin) {
+			emit(lr, -1, 0)
+		}
+	}
+	// Probe in batches of consecutive left rows holding about one tile of
+	// candidate pairs (a left row's candidates never split), so the extra
+	// predicate runs through EvalCols over just the columns it reads.
+	probe := newExtraBatch(extra, left, right)
+	n := left.NumRows()
+	for lr := 0; lr < n; lr++ {
+		kb = packKey(kb, lIdx, lr, left.Cols)
+		if probe.add(lr, ht[string(kb)]) {
+			probe.flush(decide)
+		}
+	}
+	probe.flush(decide)
 	e.Stats.alloc(out)
 	e.Stats.free(left)
 	e.Stats.free(right)
 	return out, nil
+}
+
+// probeBatch is the number of candidate pairs (or left rows) a join probe
+// gathers before it evaluates its extra predicate: about one EvalCols tile.
+const probeBatch = 1024
+
+// extraBatch collects a join's probe results for consecutive left rows and
+// evaluates the join's extra predicate over their candidate pairs at once.
+type extraBatch struct {
+	extra       systolic.Expr
+	left, right *Batch
+	refs        []int     // the concatenated-schema columns extra reads
+	cols        [][]int64 // gathered pair values, indexed like the schema
+	ok          []int64
+
+	lrs   []int
+	cands [][]int
+	pairs int
+}
+
+func newExtraBatch(extra systolic.Expr, left, right *Batch) *extraBatch {
+	x := &extraBatch{extra: extra, left: left, right: right}
+	if extra != nil {
+		x.cols = make([][]int64, len(left.Cols)+len(right.Cols))
+		x.refs = colRefs(extra, nil)
+	}
+	return x
+}
+
+// add queues left row lr with its candidates and reports whether the batch
+// is full.
+func (x *extraBatch) add(lr int, cands []int) bool {
+	x.lrs = append(x.lrs, lr)
+	x.cands = append(x.cands, cands)
+	x.pairs += len(cands)
+	return x.pairs >= probeBatch || len(x.lrs) >= probeBatch
+}
+
+// flush evaluates the extra predicate over the queued pairs, hands every
+// queued left row to decide in order, and empties the batch.
+func (x *extraBatch) flush(decide func(lr int, cands []int, ok []int64)) {
+	if x.extra != nil && x.pairs > 0 {
+		nl := len(x.left.Cols)
+		for _, c := range x.refs {
+			dst := x.cols[c][:0]
+			for i, lr := range x.lrs {
+				for _, rr := range x.cands[i] {
+					if c < nl {
+						dst = append(dst, x.left.Cols[c][lr])
+					} else {
+						dst = append(dst, x.right.Cols[c-nl][rr])
+					}
+				}
+			}
+			x.cols[c] = dst
+		}
+		x.ok = slices.Grow(x.ok[:0], x.pairs)[:x.pairs]
+		systolic.EvalCols(x.extra, x.cols, x.ok)
+	}
+	k := 0
+	for i, lr := range x.lrs {
+		var ok []int64
+		if x.extra != nil {
+			ok = x.ok[k : k+len(x.cands[i])]
+		}
+		decide(lr, x.cands[i], ok)
+		k += len(x.cands[i])
+	}
+	x.lrs, x.cands, x.pairs = x.lrs[:0], x.cands[:0], 0
+}
+
+// colRefs appends to refs each input column e reads, once.
+func colRefs(e systolic.Expr, refs []int) []int {
+	switch n := e.(type) {
+	case systolic.Col:
+		if !slices.Contains(refs, n.Index) {
+			refs = append(refs, n.Index)
+		}
+	case systolic.Bin:
+		refs = colRefs(n.R, colRefs(n.L, refs))
+	}
+	return refs
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"aquoman/internal/col"
 	"aquoman/internal/plan"
@@ -13,9 +11,10 @@ import (
 
 // evalExpr evaluates a plan expression over every row of the batch. The
 // normal path lowers through plan.Lower — the same semantics the offload
-// path executes on the PE array — and only Text (string-heap) predicates
-// take the host-only path, which materializes them into temporary integer
-// columns first.
+// path executes on the PE array — and evaluates the lowered tree a column
+// tile at a time through the kernel's lane loops. Only Text (string-heap)
+// predicates take a host-only step first, which materializes them into
+// temporary integer columns.
 func (e *Engine) evalExpr(b *Batch, ex plan.Expr) ([]int64, error) {
 	lowered, err := plan.Lower(ex, b.Schema)
 	if err != nil {
@@ -32,46 +31,14 @@ func (e *Engine) evalExpr(b *Batch, ex plan.Expr) ([]int64, error) {
 		}
 		b = b2
 	}
-	n := b.NumRows()
-	out := make([]int64, n)
-	e.parallelRanges(n, func(_, lo, hi int) {
-		row := make([]int64, len(b.Cols))
-		for r := lo; r < hi; r++ {
-			for c := range b.Cols {
-				row[c] = b.Cols[c][r]
-			}
-			out[r] = systolic.EvalExpr(lowered, row)
-		}
-	})
+	out := make([]int64, b.NumRows())
+	systolic.EvalCols(lowered, b.Cols, out)
 	return out, nil
-}
-
-// textWork evaluates a string-heap loop over [0, n) rows in parallel
-// morsels. Each worker accumulates its row count privately; the partials
-// merge into a single synchronized Stats.work("text") call after the
-// barrier, so workers never contend on (or race over) the shared map.
-func (e *Engine) textWork(n int, fn func(lo, hi int)) {
-	nWorkers := e.threads
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	counts := make([]int64, nWorkers+1)
-	e.parallelRanges(n, func(w, lo, hi int) {
-		fn(lo, hi)
-		counts[w] += int64(hi - lo)
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	e.Stats.work("text", total)
 }
 
 // materializeText rewrites Text-dependent subexpressions into references
 // to freshly computed integer columns (appended to a widened copy of the
-// batch), accounting the string-heap reads as "text" work. The per-row
-// heap lookups run in parallel morsels (the HeapReader is immutable
-// after construction and regexcc patterns are stateless).
+// batch), accounting the string-heap reads as "text" work.
 func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, error) {
 	wide := &Batch{Schema: append(plan.Schema{}, b.Schema...), Cols: append([][]int64(nil), b.Cols...)}
 	tmp := 0
@@ -84,7 +51,8 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 	}
 	// textField loads a Text column's heap — under the query's context, so
 	// the read is cancellable and its device time is the query's — and
-	// returns it with the column's heap offsets.
+	// returns it with the column's heap offsets. Every caller reads one
+	// string per row, which is the "text" work accounted here.
 	textField := func(name string) (*col.HeapReader, []int64, error) {
 		f, err := wide.Schema.Field(name)
 		if err != nil {
@@ -98,7 +66,11 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			return nil, nil, err
 		}
 		heap, err := f.Src.NewHeapReaderCtx(e.ctx, hostRequester)
-		return heap, vals, err
+		if err != nil {
+			return nil, nil, err
+		}
+		e.Stats.work("text", int64(len(vals)))
+		return heap, vals, nil
 	}
 
 	var rewrite func(plan.Expr) (plan.Expr, error)
@@ -118,13 +90,11 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			}
 			pat := regexcc.Compile(n.Pattern)
 			vals := make([]int64, len(offs))
-			e.textWork(len(offs), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if pat.Match(heap.Str(offs[i])) != n.Negate {
-						vals[i] = 1
-					}
+			for i, off := range offs {
+				if pat.Match(heap.Str(off)) != n.Negate {
+					vals[i] = 1
 				}
-			})
+			}
 			return plan.C(addCol(n.Col, vals)), nil
 		case plan.SubstrCode:
 			heap, offs, err := textField(n.Col)
@@ -132,17 +102,15 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 				return nil, err
 			}
 			vals := make([]int64, len(offs))
-			e.textWork(len(offs), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					s := heap.Str(offs[i])
-					start := n.Start - 1
-					end := start + n.Len
-					if start < 0 || end > len(s) {
-						continue
-					}
-					vals[i] = plan.PackString(s[start:end])
+			for i, off := range offs {
+				s := heap.Str(off)
+				start := n.Start - 1
+				end := start + n.Len
+				if start < 0 || end > len(s) {
+					continue
 				}
-			})
+				vals[i] = plan.PackString(s[start:end])
+			}
 			return plan.C(addCol(n.Col, vals)), nil
 		case plan.Bin:
 			// Equality of a Text column against a literal.
@@ -154,13 +122,11 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 							return nil, err
 						}
 						vals := make([]int64, len(offs))
-						e.textWork(len(offs), func(lo, hi int) {
-							for i := lo; i < hi; i++ {
-								if heap.Str(offs[i]) == s.V {
-									vals[i] = 1
-								}
+						for i, off := range offs {
+							if heap.Str(off) == s.V {
+								vals[i] = 1
 							}
-						})
+						}
 						eqCol := plan.C(addCol(c.Name, vals))
 						if n.Op == plan.OpNE {
 							return plan.Not{E: eqCol}, nil
@@ -229,7 +195,6 @@ type aggState struct {
 	maxs     []int64
 	counts   []int64
 	distinct []map[int64]struct{}
-	firstRow int
 }
 
 func newAggState(nKeys int, aggs []plan.AggSpec) *aggState {
@@ -276,41 +241,6 @@ func (g *aggState) update(i int, fn plan.AggFunc, v int64) {
 	}
 }
 
-// merge folds another partial into g.
-func (g *aggState) merge(o *aggState, aggs []plan.AggSpec) {
-	if o.firstRow < g.firstRow {
-		g.firstRow = o.firstRow
-	}
-	for i, a := range aggs {
-		switch a.Func {
-		case plan.AggSum, plan.AggAvg, plan.AggCount:
-			g.sums[i] += o.sums[i]
-			g.counts[i] += o.counts[i]
-		case plan.AggMin:
-			if o.mins[i] < g.mins[i] {
-				g.mins[i] = o.mins[i]
-			}
-			g.counts[i] += o.counts[i]
-		case plan.AggMax:
-			if o.maxs[i] > g.maxs[i] {
-				g.maxs[i] = o.maxs[i]
-			}
-			g.counts[i] += o.counts[i]
-		case plan.AggCountDistinct:
-			for v := range o.distinct[i] {
-				g.distinct[i][v] = struct{}{}
-			}
-		}
-	}
-}
-
-// sortGroupsByFirstRow restores the sequential first-seen emission order.
-func sortGroupsByFirstRow(order []string, groups map[string]*aggState) {
-	sort.SliceStable(order, func(a, b int) bool {
-		return groups[order[a]].firstRow < groups[order[b]].firstRow
-	})
-}
-
 func (e *Engine) execGroupBy(t *plan.GroupBy) (*Batch, error) {
 	in, err := e.exec(t.Input)
 	if err != nil {
@@ -336,66 +266,30 @@ func (e *Engine) execGroupBy(t *plan.GroupBy) (*Batch, error) {
 		}
 		argCols[i] = vals
 	}
-	// Morsel-parallel partial aggregation: each worker owns a range and a
-	// private group table; partials merge afterwards, and the output is
-	// re-ordered by first-seen row so the result is identical to the
-	// sequential scan.
-	nWorkers := e.threads
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	partGroups := make([]map[string]*aggState, nWorkers+1)
-	partOrder := make([][]string, nWorkers+1)
-	e.parallelRanges(n, func(w, lo, hi int) {
-		groups := make(map[string]*aggState)
-		var order []string
-		var kb []byte
-		for r := lo; r < hi; r++ {
-			kb = kb[:0]
-			for _, c := range keyIdx {
-				var tmp [8]byte
-				binary.LittleEndian.PutUint64(tmp[:], uint64(in.Cols[c][r]))
-				kb = append(kb, tmp[:]...)
-			}
-			g, ok := groups[string(kb)]
-			if !ok {
-				g = newAggState(len(keyIdx), t.Aggs)
-				g.firstRow = r
-				for i, c := range keyIdx {
-					g.keys[i] = in.Cols[c][r]
-				}
-				groups[string(kb)] = g
-				order = append(order, string(kb))
-			}
-			for i, a := range t.Aggs {
-				var v int64
-				if argCols[i] != nil {
-					v = argCols[i][r]
-				}
-				g.update(i, a.Func, v)
-			}
-		}
-		partGroups[w] = groups
-		partOrder[w] = order
-	})
+	// One group table; order holds the keys in first-seen order, which is
+	// the emission order.
 	groups := make(map[string]*aggState)
 	var order []string
-	for w := 0; w < len(partGroups); w++ {
-		if partGroups[w] == nil {
-			continue
-		}
-		for _, key := range partOrder[w] {
-			pg := partGroups[w][key]
-			g, ok := groups[key]
-			if !ok {
-				groups[key] = pg
-				order = append(order, key)
-				continue
+	var kb []byte
+	for r := 0; r < n; r++ {
+		kb = packKey(kb, keyIdx, r, in.Cols)
+		g, ok := groups[string(kb)]
+		if !ok {
+			g = newAggState(len(keyIdx), t.Aggs)
+			for i, c := range keyIdx {
+				g.keys[i] = in.Cols[c][r]
 			}
-			g.merge(pg, t.Aggs)
+			groups[string(kb)] = g
+			order = append(order, string(kb))
+		}
+		for i, a := range t.Aggs {
+			var v int64
+			if argCols[i] != nil {
+				v = argCols[i][r]
+			}
+			g.update(i, a.Func, v)
 		}
 	}
-	sortGroupsByFirstRow(order, groups)
 	e.Stats.work("agg", int64(n)*int64(len(t.Aggs)+1))
 
 	out := NewBatch(t.Schema())

@@ -1,6 +1,6 @@
 // Package obs is AQUOMAN's zero-dependency observability layer: a
 // metrics registry (counters, gauges, power-of-two histograms — all
-// atomic, safe under engine.SetParallelism and distrib workers) and one
+// atomic, safe under concurrent queries and distrib workers) and one
 // per-query recorder, the Lifecycle, carried on the query's context.
 //
 // A site instruments itself with one call, r := lc.Begin(state, name...)

@@ -3,7 +3,7 @@
 // the work through the concurrent scheduler, and streams results back as
 // NDJSON — with the request's context threaded end-to-end, so a client
 // that disconnects (or a deadline that fires) stops the query at its next
-// page-read or morsel checkpoint and frees the scheduler slot.
+// page-read or operator checkpoint and frees the scheduler slot.
 //
 // Endpoints:
 //

@@ -78,12 +78,15 @@ func laneValues(rng *rand.Rand, nIn, n int) [][]int64 {
 	return cols
 }
 
-// FuzzMachineVsEvalExpr holds the lowered kernel to the scalar reference:
-// random expression sets of depth ≤ 5 over all seven ALU functions,
-// compiled with the default register file and with a narrow one that forces
-// widening and multi-PE pass forwarding, must agree with EvalExpr lane by
-// lane over 1–32 lanes — and a second call with other inputs and another
-// width must show no trace of the first.
+// FuzzMachineVsEvalExpr holds both lowered evaluators to the scalar
+// reference. EvalCols must agree with EvalExpr row by row over column
+// lengths on both sides of its tile boundaries, for every expression set,
+// including those too wide for any register file. Then random expression
+// sets of depth ≤ 5 over all seven ALU functions, compiled with the default
+// register file and with a narrow one that forces widening and multi-PE
+// pass forwarding, must agree with EvalExpr lane by lane over 1–32 lanes —
+// and a second call with other inputs and another width must show no trace
+// of the first.
 func FuzzMachineVsEvalExpr(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for seed := int64(0); seed < 24; seed++ {
@@ -101,6 +104,9 @@ func FuzzMachineVsEvalExpr(f *testing.F) {
 			outs[i] = g.anchored(g.expr(5))
 		}
 		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{0, 1, evalTile - 1, evalTile, evalTile + 1, rng.Intn(3*evalTile + 1)} {
+			checkEvalCols(t, outs, laneValues(rng, g.nIn, n))
+		}
 		for _, cfg := range []Config{DefaultConfig(), {IMem: 3, NumRegs: 2}} {
 			m, err := Compile(outs, g.nIn, cfg)
 			if err != nil && strings.Contains(err.Error(), "register pressure") {
@@ -134,6 +140,43 @@ func FuzzMachineVsEvalExpr(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEvalCols holds EvalCols to EvalExpr on every row of cols.
+func checkEvalCols(t *testing.T, outs []Expr, cols [][]int64) {
+	t.Helper()
+	n := 0
+	if len(cols) > 0 {
+		n = len(cols[0])
+	}
+	got := make([]int64, n)
+	row := make([]int64, len(cols))
+	for _, e := range outs {
+		EvalCols(e, cols, got)
+		for r := range got {
+			for c := range row {
+				row[c] = cols[c][r]
+			}
+			if want := EvalExpr(e, row); got[r] != want {
+				t.Fatalf("EvalCols over %d rows, row %d (%s) on %v: got %d, EvalExpr %d", n, r, e, row, got[r], want)
+			}
+		}
+	}
+}
+
+// EvalCols evaluates what the PE chain cannot map: a constant dividend
+// (dividing by a zero column gives 0) and a root with no column at all.
+func TestEvalColsConstantOperands(t *testing.T) {
+	cols := laneValues(rand.New(rand.NewSource(2)), 1, 2*evalTile+3)
+	cols[0][0], cols[0][evalTile] = 0, 0
+	checkEvalCols(t, []Expr{Div(C(100), In(0)), Mul(Add(C(3), C(4)), C(-6))}, cols)
+	out := make([]int64, evalTile+1)
+	EvalCols(Sub(C(1), C(8)), nil, out)
+	for r, v := range out {
+		if v != -7 {
+			t.Fatalf("row %d of a constant root over no columns = %d, want -7", r, v)
+		}
+	}
 }
 
 // A Machine over a defective chain refuses to run: the lowering finds the
