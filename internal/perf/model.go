@@ -8,6 +8,8 @@
 package perf
 
 import (
+	"sort"
+
 	"aquoman/internal/flash"
 	"aquoman/internal/mem"
 )
@@ -100,15 +102,23 @@ func DefaultRates() Rates {
 	}
 }
 
-// HostTime converts engine work counters into CPU seconds (single thread).
+// HostCPUSeconds converts engine work counters into CPU seconds (single
+// thread). The terms are summed in kind order: float addition is not
+// associative, so summing in map order could differ in the last bit from
+// call to call.
 func (r Rates) HostCPUSeconds(work map[string]int64) float64 {
+	kinds := make([]string, 0, len(work))
+	for kind := range work {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
 	var t float64
-	for kind, n := range work {
+	for _, kind := range kinds {
 		rate, ok := r.HostRate[kind]
 		if !ok {
 			rate = 100e6
 		}
-		t += float64(n) / rate
+		t += float64(work[kind]) / rate
 	}
 	return t
 }

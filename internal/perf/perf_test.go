@@ -1,6 +1,8 @@
 package perf
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -169,5 +171,25 @@ func TestRatesSanity(t *testing.T) {
 	}
 	if r.HostCPUSeconds(map[string]int64{"unknown": 100_000_000}) <= 0 {
 		t.Fatal("unknown work kind priced at zero")
+	}
+}
+
+// HostCPUSeconds is a pure function of its map: over many kinds whose
+// terms differ by orders of magnitude, where the order of the additions
+// shows in the last bit, repeated calls agree bit for bit.
+func TestHostCPUSecondsDeterministic(t *testing.T) {
+	r := DefaultRates()
+	work := map[string]int64{}
+	for i := 0; i < 48; i++ {
+		work[fmt.Sprintf("kind%02d", i)] = int64(1)<<(i%40) + int64(i)*7919
+	}
+	for kind := range r.HostRate {
+		work[kind] = 123_456_789
+	}
+	first := math.Float64bits(r.HostCPUSeconds(work))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(r.HostCPUSeconds(work)); got != first {
+			t.Fatalf("call %d returned %x, the first %x", i, got, first)
+		}
 	}
 }
