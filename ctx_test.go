@@ -165,13 +165,13 @@ func TestQueryCtxCompileError(t *testing.T) {
 }
 
 // TestHostTextReadHonoursContext: a host LIKE over a Text column, and a
-// host ORDER BY on one, load the column's whole string heap, and that read
-// belongs to the query — it stops at the next chunk once the context dies,
-// and the time the device takes is device_read, not host. Mutations:
-// engine.materializeText loading the heap with NewHeapReader (a nil
-// context), or execOrderBy resolving its keys with ColumnInfo.Str per
-// comparison, reads every heap page after the cancel and leaves the heap's
-// device trip in host.
+// host ORDER BY on one, resolve every row's string, which reads the
+// column's whole string heap, and that read belongs to the query — it
+// stops at the next chunk once the context dies, and the time the device
+// takes is device_read, not host. Mutations: engine.materializeText or
+// execOrderBy resolving the strings with a nil context, or with
+// ColumnInfo.Str per row, reads every heap page after the cancel and
+// leaves the heap's device trip in host.
 func TestHostTextReadHonoursContext(t *testing.T) {
 	db := Open()
 	if err := db.LoadTPCH(0.01, 42); err != nil {
@@ -248,5 +248,63 @@ func TestHostTextReadHonoursContext(t *testing.T) {
 					got, tR, time.Duration(lc.Breakdown()["host"]))
 			}
 		})
+	}
+}
+
+// TestUpdateTextReadHonoursContext: an UPDATE resolves the unchanged Text
+// cells of its victim rows back to strings, and that heap read belongs to
+// the statement. Parked on it and cancelled there, the UPDATE returns
+// context.Canceled, commits nothing and leaves the epoch where it was.
+// Mutation: resolving the cells without the statement's context commits
+// the update once the gate opens.
+func TestUpdateTextReadHonoursContext(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.005, 1); err != nil {
+		t.Fatal(err)
+	}
+	const victim = "select n_regionkey from nation where n_nationkey = 3"
+	before, err := db.Query(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := db.Catalog().Epoch()
+
+	gate := faults.NewGate()
+	inj := faults.New(faults.Config{})
+	inj.Hook = func(file string, page int64, who flash.Requester, attempt int) (faults.Kind, bool) {
+		if strings.HasSuffix(file, ".heap") {
+			return gate.Hook(file, page, who, attempt)
+		}
+		return 0, false
+	}
+	db.WithFaults(inj)
+	defer db.WithFaults(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(ctx, "UPDATE nation SET n_regionkey = 4 WHERE n_nationkey = 3")
+		errc <- err
+	}()
+	select {
+	case <-gate.Entered():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the UPDATE never reached a string heap")
+	}
+	cancel()
+	gate.Release()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled on the heap read: err = %v, want context.Canceled", err)
+	}
+	db.WithFaults(nil)
+	if got := db.Catalog().Epoch(); got != epoch {
+		t.Fatalf("epoch %d -> %d: the cancelled UPDATE committed", epoch, got)
+	}
+	after, err := db.Query(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := after.Render(0), before.Render(0); a != b {
+		t.Fatalf("victim row changed by a cancelled UPDATE:\n%s\nwas\n%s", a, b)
 	}
 }

@@ -253,33 +253,6 @@ func dictEncode(strs, seed []string) ([]string, []Value) {
 	return dict, out
 }
 
-// writeHeap appends length-prefixed strings to heap and returns each
-// string's starting offset (the Text column's stored values). For Dict
-// columns the returned offsets are unused; the heap just persists the
-// dictionary.
-func writeHeap(heap *flash.File, strs []string) []Value {
-	offs := make([]Value, len(strs))
-	var buf []byte
-	var off int64
-	for i, s := range strs {
-		offs[i] = off
-		var l [4]byte
-		l[0] = byte(len(s))
-		l[1] = byte(len(s) >> 8)
-		l[2] = byte(len(s) >> 16)
-		l[3] = byte(len(s) >> 24)
-		buf = append(buf, l[:]...)
-		buf = append(buf, s...)
-		off += int64(4 + len(s))
-		if len(buf) >= 1<<20 {
-			heap.Append(buf, flash.Host)
-			buf = buf[:0]
-		}
-	}
-	heap.Append(buf, flash.Host)
-	return offs
-}
-
 // AddRowIDColumn attaches a materialized RowID column (MonetDB's join
 // index for a foreign key) to table t under the given name. vals[i] must
 // be the referenced table's row index for row i.

@@ -49,8 +49,8 @@ func TestDecimalString(t *testing.T) {
 			t.Errorf("DecimalString(%d) = %q, want %q", v, got, want)
 		}
 	}
-	if DecimalValue(12, 34) != 1234 {
-		t.Fatal("DecimalValue")
+	if 12*DecimalScale+34 != 1234 {
+		t.Fatal("DecimalScale")
 	}
 }
 
@@ -116,8 +116,8 @@ func TestDictCodesSorted(t *testing.T) {
 		t.Fatal("Code(absent) found")
 	}
 	vals := dept.MustReadAll(flash.Host)
-	if dept.MustStr(vals[0], flash.Host) != "shoes" { // row 0 is dept shoes (i%3==0)
-		t.Fatalf("row0 dept = %q", dept.MustStr(vals[0], flash.Host))
+	if got, err := dept.Str(vals[0], flash.Host); err != nil || got != "shoes" { // row 0 is dept shoes (i%3==0)
+		t.Fatalf("row0 dept = %q, %v", got, err)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestTextHeap(t *testing.T) {
 	tab := buildSample(t, s)
 	note := tab.MustColumn("note")
 	offs := note.MustReadAll(flash.Host)
-	if got := note.MustStr(offs[1], flash.Host); got != "note-books" {
-		t.Fatalf("note[1] = %q", got)
+	if got, err := note.Str(offs[1], flash.Host); err != nil || got != "note-books" {
+		t.Fatalf("note[1] = %q, %v", got, err)
 	}
 	if note.HeapBytes() == 0 {
 		t.Fatal("HeapBytes = 0")
@@ -306,7 +306,7 @@ func TestQuickDictOrder(t *testing.T) {
 					return false
 				}
 			}
-			if c.MustStr(codes[i], flash.Host) != words[i] {
+			if got, err := c.Str(codes[i], flash.Host); err != nil || got != words[i] {
 				return false
 			}
 		}

@@ -214,32 +214,3 @@ func TestOrderFlags(t *testing.T) {
 		t.Fatalf("rnd flags = %v/%v", r.Sorted, r.Unique)
 	}
 }
-
-func TestHeapReader(t *testing.T) {
-	s := testStore()
-	b := s.NewTable(Schema{Name: "h", Cols: []ColDef{{Name: "t", Typ: Text}}})
-	words := []string{"alpha", "", "gamma gamma", "d"}
-	for _, w := range words {
-		b.Append(w)
-	}
-	tab, err := b.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := tab.MustColumn("t")
-	offs := ci.MustReadAll(flash.Host)
-	s.Dev.ResetStats()
-	hr, _ := ci.NewHeapReader(flash.Host)
-	for i, w := range words {
-		if got := hr.Str(offs[i]); got != w {
-			t.Fatalf("Str(%d) = %q, want %q", offs[i], got, w)
-		}
-	}
-	// One sequential pass, regardless of lookups.
-	if pages := s.Dev.Stats().PagesRead[flash.Host]; pages != 1 {
-		t.Fatalf("heap pages = %d, want 1", pages)
-	}
-	if hr.Str(-1) != "" || hr.Str(1<<20) != "" {
-		t.Fatal("out-of-range offsets must return empty")
-	}
-}

@@ -188,27 +188,6 @@ func slurpFile(f *flash.File, path string) error {
 	return nil
 }
 
-// readDict decodes the length-prefixed dictionary strings from the heap.
-func readDict(ci *ColumnInfo) ([]string, error) {
-	size := ci.Heap.Size()
-	buf := make([]byte, size)
-	if _, err := ci.Heap.ReadAt(buf, 0, flash.Host); err != nil {
-		return nil, err
-	}
-	var dict []string
-	for off := 0; off+4 <= len(buf); {
-		l := int(uint32(buf[off]) | uint32(buf[off+1])<<8 |
-			uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24)
-		off += 4
-		if off+l > len(buf) {
-			return nil, fmt.Errorf("truncated dictionary heap")
-		}
-		dict = append(dict, string(buf[off:off+l]))
-		off += l
-	}
-	return dict, nil
-}
-
 func sortStringsInPlace(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -62,13 +62,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("dict[%d] = %q vs %q", i, od.Dict()[i], ld.Dict()[i])
 		}
 	}
-	if got := ld.MustStr(1, flash.Host); got != "shoes" {
-		t.Fatalf("dict decode = %q", got)
+	if got, err := ld.Str(1, flash.Host); err != nil || got != "shoes" {
+		t.Fatalf("dict decode = %q, %v", got, err)
 	}
 	ln := lt.MustColumn("note")
 	offs := ln.MustReadAll(flash.Host)
-	if got := ln.MustStr(offs[0], flash.Host); got != "note-shoes" {
-		t.Fatalf("heap decode = %q", got)
+	if got, err := ln.Str(offs[0], flash.Host); err != nil || got != "note-shoes" {
+		t.Fatalf("heap decode = %q, %v", got, err)
 	}
 	if !lt.MustColumn("id").Sorted || !lt.MustColumn("id").Unique {
 		t.Fatal("order flags lost")

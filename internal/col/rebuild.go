@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"aquoman/internal/enc"
-	"aquoman/internal/flash"
 )
 
 // selectionFor maps a column's current on-flash codec back to the
@@ -95,32 +94,6 @@ func (t *Table) RebuildRows(n int, vals map[string][]Value) error {
 	}
 	t.NumRows = n
 	return nil
-}
-
-// AppendHeapStrings appends strings to a Text column's heap in the
-// standard length-prefixed layout and returns each string's offset —
-// the stored values for freshly ingested rows. The heap append bumps
-// the file's generation like any other write.
-func AppendHeapStrings(ci *ColumnInfo, strs []string) ([]Value, error) {
-	if ci.Def.Typ != Text || ci.Heap == nil {
-		return nil, fmt.Errorf("col: AppendHeapStrings on non-text column %q", ci.Def.Name)
-	}
-	off := ci.Heap.Size()
-	offs := make([]Value, len(strs))
-	var buf []byte
-	for i, s := range strs {
-		offs[i] = Value(off)
-		var l [4]byte
-		l[0] = byte(len(s))
-		l[1] = byte(len(s) >> 8)
-		l[2] = byte(len(s) >> 16)
-		l[3] = byte(len(s) >> 24)
-		buf = append(buf, l[:]...)
-		buf = append(buf, s...)
-		off += int64(4 + len(s))
-	}
-	ci.Heap.Append(buf, flash.Host)
-	return offs, nil
 }
 
 // ValueInRange reports whether v fits the on-flash width of typ (the

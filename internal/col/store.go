@@ -206,97 +206,6 @@ func (c *ColumnInfo) CodeRangeForPrefix(prefix string) (lo, hi Value) {
 	return lo, hi
 }
 
-// Str decodes a stored value into its string content. For Dict columns it
-// is a dictionary lookup; for Text columns it reads the heap through the
-// given requester (flash traffic is accounted, and a failed heap page read
-// fails the lookup).
-func (c *ColumnInfo) Str(v Value, who flash.Requester) (string, error) {
-	switch c.Def.Typ {
-	case Dict:
-		if v < 0 || int(v) >= len(c.dict) {
-			return "", nil
-		}
-		return c.dict[v], nil
-	case Text:
-		var lenBuf [4]byte
-		n, err := c.Heap.ReadAt(lenBuf[:], v, who)
-		if err != nil {
-			return "", err
-		}
-		if n < 4 {
-			return "", nil
-		}
-		l := binary.LittleEndian.Uint32(lenBuf[:])
-		buf := make([]byte, l)
-		if _, err := c.Heap.ReadAt(buf, v+4, who); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	default:
-		panic(fmt.Sprintf("col: Str on %s column %q", c.Def.Typ, c.Def.Name))
-	}
-}
-
-// MustStr is Str for fault-free contexts (build/test helpers); it panics
-// on a read error.
-func (c *ColumnInfo) MustStr(v Value, who flash.Requester) string {
-	s, err := c.Str(v, who)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// HeapReader reads the whole string heap sequentially once and serves
-// per-offset lookups from memory — how a scan-oriented engine consumes a
-// string column through the page cache (one sequential pass instead of a
-// page-granular random read per row).
-type HeapReader struct {
-	data []byte
-}
-
-// NewHeapReader loads the column's heap, accounting one sequential read.
-func (c *ColumnInfo) NewHeapReader(who flash.Requester) (*HeapReader, error) {
-	return c.NewHeapReaderCtx(nil, who)
-}
-
-// NewHeapReaderCtx is NewHeapReader with cooperative cancellation: the
-// heap stream checks ctx at page-aligned chunk boundaries.
-func (c *ColumnInfo) NewHeapReaderCtx(ctx context.Context, who flash.Requester) (*HeapReader, error) {
-	if c.Heap == nil {
-		return &HeapReader{}, nil
-	}
-	buf := make([]byte, c.Heap.Size())
-	if _, err := c.Heap.ReadAtCtx(ctx, buf, 0, who); err != nil {
-		return nil, err
-	}
-	return &HeapReader{data: buf}, nil
-}
-
-// Str decodes the length-prefixed string at offset off.
-func (h *HeapReader) Str(off Value) string {
-	if off < 0 || int(off)+4 > len(h.data) {
-		return ""
-	}
-	l := int(binary.LittleEndian.Uint32(h.data[off:]))
-	end := int(off) + 4 + l
-	if end > len(h.data) {
-		end = len(h.data)
-	}
-	return string(h.data[off+4 : end])
-}
-
-// HeapBytes returns the string-heap size (0 for non-string columns). The
-// compiler compares this against the regex accelerator's 1 MB cache to
-// decide whether string filtering must be suspended to the host
-// (Sec. VI-E condition 2).
-func (c *ColumnInfo) HeapBytes() int64 {
-	if c.Heap == nil {
-		return 0
-	}
-	return c.Heap.Size()
-}
-
 // ReadRange reads count values starting at row start into out, accounting
 // flash traffic to who. It returns the number of values read.
 func (c *ColumnInfo) ReadRange(start, count int, who flash.Requester, out []Value) (int, error) {

@@ -129,9 +129,6 @@ func DateYear(v Value) int {
 	return time.Unix(v*86400, 0).UTC().Year()
 }
 
-// DecimalValue converts an integer+cents pair into a Decimal Value.
-func DecimalValue(units int64, cents int64) Value { return units*DecimalScale + cents }
-
 // DecimalString renders a Decimal value with two fractional digits.
 func DecimalString(v Value) string {
 	sign := ""

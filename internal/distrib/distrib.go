@@ -262,54 +262,26 @@ func copyTable(dst *col.Store, tab *col.Table, keep []int) error {
 	}
 	for _, cd := range defs {
 		ci := tab.MustColumn(cd.Name)
-		if cd.Typ.IsString() {
-			offs, err := ci.ReadAll(flash.Host)
-			if err != nil {
-				return err
-			}
-			var heap *col.HeapReader
-			var dict []string
-			if cd.Typ == col.Text {
-				heap, err = ci.NewHeapReader(flash.Host)
-				if err != nil {
-					return err
-				}
-			} else {
-				dict = ci.Dict()
-			}
-			strs := make([]string, 0, nRows)
-			emit := func(r int) {
-				if cd.Typ == col.Text {
-					strs = append(strs, heap.Str(offs[r]))
-				} else {
-					strs = append(strs, dict[offs[r]])
-				}
-			}
-			if keep == nil {
-				for r := 0; r < tab.NumRows; r++ {
-					emit(r)
-				}
-			} else {
-				for _, r := range keep {
-					emit(r)
-				}
-			}
-			b.AppendColumnStrings(cd.Name, strs)
-			continue
-		}
 		vals, err := ci.ReadAll(flash.Host)
 		if err != nil {
 			return err
 		}
-		if keep == nil {
-			b.AppendColumnValues(cd.Name, vals)
-		} else {
+		if keep != nil {
 			sel := make([]int64, len(keep))
 			for i, r := range keep {
 				sel[i] = vals[r]
 			}
-			b.AppendColumnValues(cd.Name, sel)
+			vals = sel
 		}
+		if !cd.Typ.IsString() {
+			b.AppendColumnValues(cd.Name, vals)
+			continue
+		}
+		strs, err := ci.Strs(nil, vals, flash.Host)
+		if err != nil {
+			return err
+		}
+		b.AppendColumnStrings(cd.Name, strs)
 	}
 	b.SetNumRows(nRows)
 	_, err := b.Finalize()

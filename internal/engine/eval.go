@@ -41,36 +41,39 @@ func (e *Engine) evalExpr(b *Batch, ex plan.Expr) ([]int64, error) {
 // batch), accounting the string-heap reads as "text" work.
 func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, error) {
 	wide := &Batch{Schema: append(plan.Schema{}, b.Schema...), Cols: append([][]int64(nil), b.Cols...)}
+	// textCol resolves a Text column's strings, one per row, with one heap
+	// read under the query's context (cancellable, device time the
+	// query's), maps each through fn, and appends the results as a fresh
+	// integer column. That string per row is the "text" work accounted here.
 	tmp := 0
-	addCol := func(name string, vals []int64) string {
+	textCol := func(name string, fn func(string) int64) (plan.Expr, error) {
+		f, err := wide.Schema.Field(name)
+		if err != nil {
+			return nil, err
+		}
+		if f.Src == nil {
+			return nil, fmt.Errorf("engine: column %q has no string source", name)
+		}
+		strs, err := f.Src.Strs(e.ctx, wide.Cols[wide.Schema.Index(name)], hostRequester)
+		if err != nil {
+			return nil, err
+		}
+		e.Stats.work("text", int64(len(strs)))
+		vals := make([]int64, len(strs))
+		for i, s := range strs {
+			vals[i] = fn(s)
+		}
 		full := fmt.Sprintf("@text%d_%s", tmp, name)
 		tmp++
 		wide.Schema = append(wide.Schema, plan.Field{Name: full, Typ: col.Int64})
 		wide.Cols = append(wide.Cols, vals)
-		return full
+		return plan.C(full), nil
 	}
-	// textField loads a Text column's heap — under the query's context, so
-	// the read is cancellable and its device time is the query's — and
-	// returns it with the column's heap offsets. Every caller reads one
-	// string per row, which is the "text" work accounted here.
-	textField := func(name string) (*col.HeapReader, []int64, error) {
-		f, err := wide.Schema.Field(name)
-		if err != nil {
-			return nil, nil, err
+	isTrue := func(b bool) int64 {
+		if b {
+			return 1
 		}
-		if f.Src == nil {
-			return nil, nil, fmt.Errorf("engine: column %q has no string source", name)
-		}
-		vals, err := wide.Col(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		heap, err := f.Src.NewHeapReaderCtx(e.ctx, hostRequester)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Stats.work("text", int64(len(vals)))
-		return heap, vals, nil
+		return 0
 	}
 
 	var rewrite func(plan.Expr) (plan.Expr, error)
@@ -84,54 +87,26 @@ func (e *Engine) materializeText(b *Batch, ex plan.Expr) (*Batch, plan.Expr, err
 			if f.Typ == col.Dict {
 				return x, nil // dictionary LIKE lowers directly
 			}
-			heap, offs, err := textField(n.Col)
-			if err != nil {
-				return nil, err
-			}
 			pat := regexcc.Compile(n.Pattern)
-			vals := make([]int64, len(offs))
-			for i, off := range offs {
-				if pat.Match(heap.Str(off)) != n.Negate {
-					vals[i] = 1
-				}
-			}
-			return plan.C(addCol(n.Col, vals)), nil
+			return textCol(n.Col, func(s string) int64 { return isTrue(pat.Match(s) != n.Negate) })
 		case plan.SubstrCode:
-			heap, offs, err := textField(n.Col)
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]int64, len(offs))
-			for i, off := range offs {
-				s := heap.Str(off)
-				start := n.Start - 1
-				end := start + n.Len
+			return textCol(n.Col, func(s string) int64 {
+				start, end := n.Start-1, n.Start-1+n.Len
 				if start < 0 || end > len(s) {
-					continue
+					return 0
 				}
-				vals[i] = plan.PackString(s[start:end])
-			}
-			return plan.C(addCol(n.Col, vals)), nil
+				return plan.PackString(s[start:end])
+			})
 		case plan.Bin:
 			// Equality of a Text column against a literal.
 			if c, okc := n.L.(plan.Col); okc {
 				if f, err := wide.Schema.Field(c.Name); err == nil && f.Typ == col.Text {
 					if s, oks := n.R.(plan.Str); oks {
-						heap, offs, err := textField(c.Name)
-						if err != nil {
-							return nil, err
+						eq, err := textCol(c.Name, func(str string) int64 { return isTrue(str == s.V) })
+						if err != nil || n.Op != plan.OpNE {
+							return eq, err
 						}
-						vals := make([]int64, len(offs))
-						for i, off := range offs {
-							if heap.Str(off) == s.V {
-								vals[i] = 1
-							}
-						}
-						eqCol := plan.C(addCol(c.Name, vals))
-						if n.Op == plan.OpNE {
-							return plan.Not{E: eqCol}, nil
-						}
-						return eqCol, nil
+						return plan.Not{E: eq}, nil
 					}
 				}
 			}

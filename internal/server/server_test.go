@@ -898,6 +898,18 @@ func TestQueryModesShareFailureTable(t *testing.T) {
 			func(t *testing.T, m mode) *httptest.ResponseRecorder {
 				return serve(severed, httptest.NewRequest(http.MethodGet, m.url, nil))
 			}},
+		{"string heap fault", "local", http.StatusInternalServerError, false, true,
+			func(t *testing.T, m mode) *httptest.ResponseRecorder {
+				// The scan reads r_comment's offsets; its strings resolve
+				// from the heap before any row is written, so a bad heap
+				// page is the query's error, not a placeholder cell.
+				inj := faults.New(faults.Config{})
+				inj.Hook = func(file string, _ int64, _ flash.Requester, _ int) (faults.Kind, bool) {
+					return faults.Permanent, strings.HasSuffix(file, ".heap")
+				}
+				db.WithFaults(inj)
+				return serve(m.srv, httptest.NewRequest(http.MethodGet, "/query?q=select+r_comment+from+region", nil))
+			}},
 		{"compile error", "local", http.StatusBadRequest, false, false,
 			func(t *testing.T, m mode) *httptest.ResponseRecorder {
 				return serve(m.srv, httptest.NewRequest(http.MethodGet, "/query?q=selectt+nonsense", nil))

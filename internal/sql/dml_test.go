@@ -91,8 +91,8 @@ func TestCompileDeleteVictims(t *testing.T) {
 	}
 	rowid := b.Cols[0][0]
 	names := testStore(t).MustTable("region").MustColumn("r_name")
-	if got := names.MustStr(names.MustReadAll(flash.Host)[rowid], flash.Host); got != "ASIA" {
-		t.Fatalf("victim rowid %d is %q", rowid, got)
+	if got, err := names.Str(names.MustReadAll(flash.Host)[rowid], flash.Host); err != nil || got != "ASIA" {
+		t.Fatalf("victim rowid %d is %q, %v", rowid, got, err)
 	}
 
 	// No WHERE selects every row.

@@ -432,38 +432,24 @@ func (e *Executor) runRegexFilter(t *Task, tab *col.Table, rf RegexFilter, mask 
 			t.Name, rf.Column, ci.HeapBytes(), regexcc.CacheBytes)
 	}
 	pat := regexcc.Compile(rf.Pattern)
-	// Stream the offset column (page-skipped) and the heap (once, into
-	// the accelerator cache).
-	reader := col.NewPagedReader(ci, flash.Aquoman)
-	reader.SetContext(e.Ctx)
-	defer reader.Close()
-	heap, err := ci.NewHeapReaderCtx(e.Ctx, flash.Aquoman)
+	// Stream the live rows' offsets (page-skipped), then resolve their
+	// strings with one heap read; the trace models that read as the whole
+	// heap's load into the accelerator cache.
+	rows := mask.Rows()
+	offs, rs, err := e.streamColumn(tab, rf.Column, mask, len(rows))
 	if err != nil {
 		return err
 	}
-	var vals [bitvec.VecSize]int64
-	nVecs := mask.NumVecs()
-	for vec := 0; vec < nVecs; vec++ {
-		if mask.VecAllZero(vec) {
-			reader.SkipVec(vec)
-			continue
-		}
-		n, err := reader.ReadVec(vec, vals[:])
-		if err != nil {
-			return err
-		}
-		base := vec * bitvec.VecSize
-		for j := 0; j < n; j++ {
-			row := base + j
-			if !mask.Get(row) {
-				continue
-			}
-			if pat.Match(heap.Str(vals[j])) == rf.Negate {
-				mask.Clear(row)
-			}
+	strs, err := ci.Strs(e.Ctx, offs, flash.Aquoman)
+	if err != nil {
+		return err
+	}
+	for i, s := range strs {
+		if pat.Match(s) == rf.Negate {
+			mask.Clear(rows[i])
 		}
 	}
-	tt.addReader(reader.ReaderStats)
+	tt.addReader(rs)
 	tt.PagesRead += (ci.HeapBytes() + flash.PageSize - 1) / flash.PageSize
 	return nil
 }

@@ -234,10 +234,13 @@ func TestGroupByTaskWithGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv, _ := s.Table("inventory")
-	catCol := inv.MustColumn("category")
+	cats, err := inv.MustColumn("category").Strs(nil, res.Cols[0], flash.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
 	byCat := map[string]int64{}
-	for i := range res.Cols[0] {
-		byCat[catCol.MustStr(res.Cols[0][i], flash.Host)] = res.Cols[1][i]
+	for i, c := range cats {
+		byCat[c] = res.Cols[1][i]
 	}
 	if byCat["Shoes"] != 1000+3000+4000 || byCat["Books"] != 2000+6000 || byCat["Games"] != 5000 {
 		t.Fatalf("byCat = %v", byCat)

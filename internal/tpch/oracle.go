@@ -75,16 +75,13 @@ func NewOracle(s *col.Store) (*Oracle, error) {
 			case col.Dict:
 				o.dicts[ci] = ci.Dict()
 			case col.Text:
-				m := make(map[int64]string)
-				for _, v := range vals {
-					if _, ok := m[v]; ok {
-						continue
-					}
-					str, err := ci.Str(v, flash.Host)
-					if err != nil {
-						return nil, fmt.Errorf("oracle snapshot %s.%s heap: %w", name, def.Name, err)
-					}
-					m[v] = str
+				strs, err := ci.Strs(nil, vals, flash.Host)
+				if err != nil {
+					return nil, fmt.Errorf("oracle snapshot %s.%s heap: %w", name, def.Name, err)
+				}
+				m := make(map[int64]string, len(vals))
+				for i, v := range vals {
+					m[v] = strs[i]
 				}
 				o.texts[ci] = m
 			}

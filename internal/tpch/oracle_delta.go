@@ -116,15 +116,13 @@ func (o *Oracle) ApplyOverlay(s *col.Store, ov *delta.Overlay) error {
 			m = make(map[int64]string)
 			o.texts[ci] = m
 		}
-		for _, off := range ov.TailCols[def.Name] {
-			if _, ok := m[off]; ok {
-				continue
-			}
-			str, err := ci.Str(off, flash.Host)
-			if err != nil {
-				return fmt.Errorf("oracle: overlay heap read %s.%s: %w", ov.Table, def.Name, err)
-			}
-			m[off] = str
+		offs := ov.TailCols[def.Name]
+		strs, err := ci.Strs(nil, offs, flash.Host)
+		if err != nil {
+			return fmt.Errorf("oracle: overlay heap read %s.%s: %w", ov.Table, def.Name, err)
+		}
+		for i, off := range offs {
+			m[off] = strs[i]
 		}
 	}
 	return nil

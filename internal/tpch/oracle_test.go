@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aquoman/internal/col"
 	"aquoman/internal/compiler"
 	"aquoman/internal/core"
 	"aquoman/internal/engine"
@@ -159,5 +160,31 @@ func TestDifferentialUnderFaultSchedules(t *testing.T) {
 				t.Fatalf("%d reads failed outright", n)
 			}
 		})
+	}
+}
+
+// NewOracle snapshots the store with one read of every column and every
+// Text heap, so the host pages it adds are exactly theirs: 1,367 on this
+// store. Resolving the Text strings one at a time, two whole-page reads a
+// string, reads 218,908.
+func TestOracleSnapshotReadsEachPageOnce(t *testing.T) {
+	s := sharedStore(t)
+	var want int64
+	for _, name := range s.Tables() {
+		tab := s.MustTable(name)
+		for _, cn := range tab.ColumnNames() {
+			ci := tab.MustColumn(cn)
+			want += ci.File.NumPages()
+			if ci.Def.Typ == col.Text {
+				want += ci.Heap.NumPages()
+			}
+		}
+	}
+	before := s.Dev.Stats().PagesRead[flash.Host]
+	if _, err := NewOracle(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Dev.Stats().PagesRead[flash.Host] - before; got != want {
+		t.Fatalf("NewOracle read %d host pages, want %d: the column pages plus the Text heap pages, once each", got, want)
 	}
 }

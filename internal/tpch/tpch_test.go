@@ -140,9 +140,12 @@ func TestGenValueDomains(t *testing.T) {
 	}
 	// Returnflag consistency with receiptdate.
 	rf := li.MustColumn("l_returnflag")
-	rfv := rf.MustReadAll(flash.Host)
-	for i := range rfv {
-		isN := rf.MustStr(rfv[i], flash.Host) == "N"
+	flags, err := rf.Strs(nil, rf.MustReadAll(flash.Host), flash.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, flag := range flags {
+		isN := flag == "N"
 		if (rcpt[i] > CurrentDate) != isN {
 			t.Fatalf("returnflag inconsistent at row %d", i)
 		}
@@ -153,10 +156,13 @@ func TestGenPhonePrefixMatchesNation(t *testing.T) {
 	s := sharedStore(t)
 	c := s.MustTable("customer")
 	phones := c.MustColumn("c_phone")
-	offs := phones.MustReadAll(flash.Host)
+	strs, err := phones.Strs(nil, phones.MustReadAll(flash.Host), flash.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nats := c.MustColumn("c_nationkey").MustReadAll(flash.Host)
-	for i := 0; i < len(offs); i += 101 {
-		ph := phones.MustStr(offs[i], flash.Host)
+	for i := 0; i < len(strs); i += 101 {
+		ph := strs[i]
 		w0 := byte('0' + (nats[i]+10)/10)
 		w1 := byte('0' + (nats[i]+10)%10)
 		if ph[0] != w0 || ph[1] != w1 {

@@ -170,7 +170,7 @@ func (db *DB) Exec(ctx context.Context, src string) (*ExecResult, error) {
 	default:
 		up := st.Update
 		return db.execRetry(ctx, cat, "update", up.Table, up.Plan, func(b *Batch, rowids []int64, expect uint64) (*catalog.Result, error) {
-			ints, strs, err := db.updateValues(up, b)
+			ints, strs, err := db.updateValues(ctx, up, b)
 			if err != nil {
 				return nil, err
 			}
@@ -221,10 +221,10 @@ func (db *DB) execRetry(ctx context.Context, cat *catalog.Catalog, op, table str
 
 // updateValues converts an update plan's output batch into the
 // catalog's insert-shaped column maps: integer-family values verbatim,
-// Dict codes and Text heap offsets resolved back to strings (the
-// catalog re-resolves them on commit, so replacement rows follow the
-// exact ingest path inserts do).
-func (db *DB) updateValues(up *sql.CompiledUpdate, b *Batch) (map[string][]col.Value, map[string][]string, error) {
+// Dict codes and Text heap offsets resolved back to strings, one string
+// read per column under the statement's ctx (the catalog re-resolves them
+// on commit, so replacement rows follow the exact ingest path inserts do).
+func (db *DB) updateValues(ctx context.Context, up *sql.CompiledUpdate, b *Batch) (map[string][]col.Value, map[string][]string, error) {
 	n := b.NumRows()
 	tab, err := db.Store.Table(up.Table)
 	if err != nil {
@@ -245,13 +245,9 @@ func (db *DB) updateValues(up *sql.CompiledUpdate, b *Batch) (map[string][]col.V
 		if err != nil {
 			return nil, nil, err
 		}
-		ss := make([]string, n)
-		for i, v := range vals {
-			if ss[i], err = ci.Str(v, flash.Host); err != nil {
-				return nil, nil, err
-			}
+		if strs[uc.Name], err = ci.Strs(ctx, vals, flash.Host); err != nil {
+			return nil, nil, err
 		}
-		strs[uc.Name] = ss
 	}
 	for name, s := range up.TextSets {
 		ss := make([]string, n)
