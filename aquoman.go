@@ -380,15 +380,6 @@ func (db *DB) EnableCache(maxBytes int64) *PageCache {
 	return c
 }
 
-// DisableCache detaches the page cache; subsequent reads go straight to
-// the device.
-func (db *DB) DisableCache() {
-	db.mu.Lock()
-	db.cache = nil
-	db.mu.Unlock()
-	db.Flash.SetPageCache(nil)
-}
-
 // CacheStats snapshots the page cache's hit/miss/eviction counters (zero
 // value when no cache is installed).
 func (db *DB) CacheStats() CacheStats {
