@@ -688,57 +688,40 @@ func packBits(dst []byte, vals []uint64, width int) {
 	}
 }
 
-// unpackBitsInto reads len(dst) width-bit values LSB-first from src
-// directly into an int64 destination, skipping the intermediate uint64
-// slice (and its allocation) that unpackBits would build.
+// unpackBitsInto reads len(dst) width-bit values LSB-first from src into
+// dst. A value of at most 56 bits that starts 8 or more bytes before the
+// end of src is one little-endian word load, shift and mask; the last few
+// values, and every value wider than 56 bits, are assembled a byte at a
+// time.
 func unpackBitsInto(dst []int64, src []byte, width int) {
 	if width == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
+	mask := ^uint64(0) >> uint(64-width)
 	bit := 0
 	for i := range dst {
-		var v uint64
-		got := 0
-		for got < width {
-			idx, off := bit/8, bit%8
-			chunk := 8 - off
-			if chunk > width-got {
-				chunk = width - got
-			}
-			v |= (uint64(src[idx]) >> uint(off) & (1<<uint(chunk) - 1)) << uint(got)
-			got += chunk
-			bit += chunk
+		if idx := bit / 8; width <= 56 && idx+8 <= len(src) {
+			dst[i] = int64(binary.LittleEndian.Uint64(src[idx:]) >> uint(bit%8) & mask)
+		} else {
+			dst[i] = int64(unpackBytes(src, bit, width))
 		}
-		dst[i] = int64(v)
+		bit += width
 	}
 }
 
-// unpackBits reads n width-bit values LSB-first from src.
-func unpackBits(src []byte, n, width int) []uint64 {
-	out := make([]uint64, n)
-	if width == 0 {
-		return out
+// unpackBytes assembles the width-bit value at bit offset bit of src a
+// byte at a time.
+func unpackBytes(src []byte, bit, width int) uint64 {
+	var v uint64
+	for got := 0; got < width; {
+		idx, off := bit/8, bit%8
+		chunk := min(8-off, width-got)
+		v |= (uint64(src[idx]) >> uint(off) & (1<<uint(chunk) - 1)) << uint(got)
+		got += chunk
+		bit += chunk
 	}
-	bit := 0
-	for i := range out {
-		var v uint64
-		got := 0
-		for got < width {
-			idx, off := bit/8, bit%8
-			chunk := 8 - off
-			if chunk > width-got {
-				chunk = width - got
-			}
-			v |= (uint64(src[idx]) >> uint(off) & (1<<uint(chunk) - 1)) << uint(got)
-			got += chunk
-			bit += chunk
-		}
-		out[i] = v
-	}
-	return out
+	return v
 }
 
 // Choose picks a codec for a column from one statistics pass: the raw

@@ -159,12 +159,17 @@ func TestPackUnpackWidths(t *testing.T) {
 				vals[i] = 0
 			}
 		}
-		buf := make([]byte, (n*width+7)/8+1)
-		packBits(buf, vals, width)
-		got := unpackBits(buf, n, width)
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("width %d: value %d = %d, want %d", width, i, got[i], vals[i])
+		// With and without slack after the last value: the tail values
+		// take the byte-at-a-time path, the rest one word load each.
+		for _, slack := range []int{0, 1, 8} {
+			buf := make([]byte, (n*width+7)/8+slack)
+			packBits(buf, vals, width)
+			got := make([]int64, n)
+			unpackBitsInto(got, buf, width)
+			for i := range vals {
+				if uint64(got[i]) != vals[i] {
+					t.Fatalf("width %d slack %d: value %d = %d, want %d", width, slack, i, got[i], vals[i])
+				}
 			}
 		}
 	}
