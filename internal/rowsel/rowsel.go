@@ -11,6 +11,7 @@ package rowsel
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"aquoman/internal/bitvec"
 	"aquoman/internal/col"
@@ -191,12 +192,15 @@ func PruneByZoneMaps(expr systolic.Expr, r *col.PagedReader, mask *bitvec.Mask) 
 	}
 }
 
-// VecEvaluator evaluates one column predicate over Row Vectors through the
-// lowered kernel the Row Transformer runs (systolic.Machine): a vector's
-// values — raw, or decoded from its FOR or RLE page — go through the kernel
-// 32 lanes at a time, and the result is ANDed into the mask as one keep
-// word. Dictionary pages stay in the code domain: Init runs the kernel over
-// the dictionary once, and each code looks its verdict up.
+// VecEvaluator evaluates one column predicate over Row Vectors, as one
+// Column Predicate Evaluator: when the predicate's truth set is one
+// interval of the column's values (systolic.TruthInterval) it compares
+// each value — raw, or decoded from its FOR or RLE page — against the
+// interval's bounds. Any other predicate goes through the lowered kernel
+// the Row Transformer runs (systolic.Machine) 32 lanes at a time.
+// Dictionary pages stay in the code domain: Init runs the kernel over the
+// dictionary once, and each code looks its verdict up. Either way the
+// result is ANDed into the mask as one keep word.
 //
 // It is exported so the fused scan path (internal/tabletask) can interleave
 // predicate evaluation with projection and aggregation vector by vector;
@@ -207,6 +211,11 @@ type VecEvaluator struct {
 	// truth is the predicate's verdict per dictionary code (1 = keep); nil
 	// unless the column is dictionary-encoded.
 	truth []uint32
+	// cmp is set when the predicate keeps exactly the values v with
+	// uint64(v-lo) <= span, and the column is not dictionary-encoded.
+	cmp  bool
+	lo   int64
+	span uint64
 
 	vals [bitvec.VecSize]int64
 	in   [1][]int64
@@ -215,14 +224,14 @@ type VecEvaluator struct {
 // Init binds the evaluator to a predicate expression and the column's
 // encoding metadata (nil meta means a raw column). A predicate the PE ISA
 // cannot express is an error, on which the caller's offload unit suspends
-// to the host.
+// to the host, whether or not the comparator would evaluate it.
 func (e *VecEvaluator) Init(expr systolic.Expr, meta *enc.ColumnMeta) error {
 	mapped, err := systolic.Compile([]systolic.Expr{expr}, 1, systolic.DefaultConfig())
 	if err != nil {
 		return fmt.Errorf("rowsel: predicate %s: %w", expr, err)
 	}
 	e.m = systolic.NewMachine(mapped)
-	e.truth = nil
+	e.truth, e.cmp = nil, false
 	if meta != nil && meta.Codec == enc.Dict {
 		out, err := e.m.Transform([][]int64{meta.Dict})
 		if err != nil {
@@ -232,7 +241,11 @@ func (e *VecEvaluator) Init(expr systolic.Expr, meta *enc.ColumnMeta) error {
 		for c, v := range out[0] {
 			e.truth[c] = nonZero(v)
 		}
+		return nil
 	}
+	iv, ok := systolic.TruthInterval(expr)
+	e.cmp = ok && !iv.IsEmpty()
+	e.lo, e.span = iv.Lo, uint64(iv.Hi)-uint64(iv.Lo)
 	return nil
 }
 
@@ -241,7 +254,8 @@ func (e *VecEvaluator) Init(expr systolic.Expr, meta *enc.ColumnMeta) error {
 // column the evaluator was initialized for.
 func (e *VecEvaluator) EvalVec(r *col.PagedReader, vec int, mask *bitvec.Mask) error {
 	var keep uint32
-	if e.truth != nil {
+	switch {
+	case e.truth != nil:
 		n, _, err := r.ReadVecCodes(vec, e.vals[:])
 		if err != nil {
 			return err
@@ -249,7 +263,17 @@ func (e *VecEvaluator) EvalVec(r *col.PagedReader, vec int, mask *bitvec.Mask) e
 		for j, c := range e.vals[:n] {
 			keep |= e.truth[c] << uint(j)
 		}
-	} else {
+	case e.cmp:
+		n, err := r.ReadVec(vec, e.vals[:])
+		if err != nil {
+			return err
+		}
+		for j, v := range e.vals[:n] {
+			// The borrow of span - (v-lo) is 1 exactly when v is outside.
+			_, out := bits.Sub64(e.span, uint64(v-e.lo), 0)
+			keep |= uint32(out^1) << uint(j)
+		}
+	default:
 		n, err := r.ReadVec(vec, e.vals[:])
 		if err != nil {
 			return err

@@ -154,3 +154,93 @@ func mulOv(a, b int64) (int64, bool) {
 	}
 	return p, false
 }
+
+// empty is the canonical empty truth set.
+var empty = Interval{1, 0}
+
+// IsEmpty reports whether the interval holds no value (Lo > Hi).
+func (iv Interval) IsEmpty() bool { return iv.Lo > iv.Hi }
+
+// TruthInterval returns the exact set {v : EvalExpr(e, [v]) != 0} of a
+// single-column predicate when that set is one closed interval, possibly
+// empty (IsEmpty). It recognises the shapes predicates lower to: c0 lt,
+// gt or eq a constant (the constant on either side), the complement
+// 1 sub B, and the intersection B1 mul B2, where B, B1 and B2 are 0/1
+// nodes it recognised itself. A complement is kept only while it is still
+// one interval. Everything else reports false.
+func TruthInterval(e Expr) (Interval, bool) {
+	b, ok := e.(Bin)
+	if !ok {
+		return Interval{}, false
+	}
+	switch b.Op {
+	case AluEQ, AluLT, AluGT:
+		op, k, ok := colVsConst(b)
+		if !ok {
+			return Interval{}, false
+		}
+		switch {
+		case op == AluEQ:
+			return Point(k), true
+		case op == AluLT && k == math.MinInt64, op == AluGT && k == math.MaxInt64:
+			return empty, true
+		case op == AluLT:
+			return Interval{math.MinInt64, k - 1}, true
+		default:
+			return Interval{k + 1, math.MaxInt64}, true
+		}
+	case AluSub:
+		if c, ok := b.L.(Const); !ok || c.V != 1 {
+			return Interval{}, false
+		}
+		in, ok := TruthInterval(b.R)
+		if !ok {
+			return Interval{}, false
+		}
+		switch {
+		case in.IsEmpty():
+			return Top(), true
+		case in == Top():
+			return empty, true
+		case in.Lo == math.MinInt64:
+			return Interval{in.Hi + 1, math.MaxInt64}, true
+		case in.Hi == math.MaxInt64:
+			return Interval{math.MinInt64, in.Lo - 1}, true
+		}
+		return Interval{}, false
+	case AluMul:
+		x, ok1 := TruthInterval(b.L)
+		y, ok2 := TruthInterval(b.R)
+		if !ok1 || !ok2 {
+			return Interval{}, false
+		}
+		iv := Interval{max(x.Lo, y.Lo), min(x.Hi, y.Hi)}
+		if x.IsEmpty() || y.IsEmpty() || iv.IsEmpty() {
+			return empty, true
+		}
+		return iv, true
+	}
+	return Interval{}, false
+}
+
+// colVsConst normalises a comparison of column 0 against a constant to
+// c0 op k, flipping lt and gt when the constant is on the left.
+func colVsConst(b Bin) (op AluOp, k int64, ok bool) {
+	if c, isCol := b.L.(Col); isCol && c.Index == 0 {
+		if k, isConst := b.R.(Const); isConst {
+			return b.Op, k.V, true
+		}
+	}
+	if c, isCol := b.R.(Col); isCol && c.Index == 0 {
+		if k, isConst := b.L.(Const); isConst {
+			switch b.Op {
+			case AluLT:
+				return AluGT, k.V, true
+			case AluGT:
+				return AluLT, k.V, true
+			}
+			return b.Op, k.V, true
+		}
+	}
+	return 0, 0, false
+}
