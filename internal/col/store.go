@@ -385,18 +385,25 @@ func (c *ColumnInfo) Gather(ctx context.Context, rowids []Value, who flash.Reque
 	return out, nil
 }
 
+// decode unpacks len(out) values of type t from buf. Each case reslices
+// buf to exactly those values once, so its loop checks at most one full
+// slice expression per value, and the 1-byte loop none.
 func decode(t Type, buf []byte, out []Value) {
-	w := t.Width()
-	switch w {
+	switch t.Width() {
 	case 8:
+		buf := buf[:len(out)*8]
 		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
+			j := i * 8
+			out[i] = int64(binary.LittleEndian.Uint64(buf[j : j+8 : j+8]))
 		}
 	case 4:
+		buf := buf[:len(out)*4]
 		for i := range out {
-			out[i] = int64(int32(binary.LittleEndian.Uint32(buf[i*4:])))
+			j := i * 4
+			out[i] = int64(int32(binary.LittleEndian.Uint32(buf[j : j+4 : j+4])))
 		}
 	case 1:
+		buf := buf[:len(out)]
 		for i := range out {
 			out[i] = int64(buf[i])
 		}
