@@ -154,3 +154,32 @@ func TestEncodedQueriesReadFewerPages(t *testing.T) {
 		}
 	}
 }
+
+// A zero-key aggregate with COUNT(*) beside other aggregates runs as one
+// offloaded AGGREGATE, cell-exact against the host engine: the count rides
+// on a column the task streams anyway.
+func TestCountStarBesideAggregatesOffloads(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"select sum(l_extendedprice), count(*) from lineitem where l_orderkey >= 20000 and l_orderkey < 24000",
+		"select count(*), min(l_quantity), avg(l_discount) from lineitem where l_shipdate < date '1993-01-01'",
+	} {
+		off, err := db.Query(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		if !off.Report.FullyOffloaded {
+			t.Errorf("%s: not fully offloaded (units %v, notes %v)", stmt, off.Report.Units, off.Report.Notes)
+		}
+		host, err := db.QueryHostOnly(stmt)
+		if err != nil {
+			t.Fatalf("%s host: %v", stmt, err)
+		}
+		if o, h := off.Render(0), host.Render(0); o != h {
+			t.Errorf("%s: offloaded answer\n%s differs from the host's\n%s", stmt, o, h)
+		}
+	}
+}

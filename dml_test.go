@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -516,5 +517,56 @@ func TestVictimScanNeverSwapsItsSnapshot(t *testing.T) {
 	// The statement itself, after both merges, still finds its row.
 	if r, err := db.Exec(ctx, "DELETE FROM region WHERE r_regionkey = 9"); err != nil || r.Rows != 1 {
 		t.Fatalf("DELETE after the merges: %+v, err = %v, want 1 row", r, err)
+	}
+}
+
+// wholeColumnQ6Alloc is what one host q6 over the dirty table of
+// TestHostScanAllocations allocated when the host engine read each scanned
+// column whole, copied it again to apply the overlay and then filtered it
+// (bytes, runtime.MemStats.TotalAlloc; allocation totals repeat from run
+// to run).
+const wholeColumnQ6Alloc = 6_481_376
+
+// The host scan streams: a q6 over a dirty SF 0.01 lineitem (update tail
+// rows and deleted base rows, so the query runs on the host engine)
+// allocates at most a tenth of what reading whole columns did. The best
+// of three runs is held, so that a GC clearing the scan's buffer pools
+// mid-run cannot fail the test.
+func TestHostScanAllocations(t *testing.T) {
+	db := Open()
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"UPDATE lineitem SET l_quantity = 7 WHERE l_orderkey < 2000",
+		"DELETE FROM lineitem WHERE l_orderkey >= 3000 AND l_orderkey < 3500",
+	} {
+		if _, err := db.Exec(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	best := uint64(1 << 62)
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := db.RunTPCH(6)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.HostStats.Work["scan"] == 0 {
+			t.Fatal("q6 did not run on the host engine")
+		}
+		if i > 0 { // the first run fills the pools
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	t.Logf("host q6 allocated %d bytes (whole-column scan: %d)", best, wholeColumnQ6Alloc)
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool misses make allocation totals meaningless")
+	}
+	if best*10 > wholeColumnQ6Alloc {
+		t.Errorf("host q6 allocated %d bytes, want at most a tenth of %d", best, wholeColumnQ6Alloc)
 	}
 }

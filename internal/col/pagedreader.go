@@ -199,10 +199,10 @@ func (r *PagedReader) EndWindow(next int) {
 
 // PlanWindow starts a new window over Row Vectors [v0, v1), ending the one
 // before: it adds to b the pages of this column that hold at least one
-// vector mask has not zeroed, leaving out the page already under the
-// cursor. Those are exactly the pages a ReadVec for every live vector and a
-// SkipVec for every dead one would fetch. After b.Read succeeds,
-// TakeWindow hands the reader its pages.
+// vector mask has not zeroed (every vector, for a nil mask), leaving out
+// the page already under the cursor. Those are exactly the pages a ReadVec
+// for every live vector and a SkipVec for every dead one would fetch.
+// After b.Read succeeds, TakeWindow hands the reader its pages.
 func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) {
 	// The reader's own page is checked out with the first window, so that a
 	// warmed-up scan never goes to the pool.
@@ -217,7 +217,7 @@ func (r *PagedReader) PlanWindow(b *flash.Batch, v0, v1 int, mask *bitvec.Mask) 
 		}
 		lo, hi := r.pageVecs(pi)
 		for v := max(lo, v0); v < min(hi, v1); v++ {
-			if !mask.VecAllZero(v) {
+			if mask == nil || !mask.VecAllZero(v) {
 				b.Add(r.ci.File, pi)
 				r.winPages = append(r.winPages, pi)
 				break

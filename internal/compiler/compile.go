@@ -552,6 +552,23 @@ func (c *compileCtx) buildGroupByUnit(s *star, g *plan.GroupBy) (*Unit, error) {
 	cntInput := plan.Expr(plan.Col{Name: plan.RowIDCol})
 	if len(keys) > 0 {
 		cntInput = keys[0].expr
+	} else {
+		// COUNT(*) beside other aggregates counts over the first column
+		// they read, which the task streams anyway: @rowid is streamed
+		// only when no fact column is.
+		read := map[string]bool{}
+		for _, sl := range slots {
+			if sl.expr != nil {
+				colsIn(sl.expr, read)
+			}
+		}
+		var names []string
+		for name := range read {
+			names = append(names, name)
+		}
+		if sortStrings(names); len(names) > 0 {
+			cntInput = plan.Col{Name: names[0]}
+		}
 	}
 	aggKinds := make([]swissknife.AggKind, 0, len(slots))
 	for i, sl := range slots {

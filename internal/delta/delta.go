@@ -209,7 +209,16 @@ func (t *Table) OverlayAt(epoch uint64) *Overlay {
 	for i, r := range keep {
 		ov.TailRowIDs[i] = int64(t.baseRows + r)
 	}
+	// Tail values are never written after their insert, so visible rows
+	// that are the tail's first len(keep) rows are shared, not copied. The
+	// view's cap ends at its length, so an append to it cannot write where
+	// a later insert's rows go.
+	prefix := len(keep) == 0 || keep[len(keep)-1] == len(keep)-1
 	for c, name := range t.colNames {
+		if prefix {
+			ov.TailCols[name] = t.tailCols[c][:len(keep):len(keep)]
+			continue
+		}
 		vals := make([]int64, len(keep))
 		for i, r := range keep {
 			vals[i] = t.tailCols[c][r]
@@ -263,17 +272,6 @@ func (o *Overlay) NumDeleted() int {
 // case the offload path can serve by ANDing a visibility mask into the
 // scan, without falling back to the host engine.
 func (o *Overlay) DeleteOnly() bool { return len(o.TailRowIDs) == 0 }
-
-// VisibleBase returns a mask over the base rows with deleted rows
-// cleared (nil when nothing is deleted).
-func (o *Overlay) VisibleBase() *bitvec.Mask {
-	if o.DeletedBase == nil {
-		return nil
-	}
-	m := bitvec.NewFull(o.BaseRows)
-	m.AndNot(o.DeletedBase)
-	return m
-}
 
 // BaseDeleted reports whether base rowid r is deleted in this overlay.
 func (o *Overlay) BaseDeleted(r int) bool {

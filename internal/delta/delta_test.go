@@ -41,8 +41,8 @@ func TestEpochVisibility(t *testing.T) {
 	if ov.DeleteOnly() {
 		t.Fatal("epoch 2 overlay claims delete-only with a visible tail row")
 	}
-	if vis := ov.VisibleBase(); vis.Count() != 3 || vis.Get(1) {
-		t.Fatalf("epoch 2 visible base = %v", vis.Rows())
+	if dead := ov.DeletedBase; dead.Len() != 4 || dead.Count() != 1 || !dead.Get(1) {
+		t.Fatalf("epoch 2 deleted base = %v", dead.Rows())
 	}
 
 	// Re-deleting a dead row is a no-op.
@@ -85,6 +85,48 @@ func TestDrainResets(t *testing.T) {
 	}
 	if ov2 := d.OverlayAt(99); ov2 != nil {
 		t.Fatalf("post-drain overlay = %+v, want nil", ov2)
+	}
+}
+
+// An overlay is a snapshot: what it shows does not move when the delta
+// takes a later insert, delete or drain, whether its tail was shared with
+// the delta (every inserted row visible) or copied (a tail row deleted).
+func TestOverlayIsStable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		epoch  uint64
+		prefix bool // the visible tail rows are the tail's first rows
+	}{{"shared", 1, true}, {"copied", 2, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewTable("t", 3, []string{"a", "b"})
+			if _, err := d.Insert(1, [][]int64{{10, 11, 12}, {20, 21, 22}}); err != nil {
+				t.Fatal(err)
+			}
+			d.Delete(2, []int64{0, 3})
+			ov := d.OverlayAt(tc.epoch)
+			want := map[string][]int64{"a": {10, 11, 12}, "b": {20, 21, 22}}
+			if !tc.prefix {
+				want = map[string][]int64{"a": {11, 12}, "b": {21, 22}}
+			}
+			check := func(after string) {
+				t.Helper()
+				if !reflect.DeepEqual(ov.TailCols, want) {
+					t.Fatalf("after %s: tail = %v, want %v", after, ov.TailCols, want)
+				}
+			}
+			check("the snapshot")
+			if _, err := d.Insert(3, [][]int64{{13, 14}, {23, 24}}); err != nil {
+				t.Fatal(err)
+			}
+			check("an insert")
+			d.Delete(4, []int64{4, 5})
+			check("a delete")
+			d.Drain(4, 5)
+			if _, err := d.Insert(5, [][]int64{{-1, -2, -3, -4}, {-1, -2, -3, -4}}); err != nil {
+				t.Fatal(err)
+			}
+			check("a drain and an insert")
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"aquoman/internal/bitvec"
 	"aquoman/internal/col"
 	"aquoman/internal/delta"
 	"aquoman/internal/flash"
@@ -41,12 +42,14 @@ func NewStats() *Stats { return &Stats{Work: make(map[string]int64)} }
 
 func (s *Stats) work(kind string, n int64) { s.Work[kind] += n }
 
-func (s *Stats) alloc(b *Batch) {
-	s.CurBytes += b.Bytes()
+func (s *Stats) alloc(b *Batch) { s.allocBytes(b.Bytes()) }
+
+func (s *Stats) allocBytes(n int64) {
+	s.CurBytes += n
 	if s.CurBytes > s.PeakBytes {
 		s.PeakBytes = s.CurBytes
 	}
-	s.SumBytes += b.Bytes()
+	s.SumBytes += n
 	s.Batches++
 }
 
@@ -154,7 +157,7 @@ func (e *Engine) exec(n plan.Node) (*Batch, error) {
 func (e *Engine) execNode(n plan.Node) (*Batch, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return e.execScan(t)
+		return e.execScan(t, nil)
 	case *plan.Filter:
 		return e.execFilter(t)
 	case *plan.Project:
@@ -181,89 +184,133 @@ func (e *Engine) execNode(n plan.Node) (*Batch, error) {
 	}
 }
 
-func (e *Engine) execScan(t *plan.Scan) (*Batch, error) {
+// execScan streams the scanned columns a chunk at a time through one
+// col.Scanner. pred, when set, is a filter lowered over the scan's schema:
+// each chunk keeps only the rows it holds for, so Filter(Scan) never
+// materializes a column whole. The overlay's deleted base rows drop out
+// among the survivors, and its visible tail rows (@rowid: their stable
+// ids) are evaluated in place as a last chunk. The accounting is the
+// modelled MonetDB host's, which reads every column whole and then
+// filters: "scan" work for every base row, and with pred a full batch
+// allocated before the filtered one.
+func (e *Engine) execScan(t *plan.Scan, pred systolic.Expr) (*Batch, error) {
 	if t.Tab == nil {
 		return nil, fmt.Errorf("engine: scan of %q not bound", t.Table)
 	}
-	b := NewBatch(t.Schema())
+	ov, nTail, visible := e.overlays[t.Table], 0, t.Tab.NumRows
+	var dead *bitvec.Mask
+	if ov != nil {
+		if ov.BaseRows != t.Tab.NumRows {
+			return nil, fmt.Errorf("engine: overlay for %s is against %d base rows, table has %d",
+				t.Table, ov.BaseRows, t.Tab.NumRows)
+		}
+		dead, nTail = ov.DeletedBase, ov.NumTail()
+		visible += nTail - ov.NumDeleted()
+	}
+	cols := make([]*col.ColumnInfo, len(t.Cols))
+	tail := make([][]int64, len(t.Cols))
 	for i, name := range t.Cols {
 		if name == plan.RowIDCol {
-			ids := make([]int64, t.Tab.NumRows)
-			for r := range ids {
-				ids[r] = int64(r)
+			if ov != nil {
+				tail[i] = ov.TailRowIDs
 			}
-			b.Cols[i] = ids
 			continue
 		}
 		ci, err := t.Tab.Column(name)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := ci.ReadAllCtx(e.ctx, hostRequester)
+		cols[i] = ci
+		if nTail > 0 {
+			var ok bool
+			if tail[i], ok = ov.TailCols[name]; !ok {
+				return nil, fmt.Errorf("engine: overlay for %s has no column %q", t.Table, name)
+			}
+		}
+	}
+	out := NewBatch(t.Schema())
+	k := rowKeeper{out: out.Cols}
+	if pred != nil {
+		k.pred = systolic.NewEvaluator(pred)
+	} else {
+		for c := range out.Cols {
+			out.Cols[c] = make([]int64, 0, visible)
+		}
+	}
+	sc := col.NewScanner(e.ctx, cols, t.Tab.NumRows, hostRequester)
+	defer sc.Close()
+	for {
+		start, n, err := sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		b.Cols[i] = vals
-	}
-	if ov := e.overlays[t.Table]; ov != nil {
-		if err := applyOverlay(t, b, ov); err != nil {
-			return nil, err
+		if n == 0 {
+			break
 		}
+		k.keep(sc.Cols, start, n, dead)
 	}
+	k.keep(tail, 0, nTail, nil)
 	e.Stats.work("scan", int64(t.Tab.NumRows)*int64(len(t.Cols)))
-	e.Stats.alloc(b)
-	return b, nil
+	if pred == nil {
+		e.Stats.alloc(out)
+		return out, nil
+	}
+	// The modelled host filters a whole-column batch: it is live beside
+	// the survivors until the filter ends.
+	full := int64(visible) * 8 * int64(len(t.Cols))
+	e.Stats.work("filter", int64(visible))
+	e.Stats.allocBytes(full)
+	e.Stats.alloc(out)
+	e.Stats.CurBytes -= full
+	return out, nil
 }
 
-// applyOverlay rewrites a freshly scanned batch to the overlay's view:
-// deleted base rows are dropped and visible tail rows appended. Tail
-// values were validated on ingest, so they splice in as ordinary column
-// values; the @rowid pseudo-column keeps base ids for surviving rows
-// and carries the tail rows' stable ids after them.
-func applyOverlay(t *plan.Scan, b *Batch, ov *delta.Overlay) error {
-	if ov.BaseRows != t.Tab.NumRows {
-		return fmt.Errorf("engine: overlay for %s is against %d base rows, table has %d",
-			t.Table, ov.BaseRows, t.Tab.NumRows)
-	}
-	var keep []int
-	if ov.NumDeleted() > 0 {
-		keep = make([]int, 0, ov.BaseRows-ov.NumDeleted())
-		for r := 0; r < ov.BaseRows; r++ {
-			if !ov.BaseDeleted(r) {
-				keep = append(keep, r)
+// rowKeeper appends the rows of a scan's chunks that its predicate (nil:
+// every row) holds for to out, reusing its buffers from chunk to chunk.
+type rowKeeper struct {
+	out  [][]int64
+	pred *systolic.Evaluator
+	sel  []int
+}
+
+// keep appends the survivors among the first n rows of cols, whose first
+// row is base row start; a row dead marks is no survivor.
+func (k *rowKeeper) keep(cols [][]int64, start, n int, dead *bitvec.Mask) {
+	all := k.pred == nil && dead == nil
+	if !all {
+		var ok []int64
+		if k.pred != nil && n > 0 {
+			ok = pool.Vals.Get(n)
+			defer pool.Vals.Put(ok)
+			k.pred.Eval(cols, ok)
+		}
+		k.sel = k.sel[:0]
+		for i := 0; i < n; i++ {
+			if (ok == nil || ok[i] != 0) && (dead == nil || !dead.Get(start+i)) {
+				k.sel = append(k.sel, i)
 			}
 		}
+		all = len(k.sel) == n
 	}
-	for i, name := range t.Cols {
-		var tail []int64
-		if name == plan.RowIDCol {
-			tail = ov.TailRowIDs
-		} else if len(ov.TailRowIDs) > 0 {
-			var ok bool
-			if tail, ok = ov.TailCols[name]; !ok {
-				return fmt.Errorf("engine: overlay for %s has no column %q", t.Table, name)
-			}
-		}
-		base := b.Cols[i]
-		if keep == nil && len(tail) == 0 {
+	for c, src := range cols {
+		if all {
+			k.out[c] = append(k.out[c], src[:n]...)
 			continue
 		}
-		var out []int64
-		if keep != nil {
-			out = make([]int64, 0, len(keep)+len(tail))
-			for _, r := range keep {
-				out = append(out, base[r])
-			}
-		} else {
-			out = make([]int64, 0, len(base)+len(tail))
-			out = append(out, base...)
+		dst := k.out[c]
+		for _, r := range k.sel {
+			dst = append(dst, src[r])
 		}
-		b.Cols[i] = append(out, tail...)
+		k.out[c] = dst
 	}
-	return nil
 }
 
 func (e *Engine) execFilter(t *plan.Filter) (*Batch, error) {
+	if s, ok := t.Input.(*plan.Scan); ok {
+		if pred, err := plan.Lower(t.Pred, s.Schema()); err == nil {
+			return e.execScan(s, pred)
+		}
+	}
 	in, err := e.exec(t.Input)
 	if err != nil {
 		return nil, err

@@ -77,13 +77,23 @@ const evalTile = 1024
 // own; the buffers are reused from tile to tile. Unlike a Machine it has no
 // register, PE or immediate limits, so it evaluates any Expr.
 func EvalCols(e Expr, cols [][]int64, out []int64) {
-	t := tileEval{cols: cols, size: min(evalTile, len(out))}
-	for lo := 0; lo < len(out); lo += evalTile {
-		hi := min(lo+evalTile, len(out))
-		t.next = 0
-		copy(out[lo:hi], t.walk(e, lo, hi))
-	}
+	t := tileEval{size: min(evalTile, len(out))}
+	t.eval(e, cols, out)
 }
+
+// Evaluator is EvalCols for one expression evaluated again and again, say
+// over the chunks of a scan: its node buffers outlive the call, so a
+// warmed-up Evaluator allocates nothing.
+type Evaluator struct {
+	e Expr
+	t tileEval
+}
+
+// NewEvaluator returns an Evaluator of e.
+func NewEvaluator(e Expr) *Evaluator { return &Evaluator{e: e, t: tileEval{size: evalTile}} }
+
+// Eval sets out[r] to EvalExpr(e, row r), exactly as EvalCols(e, cols, out).
+func (v *Evaluator) Eval(cols [][]int64, out []int64) { v.t.eval(v.e, cols, out) }
 
 // tileEval holds EvalCols' node buffers. The walk visits the nodes in the
 // same order every tile, so the i-th buffer it takes always belongs to the
@@ -93,6 +103,16 @@ type tileEval struct {
 	size int // rows in the largest tile
 	bufs [][]int64
 	next int
+}
+
+// eval walks e over out's rows a tile at a time.
+func (t *tileEval) eval(e Expr, cols [][]int64, out []int64) {
+	t.cols = cols
+	for lo := 0; lo < len(out); lo += evalTile {
+		hi := min(lo+evalTile, len(out))
+		t.next = 0
+		copy(out[lo:hi], t.walk(e, lo, hi))
+	}
 }
 
 func (t *tileEval) walk(e Expr, lo, hi int) []int64 {

@@ -142,7 +142,9 @@ func FuzzMachineVsEvalExpr(f *testing.F) {
 	})
 }
 
-// checkEvalCols holds EvalCols to EvalExpr on every row of cols.
+// checkEvalCols holds EvalCols, and an Evaluator called twice (the
+// second call on the buffers of the first), to EvalExpr on every row of
+// cols.
 func checkEvalCols(t *testing.T, outs []Expr, cols [][]int64) {
 	t.Helper()
 	n := 0
@@ -152,13 +154,20 @@ func checkEvalCols(t *testing.T, outs []Expr, cols [][]int64) {
 	got := make([]int64, n)
 	row := make([]int64, len(cols))
 	for _, e := range outs {
-		EvalCols(e, cols, got)
-		for r := range got {
-			for c := range row {
-				row[c] = cols[c][r]
+		ev := NewEvaluator(e)
+		for pass, name := range []string{"EvalCols", "Evaluator", "reused Evaluator"} {
+			if pass == 0 {
+				EvalCols(e, cols, got)
+			} else {
+				ev.Eval(cols, got)
 			}
-			if want := EvalExpr(e, row); got[r] != want {
-				t.Fatalf("EvalCols over %d rows, row %d (%s) on %v: got %d, EvalExpr %d", n, r, e, row, got[r], want)
+			for r := range got {
+				for c := range row {
+					row[c] = cols[c][r]
+				}
+				if want := EvalExpr(e, row); got[r] != want {
+					t.Fatalf("%s over %d rows, row %d (%s) on %v: got %d, EvalExpr %d", name, n, r, e, row, got[r], want)
+				}
 			}
 		}
 	}
