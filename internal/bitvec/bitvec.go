@@ -55,15 +55,6 @@ func (m *Mask) Clear(i int) { m.words[i/64] &^= 1 << uint(i%64) }
 // Get reports whether row i is selected.
 func (m *Mask) Get(i int) bool { return m.words[i/64]&(1<<uint(i%64)) != 0 }
 
-// SetTo sets row i to v.
-func (m *Mask) SetTo(i int, v bool) {
-	if v {
-		m.Set(i)
-	} else {
-		m.Clear(i)
-	}
-}
-
 // Count returns the number of selected rows.
 func (m *Mask) Count() int {
 	c := 0
@@ -177,13 +168,4 @@ func (m *Mask) Rows() []int {
 	out := make([]int, 0, m.Count())
 	m.ForEach(func(r int) { out = append(out, r) })
 	return out
-}
-
-// FromRows builds a mask over n rows with exactly the given rows selected.
-func FromRows(n int, rows []int) *Mask {
-	m := New(n)
-	for _, r := range rows {
-		m.Set(r)
-	}
-	return m
 }

@@ -99,7 +99,10 @@ func TestVecAllZeroAndBits(t *testing.T) {
 
 func TestForEachAndRows(t *testing.T) {
 	rows := []int{0, 5, 63, 64, 65, 99}
-	m := FromRows(100, rows)
+	m := New(100)
+	for _, r := range rows {
+		m.Set(r)
+	}
 	got := m.Rows()
 	if len(got) != len(rows) {
 		t.Fatalf("Rows len = %d, want %d", len(got), len(rows))

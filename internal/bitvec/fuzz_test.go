@@ -15,7 +15,7 @@ func refBit(pat []byte, i int) bool {
 
 // FuzzBitvec cross-checks Mask against a plain []bool model: round-trip
 // Set/Get, population counts, the logic ops, Not's trim behaviour at the
-// ragged final word, Rows/FromRows round-trips, and the Row-Vector views
+// ragged final word, Rows, and the Row-Vector views
 // the Table Reader uses for page skipping.
 func FuzzBitvec(f *testing.F) {
 	f.Add(5, []byte{0x0f}, []byte{0xf0})
@@ -33,7 +33,9 @@ func FuzzBitvec(f *testing.F) {
 		ma, mb := New(n), New(n)
 		for i := 0; i < n; i++ {
 			refA[i], refB[i] = refBit(pa, i), refBit(pb, i)
-			ma.SetTo(i, refA[i])
+			if refA[i] {
+				ma.Set(i)
+			}
 			if refB[i] {
 				mb.Set(i)
 			}
@@ -88,11 +90,15 @@ func FuzzBitvec(f *testing.F) {
 		// Clone independence: mutating the clone never touches the parent.
 		cl := ma.Clone()
 		for i := 0; i < n; i++ {
-			cl.SetTo(i, !refA[i])
+			if refA[i] {
+				cl.Clear(i)
+			} else {
+				cl.Set(i)
+			}
 		}
 		check("orig-after-clone", ma, func(i int) bool { return refA[i] })
 
-		// Rows/FromRows round-trip.
+		// Rows lists the set bits in order.
 		rows := ma.Rows()
 		if len(rows) != wantCount {
 			t.Fatalf("Rows len = %d, want %d", len(rows), wantCount)
@@ -104,8 +110,6 @@ func FuzzBitvec(f *testing.F) {
 			}
 			prev = r
 		}
-		rt := FromRows(n, rows)
-		check("fromrows", rt, func(i int) bool { return refA[i] })
 
 		// Row-Vector views agree with the bits.
 		if nv := ma.NumVecs(); nv != (n+VecSize-1)/VecSize {

@@ -110,11 +110,17 @@ func TestTinyBucketsStillExact(t *testing.T) {
 }
 
 // The same device runs queries back to back; DRAM intermediates from the
-// previous query must be gone.
+// previous query must be gone. Every query ends by resetting the DRAM's
+// high-water mark, so Peak is then the bytes left resident: only the
+// persistent gather caches, filled in the first round. A leaked
+// intermediate would grow them, or, were its name reused, fail the next
+// round's allocation and suspend a query the first round ran offloaded.
 func TestSequentialQueriesReuseDevice(t *testing.T) {
 	s := sharedStore(t)
 	dev := New(s, Config{DRAMBytes: mem.DefaultCapacity,
 		Compiler: compiler.Config{HeapScale: 100_000}})
+	var resident int64
+	suspended := map[int]bool{}
 	for round := 0; round < 3; round++ {
 		for _, q := range []int{3, 6, 4} {
 			def, _ := tpch.Get(q)
@@ -122,15 +128,21 @@ func TestSequentialQueriesReuseDevice(t *testing.T) {
 			if err := plan.Bind(n, s); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := dev.RunQuery(n); err != nil {
+			_, rep, err := dev.RunQuery(n)
+			if err != nil {
 				t.Fatalf("round %d q%d: %v", round, q, err)
 			}
+			if round == 0 {
+				suspended[q] = rep.Suspended
+			} else if rep.Suspended != suspended[q] {
+				t.Fatalf("round %d q%d: suspended %v, first round %v (%s)",
+					round, q, rep.Suspended, suspended[q], rep.SuspendReason)
+			}
 		}
-	}
-	// Only persistent gather caches may remain resident.
-	for _, name := range dev.DRAM.Objects() {
-		if !strings.HasPrefix(name, "cache:") {
-			t.Fatalf("leaked DRAM object %q", name)
+		if round == 0 {
+			resident = dev.DRAM.Peak()
+		} else if got := dev.DRAM.Peak(); got != resident {
+			t.Fatalf("round %d leaves %d DRAM bytes resident, the first round %d", round, got, resident)
 		}
 	}
 }

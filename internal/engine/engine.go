@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,6 +15,7 @@ import (
 	"aquoman/internal/obs"
 	"aquoman/internal/plan"
 	"aquoman/internal/pool"
+	"aquoman/internal/swissknife"
 	"aquoman/internal/systolic"
 )
 
@@ -482,17 +482,6 @@ func (e *Engine) execScalarJoin(t *plan.ScalarJoin) (*Batch, error) {
 	return out, nil
 }
 
-// packKey serializes a key tuple for hash maps.
-func packKey(buf []byte, idx []int, row int, cols [][]int64) []byte {
-	buf = buf[:0]
-	for _, c := range idx {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], uint64(cols[c][row]))
-		buf = append(buf, tmp[:]...)
-	}
-	return buf
-}
-
 func (e *Engine) execJoin(t *plan.Join) (*Batch, error) {
 	left, err := e.exec(t.L)
 	if err != nil {
@@ -502,20 +491,32 @@ func (e *Engine) execJoin(t *plan.Join) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	lIdx := make([]int, len(t.LKeys))
+	lKeys := make([][]int64, len(t.LKeys))
 	for i, k := range t.LKeys {
-		lIdx[i] = left.Schema.Index(k)
+		lKeys[i] = left.Cols[left.Schema.Index(k)]
 	}
-	rIdx := make([]int, len(t.RKeys))
+	rKeys := make([][]int64, len(t.RKeys))
 	for i, k := range t.RKeys {
-		rIdx[i] = right.Schema.Index(k)
+		rKeys[i] = right.Cols[right.Schema.Index(k)]
 	}
-	// Build hash table on the right input.
-	ht := make(map[string][]int, right.NumRows())
-	var kb []byte
-	for r := 0; r < right.NumRows(); r++ {
-		kb = packKey(kb, rIdx, r, right.Cols)
-		ht[string(kb)] = append(ht[string(kb)], r)
+	// Build: the key table gives each right key tuple an id in
+	// first-seen order, and a counting sort lays the right rows out by id,
+	// in build order, so id's candidates are rows[start[id]:start[id+1]].
+	tab := swissknife.NewTable(len(rKeys))
+	ids := make([]int32, right.NumRows())
+	tab.FindCols(rKeys, nil, 0, ids)
+	built := tab.Len()
+	start := make([]int32, built+1)
+	for _, id := range ids {
+		start[id+1]++
+	}
+	for id := range built {
+		start[id+1] += start[id]
+	}
+	rows, next := make([]int, len(ids)), slices.Clone(start)
+	for r, id := range ids {
+		rows[next[id]] = r
+		next[id]++
 	}
 	e.Stats.work("join_build", int64(right.NumRows()))
 	e.Stats.work("join_probe", int64(left.NumRows()))
@@ -549,7 +550,7 @@ func (e *Engine) execJoin(t *plan.Join) (*Batch, error) {
 			out.Cols[c] = append(out.Cols[c], matched)
 		}
 	}
-	// decide applies the join kind to left row lr, whose hash candidates are
+	// decide applies the join kind to left row lr, whose candidates are
 	// cands; ok[i] is the extra predicate on cands[i] (nil: no predicate).
 	decide := func(lr int, cands []int, ok []int64) {
 		hit := false
@@ -575,12 +576,21 @@ func (e *Engine) execJoin(t *plan.Join) (*Batch, error) {
 	// Probe in batches of consecutive left rows holding about one tile of
 	// candidate pairs (a left row's candidates never split), so the extra
 	// predicate runs through EvalCols over just the columns it reads.
+	// A left tuple the build side lacks gets a fresh id >= built, which
+	// has no candidates.
 	probe := newExtraBatch(extra, left, right)
-	n := left.NumRows()
-	for lr := 0; lr < n; lr++ {
-		kb = packKey(kb, lIdx, lr, left.Cols)
-		if probe.add(lr, ht[string(kb)]) {
-			probe.flush(decide)
+	ids = slices.Grow(ids[:0], probeBatch)[:probeBatch]
+	for off, n := 0, left.NumRows(); off < n; off += probeBatch {
+		batch := ids[:min(probeBatch, n-off)]
+		tab.FindCols(lKeys, nil, off, batch)
+		for j, id := range batch {
+			var cands []int
+			if int(id) < built {
+				cands = rows[start[id]:start[id+1]]
+			}
+			if probe.add(off+j, cands) {
+				probe.flush(decide)
+			}
 		}
 	}
 	probe.flush(decide)

@@ -11,7 +11,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"aquoman/internal/bitvec"
@@ -72,16 +71,6 @@ func New(capacity int64) *DRAM {
 		capacity = DefaultCapacity
 	}
 	return &DRAM{capacity: capacity, objects: make(map[string]*Object)}
-}
-
-// Capacity returns the configured size in bytes.
-func (d *DRAM) Capacity() int64 { return d.capacity }
-
-// Used returns the current footprint in bytes.
-func (d *DRAM) Used() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
 }
 
 // Peak returns the high-water footprint in bytes.
@@ -167,24 +156,4 @@ func (d *DRAM) Free(name string) {
 		d.used -= o.Bytes
 		delete(d.objects, name)
 	}
-}
-
-// FreeAll drops every object (end of query).
-func (d *DRAM) FreeAll() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.objects = make(map[string]*Object)
-	d.used = 0
-}
-
-// Objects lists resident object names in deterministic order.
-func (d *DRAM) Objects() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.objects))
-	for n := range d.objects {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -22,12 +22,12 @@ func TestPutGetFree(t *testing.T) {
 	if err != nil || len(got.KVs) != 2 {
 		t.Fatalf("Get: %v %v", got, err)
 	}
-	if d.Used() != 16 {
-		t.Fatalf("Used = %d", d.Used())
+	if d.Peak() != 16 {
+		t.Fatalf("Peak = %d", d.Peak())
 	}
 	d.Free("j0")
-	if d.Used() != 0 {
-		t.Fatalf("Used after Free = %d", d.Used())
+	if d.ResetPeak(); d.Peak() != 0 {
+		t.Fatalf("resident after Free = %d", d.Peak())
 	}
 	if _, err := d.Get("j0"); err == nil {
 		t.Fatal("Get after Free succeeded")
@@ -66,9 +66,6 @@ func TestPeakTracking(t *testing.T) {
 	if d.Peak() != 1200 {
 		t.Fatalf("Peak = %d, want 1200", d.Peak())
 	}
-	if d.Used() != 400 {
-		t.Fatalf("Used = %d, want 400", d.Used())
-	}
 	d.ResetPeak()
 	if d.Peak() != 400 {
 		t.Fatalf("Peak after reset = %d", d.Peak())
@@ -87,23 +84,14 @@ func TestMaskAndColumnSizes(t *testing.T) {
 	}
 }
 
-func TestFreeAllAndObjects(t *testing.T) {
-	d := New(1 << 20)
-	d.PutColumn("z", []int64{1})
-	d.PutColumn("a", []int64{2})
-	names := d.Objects()
-	if len(names) != 2 || names[0] != "a" || names[1] != "z" {
-		t.Fatalf("Objects = %v", names)
-	}
-	d.FreeAll()
-	if d.Used() != 0 || len(d.Objects()) != 0 {
-		t.Fatal("FreeAll did not clear")
-	}
-}
-
 func TestDefaults(t *testing.T) {
-	if New(0).Capacity() != DefaultCapacity {
-		t.Fatal("default capacity")
+	// New(0) holds exactly DefaultCapacity bytes.
+	d := New(0)
+	if _, err := d.PutKV("over", make([]sorter.KV, 1), DefaultCapacity+1); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("err = %v, want ErrCapacity", err)
+	}
+	if _, err := d.PutKV("all", make([]sorter.KV, 1), DefaultCapacity); err != nil {
+		t.Fatal(err)
 	}
 	if DefaultCapacity != 40<<30 || SmallCapacity != 16<<30 {
 		t.Fatal("Table VI capacities wrong")

@@ -184,14 +184,3 @@ func simulateTask(p Params, ld TaskLoad, start int64, busy map[string]int64) (in
 	busy["flash-latency"] += p.FlashPageLatencyCycles // fill once per task
 	return end, ""
 }
-
-// BandwidthBound returns the pure flash-bus lower bound in seconds for
-// comparison with the simulated makespan.
-func BandwidthBound(p Params, loads []TaskLoad) float64 {
-	var pages int64
-	for _, ld := range loads {
-		pages += ld.Pages
-	}
-	transfer := float64(flash.PageSize) / p.FlashBusBytesPerCycle
-	return float64(pages) * transfer / p.ClockHz
-}

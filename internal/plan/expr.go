@@ -261,16 +261,6 @@ func PackString(s string) int64 {
 	return v
 }
 
-// UnpackString reverses PackString for n bytes.
-func UnpackString(v int64, n int) string {
-	b := make([]byte, n)
-	for i := n - 1; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-	return string(b)
-}
-
 // yearExpr lowers EXTRACT(YEAR) to integer arithmetic valid for
 // 1901–2099: day 0 is 1970-01-01, 731 days after 1968-01-01, and in that
 // window every 4th year is leap, so year = 1968 + 4*(d+731)/1461.

@@ -164,10 +164,11 @@ func TestYearOfAgainstTimePackage(t *testing.T) {
 	}
 }
 
-func TestPackUnpackString(t *testing.T) {
-	for _, s := range []string{"13", "31", "ab", "zz"} {
-		if UnpackString(PackString(s), len(s)) != s {
-			t.Fatalf("pack/unpack %q", s)
+func TestPackString(t *testing.T) {
+	for s, want := range map[string]int64{"": 0, "13": '1'<<8 | '3', "31": '3'<<8 | '1',
+		"zz": 'z'<<8 | 'z', "123456789": 0x3132333435363738} {
+		if got := PackString(s); got != want {
+			t.Fatalf("PackString(%q) = %#x, want %#x", s, got, want)
 		}
 	}
 }

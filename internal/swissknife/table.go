@@ -3,9 +3,10 @@ package swissknife
 import "math"
 
 // Table maps exact key tuples of a fixed width to dense int32 group ids,
-// handed out in first-seen order. It is the one group table in the tree:
-// the Aggregate-GroupBy accelerator keys its groups with it, and the host
-// engine's GROUP BY resolves its key tuples through it.
+// handed out in first-seen order. It is the one exact-key table in the
+// tree: the Aggregate-GroupBy accelerator keys its groups with it, and the
+// host engine resolves through it the key tuples of its GROUP BYs, its
+// COUNT(DISTINCT) (group, value) pairs and both sides of its joins.
 //
 // Keys are stored column-major (keys[c][id]), so a finished group-by's
 // key columns are the table's own slices. Lookup is open addressing over

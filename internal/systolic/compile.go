@@ -32,9 +32,6 @@ const MaxWideRegs = 64
 // instruction memories, unlimited chain length.
 func DefaultConfig() Config { return Config{IMem: DefaultIMem, MaxPEs: 0} }
 
-// PrototypeConfig mirrors the VCU108 prototype exactly.
-func PrototypeConfig() Config { return Config{IMem: DefaultIMem, MaxPEs: DefaultPEs} }
-
 // Mapped is a compiled row transformation: one program per PE in the
 // chain, plus the streaming contract (how many input columns are popped
 // per row and how many output columns are pushed).

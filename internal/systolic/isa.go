@@ -198,12 +198,3 @@ func (in Instr) String() string {
 // Program is the instruction memory of one PE. With no branches the PC
 // increments and wraps, executing the program once per row vector.
 type Program []Instr
-
-// Disassemble renders a program one instruction per line.
-func (p Program) Disassemble() string {
-	s := ""
-	for i, in := range p {
-		s += fmt.Sprintf("%2d: %s\n", i, in)
-	}
-	return s
-}

@@ -1,6 +1,7 @@
 package systolic
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestImmediateFolding(t *testing.T) {
 	// (x + 2) * 3 should be two immediate ALU instructions on one PE.
 	m := mustCompile(t, []Expr{Mul(Add(In(0), C(2)), C(3))}, 1, DefaultConfig())
 	if m.NumPEs() != 1 {
-		t.Fatalf("NumPEs = %d, want 1\n%s", m.NumPEs(), m.Programs[0].Disassemble())
+		t.Fatalf("NumPEs = %d, want 1: %v", m.NumPEs(), m.Programs)
 	}
 	got := runRows(t, m, [][]int64{{5}})
 	if got[0][0] != 21 {
@@ -155,7 +156,7 @@ func TestFig9Transformation(t *testing.T) {
 }
 
 func TestFig9FitsPrototype(t *testing.T) {
-	m, err := Compile(fig9Exprs(), 4, PrototypeConfig())
+	m, err := Compile(fig9Exprs(), 4, Config{IMem: DefaultIMem, MaxPEs: DefaultPEs})
 	if err != nil {
 		t.Fatalf("Fig.9 does not fit the 4-PE prototype: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestFig9FitsPrototype(t *testing.T) {
 			}
 		}
 		if compute > DefaultIMem {
-			t.Fatalf("PE %d has %d compute instructions:\n%s", i, compute, p.Disassemble())
+			t.Fatalf("PE %d has %d compute instructions: %v", i, compute, p)
 		}
 	}
 }
@@ -243,12 +244,12 @@ func TestDuplicateOutputs(t *testing.T) {
 	}
 }
 
-func TestDisassemble(t *testing.T) {
+func TestInstrString(t *testing.T) {
 	m := mustCompile(t, []Expr{Add(In(0), C(1))}, 1, DefaultConfig())
-	d := m.Programs[0].Disassemble()
+	d := fmt.Sprint(m.Programs[0])
 	for _, want := range []string{"pass", "add", "fifo"} {
 		if !strings.Contains(d, want) {
-			t.Fatalf("disassembly missing %q:\n%s", want, d)
+			t.Fatalf("program text missing %q: %s", want, d)
 		}
 	}
 }

@@ -293,7 +293,7 @@ func TestQ22Codes(t *testing.T) {
 	}
 	for _, v := range codes {
 		if !allowed[v] {
-			t.Fatalf("unexpected cntrycode %q", plan.UnpackString(v, 2))
+			t.Fatalf("unexpected cntrycode %#x", v)
 		}
 	}
 	if b.NumRows() == 0 {

@@ -1,9 +1,11 @@
 package aquoman
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,6 +99,12 @@ func TestLifecycleAttributionConcurrentOracle(t *testing.T) {
 	t.Logf("aggregate: wall %v, attributed %v, coverage %.1f%% over %d queries",
 		wall, attributed, 100*coverage, len(lifecycles))
 	if coverage < 0.90 {
+		// Name the gap: the queries with the most wall time outside every
+		// state, and where the rest of their time went.
+		slices.SortFunc(lifecycles, func(a, b *Lifecycle) int { return cmp.Compare(b.Unattributed(), a.Unattributed()) })
+		for _, lc := range lifecycles[:min(5, len(lifecycles))] {
+			t.Logf("%s: wall %v, unattributed %v, states (ns) %v", lc.ID, lc.Wall(), lc.Unattributed(), lc.Breakdown())
+		}
 		t.Fatalf("attribution coverage %.1f%% < 90%%: lifecycle states lost track of wall time", 100*coverage)
 	}
 
