@@ -16,9 +16,9 @@
 // Everything underneath is real: the flash device simulator accounts
 // every page, the Row Transformer executes compiled PE programs with the
 // paper's instruction set, the SQL Swissknife runs the 1024-bucket
-// Aggregate-GroupBy with host spill-over, and the streaming sorter merges
-// through the paper's 256-to-1 cascade. Results are bit-identical to the
-// host engine's.
+// Aggregate-GroupBy with host spill-over, and the streaming sorter
+// charges the data movement of the paper's 256-to-1 merger cascade.
+// Results are bit-identical to the host engine's.
 package aquoman
 
 import (
@@ -868,31 +868,3 @@ func (db *DB) MaterializeFK(fact, fkCol, dim, pkCol string) error {
 
 // Version identifies the reproduction.
 const Version = "aquoman-repro 1.0 (MICRO 2020, Xu et al.)"
-
-// SanityCheck runs a quick self-test: generates a tiny TPC-H instance and
-// verifies host and offloaded execution agree on q6.
-func SanityCheck() error {
-	db := Open()
-	if err := db.LoadTPCH(0.001, 1); err != nil {
-		return err
-	}
-	host, err := db.RunTPCHHostOnly(6)
-	if err != nil {
-		return err
-	}
-	off, err := db.RunTPCH(6)
-	if err != nil {
-		return err
-	}
-	if host.NumRows() != off.NumRows() {
-		return fmt.Errorf("aquoman: self-test row mismatch: %d vs %d", host.NumRows(), off.NumRows())
-	}
-	for c := range host.Batch.Cols {
-		for r := range host.Batch.Cols[c] {
-			if host.Batch.Cols[c][r] != off.Batch.Cols[c][r] {
-				return fmt.Errorf("aquoman: self-test value mismatch at col %d row %d", c, r)
-			}
-		}
-	}
-	return nil
-}

@@ -7,12 +7,6 @@ import (
 	"aquoman/internal/plan"
 )
 
-func TestSanityCheck(t *testing.T) {
-	if err := SanityCheck(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicAPIRoundTrip(t *testing.T) {
 	db := Open()
 	b := db.NewTable(Schema{Name: "t", Cols: []ColDef{

@@ -3,6 +3,7 @@ package col
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -33,6 +34,13 @@ func TestScannerMatchesReadAll(t *testing.T) {
 		}
 		for _, names := range [][]string{tab.ColumnNames(), {"e"}, {"a", "", "d"}} {
 			t.Run(fmt.Sprintf("%v/%q", sel, names), func(t *testing.T) {
+				// MemStats counts the whole process's allocations, and every
+				// GC cycle wakes runtime goroutines that allocate (the unique
+				// package's map cleanup, mark workers taking sudogs). Finish
+				// the cycle in progress now and start none until the scan
+				// has been measured.
+				runtime.GC()
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 				cols := make([]*ColumnInfo, len(names)) // "" is the row-id column
 				want := make([][]Value, len(names))
 				readAll := func() {

@@ -21,25 +21,17 @@ type Config struct {
 	// factor before the regex-accelerator fit test (the paper evaluates
 	// SF-1000; generated stores are much smaller).
 	HeapScale float64
-	// MinFactRows is the smallest fact table worth a Table Task.
-	MinFactRows int
-}
-
-// DefaultConfig models the paper's deployment: decisions taken as if the
-// store were at SF-1000 relative to a generated SF-0.01 store.
-func DefaultConfig() Config {
-	return Config{HeapScale: 1, MinFactRows: 64}
 }
 
 func (c Config) withDefaults() Config {
 	if c.HeapScale <= 0 {
 		c.HeapScale = 1
 	}
-	if c.MinFactRows <= 0 {
-		c.MinFactRows = 64
-	}
 	return c
 }
+
+// minFactRows is the smallest fact table worth a Table Task.
+const minFactRows = 64
 
 // Unit is one offloaded subtree: a sequential Table-Task program whose
 // final host output replaces the subtree via the Placeholder.
@@ -465,7 +457,7 @@ func (u *unitBuilder) objName(kind string) string {
 }
 
 func (c *compileCtx) newBuilder(s *star, label string) (*unitBuilder, error) {
-	if s.fact.tab.NumRows < c.cfg.MinFactRows {
+	if s.fact.tab.NumRows < minFactRows {
 		return nil, reject("fact table %q too small to offload", s.fact.scan.Table)
 	}
 	c.seq++

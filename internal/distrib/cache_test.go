@@ -10,9 +10,15 @@ import (
 // identically named column files with different rows, so any partition
 // aliasing in the cache would silently corrupt results. Cached cluster
 // runs must match uncached runs cell-exactly, with the budget honored
-// and repeat runs hitting.
+// and repeat runs hitting. The cache goes on a cluster of the test's
+// own, so the shared one stays uncached.
 func TestClusterSharedCachePartitionIsolation(t *testing.T) {
-	_, c := setup(t)
+	src, shared := setup(t)
+	c := NewCluster(3)
+	c.HeapScale = shared.HeapScale
+	if err := c.Partition(src); err != nil {
+		t.Fatal(err)
+	}
 	def, err := tpch.Get(6)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +30,6 @@ func TestClusterSharedCachePartitionIsolation(t *testing.T) {
 
 	const budget = 4 << 20
 	cache := c.EnableCache(budget)
-	defer c.DisableCache()
 	for run := 0; run < 2; run++ {
 		got, _, err := c.RunQuery(def.Build)
 		if err != nil {

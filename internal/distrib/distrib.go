@@ -111,19 +111,6 @@ func (c *Cluster) EnableCache(maxBytes int64) *sched.PageCache {
 	return c.cache
 }
 
-// DisableCache detaches the shared page cache from every device.
-func (c *Cluster) DisableCache() {
-	c.cache = nil
-	for _, dev := range c.Devices {
-		dev.SetPageCache(nil)
-	}
-	for _, dev := range c.MirrorDevices {
-		if dev != nil {
-			dev.SetPageCache(nil)
-		}
-	}
-}
-
 // CacheStats snapshots the shared cache (zero value when none installed).
 func (c *Cluster) CacheStats() sched.CacheStats {
 	if c.cache == nil {

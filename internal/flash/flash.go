@@ -340,11 +340,6 @@ func (d *Device) SetReadLatency(tR time.Duration) {
 	d.readLatencyNs.Store(int64(tR))
 }
 
-// ReadLatency returns tR, the per-command read latency (0 = model off).
-func (d *Device) ReadLatency() time.Duration {
-	return time.Duration(d.readLatencyNs.Load())
-}
-
 // SetRetryPolicy replaces the page-read retry policy.
 func (d *Device) SetRetryPolicy(p RetryPolicy) {
 	d.mu.Lock()
@@ -457,14 +452,6 @@ func (d *Device) Open(name string) (*File, error) {
 		return nil, fmt.Errorf("flash: open %s: no such file", name)
 	}
 	return f, nil
-}
-
-// Exists reports whether a file of that name exists.
-func (d *Device) Exists(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.files[name]
-	return ok
 }
 
 // Remove deletes a file and drops its per-file stats attribution, so a
@@ -727,12 +714,4 @@ func (f *File) WriteAt(p []byte, off int64, who Requester) {
 	f.mu.Unlock()
 	f.dev.account(f.name, who, 0, 0, pages, random)
 	f.invalidateWritten(off, int64(len(p)))
-}
-
-// PagesSpanned reports how many pages the byte range [off, off+n) touches.
-func PagesSpanned(off, n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return (off+n-1)/PageSize - off/PageSize + 1
 }

@@ -24,9 +24,6 @@ func TestCreateOpenRemove(t *testing.T) {
 	if f.Name() != "tbl/col0" {
 		t.Fatalf("Name = %q", f.Name())
 	}
-	if !d.Exists("tbl/col0") {
-		t.Fatal("Exists = false after Create")
-	}
 	got, err := d.Open("tbl/col0")
 	if err != nil || got != f {
 		t.Fatalf("Open: %v, %v", got, err)
@@ -35,8 +32,8 @@ func TestCreateOpenRemove(t *testing.T) {
 		t.Fatal("Open(missing) succeeded")
 	}
 	d.Remove("tbl/col0")
-	if d.Exists("tbl/col0") {
-		t.Fatal("Exists = true after Remove")
+	if _, err := d.Open("tbl/col0"); err == nil {
+		t.Fatal("Open succeeded after Remove")
 	}
 }
 
@@ -151,25 +148,6 @@ func TestStatsSub(t *testing.T) {
 	diff := d.Stats().Sub(before)
 	if diff.PagesRead[Aquoman] != 1 || diff.PagesWritten[Host] != 0 {
 		t.Fatalf("diff = %+v", diff)
-	}
-}
-
-func TestPagesSpanned(t *testing.T) {
-	cases := []struct {
-		off, n, want int64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, PageSize, 1},
-		{0, PageSize + 1, 2},
-		{PageSize - 1, 2, 2},
-		{PageSize, PageSize, 1},
-		{100, 3 * PageSize, 4},
-	}
-	for _, c := range cases {
-		if got := PagesSpanned(c.off, c.n); got != c.want {
-			t.Errorf("PagesSpanned(%d,%d) = %d, want %d", c.off, c.n, got, c.want)
-		}
 	}
 }
 

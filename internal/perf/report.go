@@ -122,7 +122,8 @@ type SorterRow struct {
 	MBps       float64
 }
 
-// TableV measures the streaming sorter's throughput for
+// TableV times the streaming sorter's kernel (the radix sort that
+// stands in for the merger cascade, whose counters are derived) on
 // sorted/reverse-sorted/random inputs across input lengths, the software
 // analogue of Table V (absolute numbers are Go-on-CPU, the shape —
 // throughput roughly flat in input length — is the claim under test).

@@ -235,9 +235,6 @@ func TestReadLatencyOnlyOnMisses(t *testing.T) {
 	fillFile(t, dev, "tab/c.dat", 4*flash.PageSize)
 	dev.SetPageCache(sched.NewPageCache(16 * flash.PageSize))
 	dev.SetReadLatency(0) // explicit default: disabled
-	if got := dev.ReadLatency(); got != 0 {
-		t.Fatalf("latency = %v, want 0", got)
-	}
 	f, err := dev.Open("tab/c.dat")
 	if err != nil {
 		t.Fatal(err)

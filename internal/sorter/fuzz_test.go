@@ -2,7 +2,7 @@ package sorter
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -19,46 +19,13 @@ func decodeKVs(data []byte) []KV {
 	return kvs
 }
 
-// multiset counts occurrences so permutation checks survive duplicates.
-func multiset(v []KV) map[KV]int {
-	m := make(map[KV]int, len(v))
-	for _, kv := range v {
-		m[kv]++
-	}
-	return m
-}
-
-func sameMultiset(a, b map[KV]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
-			return false
-		}
-	}
-	return true
-}
-
-// keySorted reports non-decreasing key order — the contract of the merger
-// tree, whose 2-to-1 mergers alternate on key ties (the
-// intersection-friendly schedule) and therefore do not order ties by
-// value the way the bitonic base sorter does.
-func keySorted(v []KV) bool {
-	for i := 1; i < len(v); i++ {
-		if v[i].Key < v[i-1].Key {
-			return false
-		}
-	}
-	return true
-}
-
-// FuzzSorterMerge drives the streaming-sorter cascade (bitonic base
-// vectors, merger-tree layers, folded run merging) with arbitrary
-// key/value data and checks the invariants the join machinery relies on:
-// every run and the merged output are key-ordered, the output is an exact
-// permutation of the input, and the key sequence matches an independent
-// reference sort.
+// FuzzSorterMerge holds the streaming sorter to the element-by-element
+// cascade on arbitrary key/value data: after SortRuns and after MergeRuns
+// (and through the one-shot Sort) the kernel's Stats equal the cascade's
+// field for field, its runs hold the cascade's key sequences and never
+// exceed RunElems, and its output is the input stably sorted by key. The
+// cascade's own output must be a key-sorted permutation of the input, and
+// the bitonic base sorter alone a total (key, value) order.
 func FuzzSorterMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0})
@@ -69,7 +36,7 @@ func FuzzSorterMerge(f *testing.F) {
 		binary.LittleEndian.PutUint32(seed[i*8+4:], uint32(i))
 	}
 	f.Add(seed)
-	// All-equal keys exercise the mergers' tie alternation.
+	// All-equal keys: the kernel keeps input order, the mergers alternate.
 	eq := make([]byte, 12*8)
 	for i := 0; i < 12; i++ {
 		binary.LittleEndian.PutUint32(eq[i*8:], 7)
@@ -86,68 +53,54 @@ func FuzzSorterMerge(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := decodeKVs(data)
-		want := multiset(input)
-
-		// Reference key order from an independent sort.
-		refKeys := make([]int64, len(input))
-		for i, kv := range input {
-			refKeys[i] = kv.Key
-		}
-		sort.Slice(refKeys, func(i, j int) bool { return refKeys[i] < refKeys[j] })
+		want := stableSorted(input)
 
 		// The bitonic base sorter alone IS a total (key, value) order.
-		base := append([]KV(nil), input...)
-		if len(base) > VecElems {
-			base = base[:VecElems]
-		}
-		ref := append([]KV(nil), base...)
-		sort.Slice(ref, func(i, j int) bool { return ref[i].Less(ref[j]) })
+		base := slices.Clone(input[:min(len(input), VecElems)])
+		ref := refSort(base)
 		BitonicSort(base)
-		for i := range base {
-			if base[i] != ref[i] {
-				t.Fatalf("BitonicSort differs from reference at %d: %v, want %v", i, base[i], ref[i])
-			}
+		if !slices.Equal(base, ref) {
+			t.Fatalf("BitonicSort = %v, reference %v", base, ref)
 		}
 
 		// A tiny config forces multiple runs and folded merge passes even
 		// on small inputs.
-		s := NewStreaming(Config{VecElems: 4, FanIn: 2, Layers: 2, ElemBytes: 8})
-		runs := s.SortRuns(append([]KV(nil), input...))
-		totalLen := 0
+		cfg := Config{VecElems: 4, FanIn: 2, Layers: 2, ElemBytes: 8}
+		s, cas := NewStreaming(cfg), newCascade(cfg)
+		runs, casRuns := s.SortRuns(slices.Clone(input)), cas.SortRuns(slices.Clone(input))
+		if s.Stats() != cas.stats {
+			t.Fatalf("SortRuns stats %+v, cascade %+v", s.Stats(), cas.stats)
+		}
+		if len(runs) != len(casRuns) {
+			t.Fatalf("%d runs, cascade makes %d", len(runs), len(casRuns))
+		}
 		for ri, run := range runs {
-			totalLen += len(run)
-			if !keySorted(run) {
-				t.Fatalf("run %d has descending keys", ri)
+			if len(run) > cfg.RunElems() {
+				t.Fatalf("run %d has %d elements, config caps runs at %d", ri, len(run), cfg.RunElems())
 			}
-			if maxRun := s.Config().RunElems(); len(run) > maxRun {
-				t.Fatalf("run %d has %d elements, config caps runs at %d", ri, len(run), maxRun)
+			if !slices.Equal(keysOf(run), keysOf(casRuns[ri])) {
+				t.Fatalf("run %d keys differ from the cascade's", ri)
 			}
-		}
-		if totalLen != len(input) {
-			t.Fatalf("runs hold %d elements, input had %d", totalLen, len(input))
 		}
 
-		out := s.MergeRuns(runs)
-		if len(out) != len(input) {
-			t.Fatalf("merged output has %d elements, want %d", len(out), len(input))
+		out, casOut := s.MergeRuns(runs), cas.MergeRuns(casRuns)
+		if s.Stats() != cas.stats {
+			t.Fatalf("MergeRuns stats %+v, cascade %+v", s.Stats(), cas.stats)
 		}
-		if !IsSorted(out) {
-			t.Fatal("merged output keys not ascending")
+		if !slices.Equal(out, want) {
+			t.Fatal("output is not the input stably sorted by key")
 		}
-		for i := range out {
-			if out[i].Key != refKeys[i] {
-				t.Fatalf("key %d = %d, reference sort has %d", i, out[i].Key, refKeys[i])
-			}
-		}
-		if !sameMultiset(multiset(out), want) {
-			t.Fatal("output is not a permutation of the input")
+		if !IsSorted(casOut) || !slices.Equal(refSort(casOut), refSort(input)) {
+			t.Fatal("cascade output unsorted or not a permutation")
 		}
 
-		// The one-shot Sort entry point upholds the same invariants.
-		s2 := NewStreaming(Config{VecElems: 8, FanIn: 4, Layers: 1, ElemBytes: 8})
-		out2 := s2.Sort(append([]KV(nil), input...))
-		if !IsSorted(out2) || !sameMultiset(multiset(out2), want) {
-			t.Fatal("Sort output unsorted or not a permutation")
+		// The one-shot Sort entry point, one merge layer.
+		cfg = Config{VecElems: 8, FanIn: 4, Layers: 1, ElemBytes: 8}
+		s, cas = NewStreaming(cfg), newCascade(cfg)
+		out = s.Sort(slices.Clone(input))
+		cas.Sort(slices.Clone(input))
+		if s.Stats() != cas.stats || !slices.Equal(out, want) {
+			t.Fatalf("Sort stats %+v (cascade %+v) or order wrong", s.Stats(), cas.stats)
 		}
 	})
 }

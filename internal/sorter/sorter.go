@@ -5,6 +5,8 @@
 // trees (binary trees of 2-to-1 mergers), and the 1 GB-Block Streaming
 // Sorter that cascades three 256-to-1 merger layers (64 B → 16 KB → 4 MB →
 // 1 GB runs).
+// StreamingSorter derives the cascade's counters and sorts with one radix
+// kernel, held in the tests to the mergers driven element by element.
 //
 // Everything operates on key/value pairs: the key is the sort key and the
 // value carries the RowID back-pointer used by AQUOMAN's join machinery
@@ -151,8 +153,6 @@ type Merge2 struct {
 	hasA, hasB bool
 	// lastFromA tracks the alternation for equal keys.
 	lastFromA bool
-	// Elems counts merged elements for the timing model.
-	Elems int64
 }
 
 // NewMerge2 returns a merger over two sorted streams.
@@ -192,7 +192,6 @@ func (m *Merge2) NextTagged() (kv KV, fromA bool, ok bool) {
 		m.hb, m.hasB = m.b.Next()
 	}
 	m.lastFromA = fromA
-	m.Elems++
 	return kv, fromA, true
 }
 
@@ -217,18 +216,6 @@ func MergeN(streams []Stream) (Stream, int) {
 		depth++
 	}
 	return streams[0], depth
-}
-
-// Drain collects a stream into a slice.
-func Drain(s Stream) []KV {
-	var out []KV
-	for {
-		kv, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, kv)
-	}
 }
 
 // IsSorted reports whether v is ascending by key.

@@ -1,6 +1,10 @@
 package sorter
 
-import "fmt"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // Config sizes the 1 GB-Block Streaming Sorter (Fig. 15). The hardware
 // instance sorts 64-byte vectors with a pipelined bitonic sorter and
@@ -54,12 +58,15 @@ type Stats struct {
 	DRAMMergePasses int64
 }
 
-// StreamingSorter sorts unbounded streams into RunElems-sized sorted runs
-// by reproducing the hardware cascade: bitonic-sort base vectors, then
-// merge FanIn runs per layer through binary trees of 2-to-1 mergers.
+// StreamingSorter sorts unbounded streams into RunElems-sized sorted runs.
+// The cascade's data movement is fixed by the element count and the
+// Config, so the sorter derives its counters and sorts with one stable
+// radix kernel: the cascade's key order, equal keys in input order.
 type StreamingSorter struct {
 	cfg   Config
 	stats Stats
+	buf   []KV  // the kernel's ping-pong half
+	count []int // the kernel's digit histogram
 }
 
 // NewStreaming returns a sorter with the given configuration; zero fields
@@ -81,116 +88,120 @@ func NewStreaming(cfg Config) *StreamingSorter {
 	return &StreamingSorter{cfg: cfg}
 }
 
-// Config returns the active configuration.
-func (s *StreamingSorter) Config() Config { return s.cfg }
-
 // Stats returns the accumulated data-movement counters.
 func (s *StreamingSorter) Stats() Stats { return s.stats }
 
-// ResetStats zeroes the counters.
-func (s *StreamingSorter) ResetStats() { s.stats = Stats{} }
-
-// SortRuns streams data through the cascade and returns the sorted runs
-// in input order. data is consumed (sorted in place segment-wise).
+// SortRuns cuts data into RunElems-sized runs in input order and sorts
+// each in place (the runs alias data). Merge layer l takes runs of
+// VecElems·FanIn^(l-1) elements FanIn at a time, a group of one run moving
+// nothing; the last layer counts toward DRAM, the others toward SRAM.
 func (s *StreamingSorter) SortRuns(data []KV) [][]KV {
-	s.stats.ElemsIn += int64(len(data))
-	// Layer 0: bitonic-sort base vectors.
-	runs := make([][]KV, 0, (len(data)+s.cfg.VecElems-1)/s.cfg.VecElems)
-	for base := 0; base < len(data); base += s.cfg.VecElems {
-		end := base + s.cfg.VecElems
-		if end > len(data) {
-			end = len(data)
+	n, fan := len(data), s.cfg.FanIn
+	s.stats.ElemsIn += int64(n)
+	for l, runLen := 1, s.cfg.VecElems; l <= s.cfg.Layers && runLen < n; l, runLen = l+1, runLen*fan {
+		runs := (n + runLen - 1) / runLen
+		passes, moved := (runs+fan-1)/fan, n
+		if runs%fan == 1 { // the last group is one run
+			passes, moved = passes-1, (runs-1)*runLen
 		}
-		v := data[base:end]
-		BitonicSort(v)
-		runs = append(runs, v)
+		s.account(l == s.cfg.Layers, passes, moved)
 	}
-	// Merge layers.
-	for layer := 1; layer <= s.cfg.Layers; layer++ {
-		if len(runs) <= 1 {
-			break
-		}
-		var next [][]KV
-		for g := 0; g < len(runs); g += s.cfg.FanIn {
-			e := g + s.cfg.FanIn
-			if e > len(runs) {
-				e = len(runs)
-			}
-			merged := s.mergeGroup(runs[g:e], layer)
-			next = append(next, merged)
-		}
-		runs = next
+	var runs [][]KV
+	for lo := 0; lo < n; lo += s.cfg.RunElems() {
+		runs = append(runs, data[lo:min(lo+s.cfg.RunElems(), n)])
+		s.sort(runs[len(runs)-1])
 	}
 	s.stats.Runs += int64(len(runs))
 	return runs
 }
 
-func (s *StreamingSorter) mergeGroup(group [][]KV, layer int) []KV {
-	if len(group) == 1 {
-		return group[0]
+// Sort fully sorts data. Beyond one run it folds extra merge passes through
+// DRAM (the paper: "it can sort 256GB by folding the last 256-to-1 merging
+// step"), each fold one more DRAM round trip per element.
+func (s *StreamingSorter) Sort(data []KV) []KV {
+	return s.MergeRuns(s.SortRuns(data))
+}
+
+// MergeRuns merges pre-sorted runs into one sorted slice by sorting their
+// concatenation (equal keys in run order). It counts the cascade's folded
+// passes from the run lengths: FanIn runs at a time through DRAM.
+func (s *StreamingSorter) MergeRuns(runs [][]KV) []KV {
+	if len(runs) == 1 {
+		return runs[0]
 	}
-	streams := make([]Stream, len(group))
-	total := 0
-	for i, r := range group {
-		streams[i] = NewSliceStream(r)
-		total += len(r)
+	lens := make([]int, len(runs))
+	for i, r := range runs {
+		lens[i] = len(r)
 	}
-	root, _ := MergeN(streams)
-	out := make([]KV, 0, total)
-	for {
-		kv, ok := root.Next()
-		if !ok {
-			break
+	for len(lens) > 1 {
+		var next []int
+		for g := 0; g < len(lens); g += s.cfg.FanIn {
+			total := 0
+			for _, l := range lens[g:min(g+s.cfg.FanIn, len(lens))] {
+				total += l
+			}
+			if g+1 < len(lens) { // a group of one run moves nothing
+				s.account(true, 1, total)
+			}
+			next = append(next, total)
 		}
-		out = append(out, kv)
+		lens = next
 	}
-	bytes := int64(total) * int64(s.cfg.ElemBytes)
-	if layer >= s.cfg.Layers {
-		s.stats.DRAMBytes += 2 * bytes // read + write through DDR4
-		s.stats.DRAMMergePasses++
-	} else {
-		s.stats.SRAMBytes += 2 * bytes
-		s.stats.SRAMMergePasses++
-	}
+	out := slices.Concat(runs...)
+	s.sort(out)
 	return out
 }
 
-// Sort fully sorts data. Within one run it is the pure cascade; beyond
-// one run it folds extra merge passes through DRAM at half streaming rate
-// (the paper: "it can sort 256GB by folding the last 256-to-1 merging
-// step", each fold costing one extra DRAM round trip per element).
-func (s *StreamingSorter) Sort(data []KV) []KV {
-	runs := s.SortRuns(data)
-	return s.MergeRuns(runs)
+// account charges passes merges moving elems elements in all, each read
+// and written once, to DRAM or to SRAM.
+func (s *StreamingSorter) account(dram bool, passes, elems int) {
+	bytes, merges := &s.stats.SRAMBytes, &s.stats.SRAMMergePasses
+	if dram {
+		bytes, merges = &s.stats.DRAMBytes, &s.stats.DRAMMergePasses
+	}
+	*bytes += 2 * int64(elems) * int64(s.cfg.ElemBytes)
+	*merges += int64(passes)
 }
 
-// MergeRuns merges pre-sorted runs into one sorted stream, accounting the
-// extra DRAM traffic of the folded merge passes.
-func (s *StreamingSorter) MergeRuns(runs [][]KV) []KV {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
+// smallSort is the length below which the kernel sorts by comparison.
+const smallSort = 64
+
+// sort is the one sort kernel: a stable LSD radix sort of v by key on
+// 16-bit digits of key − min, as many passes as the key span needs (one or
+// two for RowID-dense join keys, four for random 63-bit keys).
+func (s *StreamingSorter) sort(v []KV) {
+	if len(v) < smallSort {
+		slices.SortStableFunc(v, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
+		return
 	}
-	for len(runs) > 1 {
-		var next [][]KV
-		for g := 0; g < len(runs); g += s.cfg.FanIn {
-			e := g + s.cfg.FanIn
-			if e > len(runs) {
-				e = len(runs)
-			}
-			next = append(next, s.mergeGroup(runs[g:e], s.cfg.Layers))
+	lo, hi := v[0].Key, v[0].Key
+	for _, kv := range v {
+		lo, hi = min(lo, kv.Key), max(hi, kv.Key)
+	}
+	span := uint64(hi) - uint64(lo)
+	passes := (bits.Len64(span) + 15) / 16
+	if len(s.buf) < len(v) {
+		s.buf, s.count = make([]KV, len(v)), make([]int, 1<<16)
+	}
+	src, dst := v, s.buf[:len(v)]
+	for shift := 0; shift < 16*passes; shift += 16 {
+		count := s.count[:min(span>>shift, 1<<16-1)+1]
+		clear(count)
+		for _, kv := range src {
+			count[uint16((uint64(kv.Key)-uint64(lo))>>shift)]++
 		}
-		runs = next
+		at := 0
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for _, kv := range src {
+			d := uint16((uint64(kv.Key) - uint64(lo)) >> shift)
+			dst[count[d]] = kv
+			count[d]++
+		}
+		src, dst = dst, src
 	}
-	return runs[0]
-}
-
-// Validate sanity-checks a configuration.
-func (c Config) Validate() error {
-	if c.VecElems < 1 || c.FanIn < 2 || c.Layers < 1 || c.ElemBytes < 1 {
-		return fmt.Errorf("sorter: invalid config %+v", c)
+	if passes%2 == 1 {
+		copy(v, src)
 	}
-	return nil
 }
